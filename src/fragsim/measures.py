@@ -63,8 +63,13 @@ class DislocationLaw:
         """Total rate of dislocations with 1 - s1 >= eps."""
         raise NotImplementedError
 
-    def sample_dislocation(self, eps, rng):
-        """One fragment vector from the law conditioned on 1 - s1 >= eps."""
+    def sample_dislocation(self, eps, rng, total=None):
+        """One fragment vector from the law conditioned on 1 - s1 >= eps.
+
+        total, when given, must be truncated_mass(eps); callers that draw
+        many times at one eps compute it once and pass it in, which skips
+        recomputing it per draw and leaves the draws unchanged.
+        """
         raise NotImplementedError
 
     def gen_inverse_f(self, y):
@@ -132,13 +137,17 @@ class FiniteAtomic(DislocationLaw):
         return float(np.sum(self._w[(1.0 - self._s1) >= eps]))
 
     def _truncated(self, eps):
-        if self._trunc_cache is None or self._trunc_cache[0] != eps:
+        # one read of the cache, so a concurrent refill at another eps
+        # cannot pair keep from one level with cum from another
+        cache = self._trunc_cache
+        if cache is None or cache[0] != eps:
             keep = np.flatnonzero((1.0 - self._s1) >= eps)
-            cum = np.cumsum(self._w[keep])
-            self._trunc_cache = (eps, keep, cum)
-        return self._trunc_cache[1], self._trunc_cache[2]
+            cache = (eps, keep, np.cumsum(self._w[keep]))
+            self._trunc_cache = cache
+        return cache[1], cache[2]
 
-    def sample_dislocation(self, eps, rng):
+    def sample_dislocation(self, eps, rng, total=None):
+        # draws against the cached cumulative weights; total is not needed
         keep, cum = self._truncated(eps)
         if len(keep) == 0:
             raise EmptyTruncation(f"no atoms with 1 - s1 >= {eps}")
@@ -187,8 +196,9 @@ class BinaryPowerLaw(DislocationLaw):
             raise EmptyTruncation("binary power law needs a positive truncation")
         return max(self.tail_nu2(eps), 0.0)
 
-    def sample_dislocation(self, eps, rng):
-        total = self.truncated_mass(eps)
+    def sample_dislocation(self, eps, rng, total=None):
+        if total is None:
+            total = self.truncated_mass(eps)
         if total <= 0.0:
             raise EmptyTruncation(f"no dislocations with second piece >= {eps}")
         s2 = (rng.random() * total + self._two_a) ** (-1.0 / self.a)
@@ -235,11 +245,13 @@ class BrennanDurrett(DislocationLaw):
     def truncated_mass(self, eps):
         return self.tail_nu2(eps)
 
-    def sample_dislocation(self, eps, rng):
-        lo, hi = self._beta.cdf(eps), self._beta.cdf(1.0 - eps)
-        if hi <= lo:
+    def sample_dislocation(self, eps, rng, total=None):
+        # total = cdf(1 - eps) - cdf(eps), the width of the kept V-interval
+        if total is None:
+            total = self.truncated_mass(eps)
+        if total <= 0.0:
             raise EmptyTruncation(f"no splits with smaller piece >= {eps}")
-        v = float(self._beta.ppf(lo + rng.random() * (hi - lo)))
+        v = float(self._beta.ppf(self._beta.cdf(eps) + rng.random() * total))
         return (max(v, 1.0 - v), min(v, 1.0 - v))
 
     def jump_rate_truncated(self, eps):
@@ -278,6 +290,7 @@ def sub_levy_transform(law, c, eps):
     rate (the chance per unit time that the tagged point falls into dust)."""
     killing = law.dust_integral()
     rate = law.jump_rate_truncated(eps)
+    total = law.truncated_mass(eps)
     atoms = None
     if isinstance(law, FiniteAtomic):
         keep, _ = law._truncated(eps)
@@ -288,7 +301,7 @@ def sub_levy_transform(law, c, eps):
         # accept a truncated dislocation with probability s1 (>= 1/2 for the
         # binary families), jump by -log s1
         while True:
-            s = law.sample_dislocation(eps, rng)
+            s = law.sample_dislocation(eps, rng, total=total)
             s1 = s[0] if s else 0.0
             if s1 > 0.0 and rng.random() < s1:
                 return -math.log(s1)

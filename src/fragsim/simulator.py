@@ -102,24 +102,32 @@ class Trajectory:
     cap_hit: bool = False
 
 
-def next_event(state, law, alpha, eps, rng):
+def next_event(state, law, alpha, eps, rng, trunc=None):
     """Draw (waiting time, target rank, relative fragment vector).
 
     Each fragment carries an exponential clock of rate mass**alpha times
     the truncated total mass; the winner is the target. Draw order is
     fixed (wait, target, fragments) so that paths are reproducible.
+
+    trunc is law.truncated_mass(eps), computed here when not given. It is
+    fixed for a whole run, so event loops compute it once (see
+    _truncated_rate) and pass it in; it is forwarded to
+    law.sample_dislocation as total. The draws do not depend on which
+    way it arrives.
     """
     n = len(state.parts)
     if n == 0:
         raise DeadState("no fragments left to dislocate")
-    trunc = law.truncated_mass(eps)
+    if trunc is None:
+        trunc = law.truncated_mass(eps)
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
         wait = rng.exponential(1.0 / (n * trunc))
         target = int(rng.integers(1, n + 1))
     else:
-        rates = [m ** alpha for m in state.parts]
+        # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
+        rates = state.parts if alpha == 1.0 else [m ** alpha for m in state.parts]
         total = sum(rates)
         wait = rng.exponential(1.0 / (total * trunc))
         u = rng.random() * total
@@ -130,7 +138,16 @@ def next_event(state, law, alpha, eps, rng):
             if u < acc:
                 target = i + 1
                 break
-    return wait, target, law.sample_dislocation(eps, rng)
+    return wait, target, law.sample_dislocation(eps, rng, total=trunc)
+
+
+def _truncated_rate(law, eps):
+    """The law's total rate on {1 - s1 >= eps}; 0 when that set is empty,
+    so that next_event reports EmptyTruncation and the loop stops."""
+    try:
+        return law.truncated_mass(eps)
+    except EmptyTruncation:
+        return 0.0
 
 
 def _observe(state, c, t):
@@ -162,6 +179,7 @@ def run(config, rng=None):
     if rng is None:
         rng = master_rng(config.seed)
     law, alpha, c, eps = config.law, config.alpha, config.c, config.eps
+    trunc = _truncated_rate(law, eps)
     state = MassState((config.initial_mass,), 0.0, config.initial_mass)
     snapshots = []
     events = []
@@ -172,7 +190,7 @@ def run(config, rng=None):
     t = 0.0
     while True:
         try:
-            wait, target, frags = next_event(state, law, alpha, eps, rng)
+            wait, target, frags = next_event(state, law, alpha, eps, rng, trunc)
             t_next = t + wait
         except (DeadState, EmptyTruncation):
             t_next = math.inf
@@ -248,13 +266,15 @@ def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 *
     Self-similarity reduces the draw to a unit-mass path run to time
     duration * mass**alpha.
     """
+    trunc = _truncated_rate(law, eps)
+
     def kernel(mass, duration, rng):
         horizon = duration * mass ** alpha
         state = MassState((1.0,), 0.0, 1.0)
         t = 0.0
         while True:
             try:
-                wait, target, frags = next_event(state, law, alpha, eps, rng)
+                wait, target, frags = next_event(state, law, alpha, eps, rng, trunc)
             except (DeadState, EmptyTruncation):
                 break
             t += wait

@@ -247,3 +247,57 @@ def test_sub_levy_transform_binary_sampler():
     # jumps are -log s1 for s1 in [1/2, 1 - eps]
     assert all(0.0 < x <= math.log(2.0) + 1e-12 for x in xs)
     assert spec.jump_rate < law.truncated_mass(0.01)
+
+
+@pytest.mark.parametrize("law, eps", (
+    (FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))]), 0.1),
+    (BinaryPowerLaw(0.3), 0.01),
+    (BrennanDurrett(2.0, 3.0), 0.0),
+    (BrennanDurrett(0.7, 1.5), 0.2),
+))
+def test_sample_dislocation_with_precomputed_total(law, eps):
+    given, default = np.random.default_rng(5), np.random.default_rng(5)
+    total = law.truncated_mass(eps)
+    for _ in range(200):
+        assert (law.sample_dislocation(eps, given, total=total)
+                == law.sample_dislocation(eps, default))
+    # every law above is empty at eps = 0.6, where its total is 0
+    with pytest.raises(EmptyTruncation):
+        law.sample_dislocation(0.6, given, total=law.truncated_mass(0.6))
+
+
+def test_sub_levy_sampler_reuses_the_truncated_mass():
+    calls = []
+
+    class Counting(BinaryPowerLaw):
+        def truncated_mass(self, eps):
+            calls.append(eps)
+            return super().truncated_mass(eps)
+
+    spec = sub_levy_transform(Counting(0.5), 0.0, 0.01)
+    plain = sub_levy_transform(BinaryPowerLaw(0.5), 0.0, 0.01)
+    built = len(calls)
+    a, b = np.random.default_rng(6), np.random.default_rng(6)
+    assert ([spec.jump_sampler(a) for _ in range(300)]
+            == [plain.jump_sampler(b) for _ in range(300)])
+    assert len(calls) == built
+
+
+def test_finite_atomic_truncation_cache_is_read_once():
+    # another thread refilling the cache at a different eps in between the
+    # reads of one entry must not mix levels: keep and cum come from a
+    # single entry. The refill is injected at the first read of keep.
+    law = FiniteAtomic([(1.0, (0.6, 0.4)), (2.0, (0.7, 0.3)), (4.0, (0.95, 0.05))])
+    keep, cum = law._truncated(0.0)
+    refill = (0.2,) + law._truncated(0.2)
+
+    class Entry(tuple):
+        def __getitem__(self, i):
+            if i == 1:
+                law._trunc_cache = refill
+            return tuple.__getitem__(self, i)
+
+    law._trunc_cache = Entry((0.0, keep, cum))
+    got_keep, got_cum = law._truncated(0.0)
+    assert list(got_keep) == [0, 1, 2]
+    assert list(got_cum) == [1.0, 3.0, 7.0]

@@ -8,6 +8,7 @@ import pytest
 
 from fragsim import (
     BinaryPowerLaw,
+    BrennanDurrett,
     EventAtom,
     FiniteAtomic,
     MassState,
@@ -83,6 +84,109 @@ def test_next_event_degenerate_states():
         next_event(MassState((1.0,), 0.0, 1.0), BinaryPowerLaw(0.5), 0.0, 0.6, rng)
     with pytest.raises(EmptyTruncation):
         next_event(MassState((1.0,), 0.0, 1.0), FiniteAtomic([]), 0.0, 0.0, rng)
+
+
+# one law per family, each at a truncation level where it has events
+HOISTED_LAWS = (
+    (FiniteAtomic([(1.0, (0.6, 0.4)), (0.5, (0.5, 0.3, 0.2)),
+                   (0.25, (0.9, 0.05))]), 0.0),
+    (BinaryPowerLaw(0.5), 0.05),
+    (BrennanDurrett(2.0, 3.0), 0.1),
+)
+
+
+def counting(law):
+    """A copy of law whose class counts its truncated_mass calls."""
+    base = type(law)
+
+    class Counting(base):
+        calls = 0
+
+        def truncated_mass(self, eps):
+            type(self).calls += 1
+            return base.truncated_mass(self, eps)
+
+    twin = Counting.__new__(Counting)
+    twin.__dict__.update(law.__dict__)
+    return twin
+
+
+@pytest.mark.parametrize("law, eps", HOISTED_LAWS)
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+def test_next_event_precomputed_rate_keeps_the_stream(law, eps, alpha):
+    state = MassState((0.5, 0.3, 0.15, 0.05), 0.0, 1.0)
+    given, default = np.random.default_rng(31), np.random.default_rng(31)
+    trunc = law.truncated_mass(eps)
+    for _ in range(50):
+        a = next_event(state, law, alpha, eps, given, trunc=trunc)
+        b = next_event(state, law, alpha, eps, default)
+        assert a == b
+
+
+@pytest.mark.parametrize("law, eps", HOISTED_LAWS)
+def test_run_computes_the_truncated_rate_once(law, eps):
+    law = counting(law)
+    for t_end in (0.5, 20.0):
+        type(law).calls = 0
+        traj = run(SimConfig(law=law, t_end=t_end, eps=eps, alpha=1.0,
+                             max_fragments=200, seed=41))
+        assert type(law).calls == 1
+    assert len(traj.events) > 3
+    type(law).calls = 0
+    kernel = make_step_kernel(law, alpha=1.0, eps=eps, max_fragments=200)
+    rng = np.random.default_rng(43)
+    assert len(kernel(1.0, 20.0, rng).parts) > 3
+    kernel(0.5, 1.0, rng)
+    assert type(law).calls == 1
+
+
+def test_run_stops_when_the_truncation_is_empty():
+    # BinaryPowerLaw has zero rate above eps = 1/2 and raises at eps = 0
+    law = BinaryPowerLaw(0.5)
+    traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)))
+    assert traj.events == () and traj.snapshots[0].parts == (1.0,)
+    kernel = make_step_kernel(law, eps=0.0)
+    assert kernel(1.0, 5.0, np.random.default_rng(0)).parts == (1.0,)
+
+
+class StubRng:
+    """Exponential waits equal their scale and uniforms are fixed at u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def exponential(self, scale):
+        return scale
+
+    def random(self):
+        return self.u
+
+
+def reference_target(parts, alpha, u):
+    """Rank whose cumulative m**alpha first exceeds u * total; else the last."""
+    rates = [m ** alpha for m in parts]
+    acc, cut = 0.0, u * sum(rates)
+    for i, r in enumerate(rates):
+        acc += r
+        if cut < acc:
+            return i + 1
+    return len(parts)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
+def test_mass_biased_target_matches_the_generic_scan(alpha):
+    # dyadic masses: at alpha = 1 every cumulative sum (0.5, 0.75, ..., 1)
+    # is exact, so u = 0.5 and 0.75 sit on a boundary and u = 1 exhausts
+    # the scan and falls back to rank n
+    parts = (0.5, 0.25, 0.125, 0.0625, 0.0625)
+    state = MassState(parts, 0.0, 1.0)
+    for u in (0.0, 0.2, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0):
+        wait, target, _ = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))
+        assert target == reference_target(parts, alpha, u)
+        assert wait == 1.0 / sum(m ** alpha for m in parts)
+    if alpha == 1.0:
+        assert [next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))[1]
+                for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
 
 
 def test_run_pure_erosion_is_exact():
