@@ -16,7 +16,6 @@ from .measures import (
     BinaryPowerLaw,
     BrennanDurrett,
     DislocationLaw,
-    ErosionAndIndex,
     FiniteAtomic,
     parse_measure,
     sub_levy_transform,
@@ -69,7 +68,6 @@ from .suites import (
     PASS_EXIT,
     CheckResult,
     SuiteReport,
-    resolve_threads,
     run_replicas,
     run_suite,
     suite_names,

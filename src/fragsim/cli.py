@@ -38,7 +38,6 @@ def _build_parser():
                      help="optional overrides for the suite's defaults")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--replicas", type=int, default=None)
-    ver.add_argument("--threads", type=int, default=None)
 
     tail = sub.add_parser("tail", help="print measure analytics on a grid")
     tail.add_argument("--measure", required=True,
@@ -74,7 +73,7 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     overrides = load_config(args.config) if args.config else None
     report = run_suite(args.suite, overrides, seed=args.seed,
-                       replicas=args.replicas, threads=args.threads)
+                       replicas=args.replicas)
     sys.stdout.write(report.to_text())
     return PASS_EXIT if report.passed else FAIL_EXIT
 

@@ -49,10 +49,6 @@ class DeadState(FragsimError):
     """No fragments remain to dislocate."""
 
 
-class FragmentCapExceeded(FragsimError):
-    """Fragment count passed the configured cap."""
-
-
 class DegenerateNormalizer(FragsimError):
     """Normalizing scale is zero at the requested time."""
 

@@ -137,8 +137,6 @@ class FiniteAtomic(DislocationLaw):
         return float(np.sum(self._w[(1.0 - self._s1) >= eps]))
 
     def _truncated(self, eps):
-        # one read of the cache, so a concurrent refill at another eps
-        # cannot pair keep from one level with cum from another
         cache = self._trunc_cache
         if cache is None or cache[0] != eps:
             keep = np.flatnonzero((1.0 - self._s1) >= eps)
@@ -262,26 +260,6 @@ class BrennanDurrett(DislocationLaw):
             lambda v: max(v, 1.0 - v) * self._beta.pdf(v),
             eps, 1.0 - eps, points=[0.5])
         return val
-
-
-class ErosionAndIndex:
-    """Deterministic mass-decay rate c >= 0 and self-similarity index alpha.
-
-    Continuous erosion is only defined for the homogeneous case, so c > 0
-    forces alpha = 0.
-    """
-
-    def __init__(self, c, alpha):
-        c, alpha = float(c), float(alpha)
-        if c < 0.0:
-            raise ConfigError(f"erosion rate {c} must be non-negative")
-        if c > 0.0 and alpha != 0.0:
-            raise ConfigError("erosion c > 0 requires alpha = 0")
-        self.c = c
-        self.alpha = alpha
-
-    def __repr__(self):
-        return f"ErosionAndIndex(c={self.c}, alpha={self.alpha})"
 
 
 def sub_levy_transform(law, c, eps):

@@ -1,8 +1,8 @@
 """Reproducible random streams.
 
 Every replica draws from its own generator derived from (seed, replica index)
-through numpy's SeedSequence spawning, so results never depend on how many
-workers run or in what order replicas finish.
+through numpy's SeedSequence spawning, so a replica's draws do not depend on
+which replicas ran before it.
 """
 
 import numpy as np

@@ -168,25 +168,17 @@ def _trim_to_cap(state, cap):
     return MassState(state.parts[:cap], state.dust + spill, state.nominal), True
 
 
-def run(config, rng=None):
-    """Simulate one path. Deterministic given config.seed (or the given rng).
+def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
+            rng, obs=(), c=0.0):
+    """The event loop behind run and make_step_kernel.
 
-    Snapshots are emitted cadlag: an event at exactly an observation time
-    lands inside that snapshot. When a dislocation would push the fragment
-    count past max_fragments the smallest pieces are dusted and the event
-    and trajectory are flagged instead of raising.
+    Evolves state from time 0 to horizon, taking a snapshot eroded at rate
+    c at each time in obs. Returns (Trajectory, final state); the final
+    state carries no erosion factor.
     """
-    if rng is None:
-        rng = master_rng(config.seed)
-    law, alpha, c, eps = config.law, config.alpha, config.c, config.eps
-    trunc = _truncated_rate(law, eps)
-    state = MassState((config.initial_mass,), 0.0, config.initial_mass)
-    snapshots = []
-    events = []
-    record_times, record_values = [], []
-    chi_times, chi_values = [], []
+    snapshots, events, record, chi = [], [], [], []
     cap_hit = False
-    obs, obs_idx = config.obs_times, 0
+    obs_idx = 0
     t = 0.0
     while True:
         try:
@@ -197,27 +189,43 @@ def run(config, rng=None):
         while obs_idx < len(obs) and obs[obs_idx] < t_next:
             snapshots.append(_observe(state, c, obs[obs_idx]))
             obs_idx += 1
-        if t_next > config.t_end:
+        if t_next > horizon:
             break
         parent = state.parts[target - 1]
-        state = dislocate(state, target, frags, config.mass_floor)
-        state, capped = _trim_to_cap(state, config.max_fragments)
+        state = dislocate(state, target, frags, mass_floor)
+        state, capped = _trim_to_cap(state, max_fragments)
         cap_hit = cap_hit or capped
         events.append(EventAtom(t_next, target, frags, parent, capped))
         if target == 1:
             s2 = frags[1] if len(frags) > 1 else 0.0
-            if not record_values or s2 > record_values[-1]:
-                record_times.append(t_next)
-                record_values.append(s2)
+            if not record or s2 > record[-1][1]:
+                record.append((t_next, s2))
         if target <= 2:
             s1 = frags[0] if frags else 0.0
-            prev = chi_values[-1] if chi_values else 1.0
-            chi_times.append(t_next)
-            chi_values.append(prev * s1)
+            prev = chi[-1][1] if chi else 1.0
+            chi.append((t_next, prev * s1))
         t = t_next
-    return Trajectory(obs, tuple(snapshots), tuple(events),
-                      tuple(zip(record_times, record_values)),
-                      tuple(zip(chi_times, chi_values)), cap_hit)
+    traj = Trajectory(obs, tuple(snapshots), tuple(events), tuple(record),
+                      tuple(chi), cap_hit)
+    return traj, state
+
+
+def run(config, rng=None):
+    """Simulate one path. Deterministic given config.seed (or the given rng).
+
+    Snapshots are emitted cadlag: an event at exactly an observation time
+    lands inside that snapshot. When a dislocation would push the fragment
+    count past max_fragments the smallest pieces are dusted and the event
+    and trajectory are flagged instead of raising.
+    """
+    if rng is None:
+        rng = master_rng(config.seed)
+    state = MassState((config.initial_mass,), 0.0, config.initial_mass)
+    traj, _ = _evolve(state, config.law, config.alpha, config.eps,
+                      _truncated_rate(config.law, config.eps), config.t_end,
+                      config.mass_floor, config.max_fragments, rng,
+                      config.obs_times, config.c)
+    return traj
 
 
 def record_value(traj, t):
@@ -269,19 +277,9 @@ def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 *
     trunc = _truncated_rate(law, eps)
 
     def kernel(mass, duration, rng):
-        horizon = duration * mass ** alpha
-        state = MassState((1.0,), 0.0, 1.0)
-        t = 0.0
-        while True:
-            try:
-                wait, target, frags = next_event(state, law, alpha, eps, rng, trunc)
-            except (DeadState, EmptyTruncation):
-                break
-            t += wait
-            if t > horizon:
-                break
-            state = dislocate(state, target, frags, mass_floor)
-            state, _ = _trim_to_cap(state, max_fragments)
+        _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, alpha, eps, trunc,
+                           duration * mass ** alpha, mass_floor, max_fragments,
+                           rng)
         return state
 
     return kernel

@@ -2,20 +2,15 @@
 
 Each suite runs replicas of a pinned scenario, computes one or more
 check statistics, and returns a SuiteReport. Reports are byte-stable:
-rendering excludes wall-clock measurements, so identical seed and config
-give identical text no matter how many worker threads ran the replicas.
+identical seed and config give identical text.
 
-Replicas draw their streams from (seed, replica_index); aggregation is a
-fold in replica-index order, which makes results independent of worker
-scheduling. Suites testing a shrinking-horizon limit run a second leg at
-a 10x larger horizon and assert the fit degrades, so convergence is
-evidenced directionally rather than assumed.
+Replicas draw their streams from (seed, replica_index) and aggregation
+is a fold in replica-index order. Suites testing a shrinking-horizon
+limit run a second leg at a 10x larger horizon and assert the fit
+degrades, so convergence is evidenced directionally rather than assumed.
 """
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +45,6 @@ class CheckResult:
     relation: str  # how statistic must compare to threshold to pass
     passed: bool
     sample_size: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_text(self):
-        """Canonical report text. Wall times are deliberately excluded."""
+        """Canonical report text."""
         lines = [f"suite: {self.suite}",
                  f"claim: {self.claim}",
                  f"seed: {self.seed}",
@@ -80,49 +74,15 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def resolve_threads(threads=None):
-    """Worker count: explicit argument, else FRAGSIM_THREADS, else 1."""
-    if threads is None:
-        env = os.environ.get("FRAGSIM_THREADS", "").strip()
-        threads = int(env) if env else 1
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigError(f"thread count {threads} must be >= 1")
-    return threads
-
-
-def run_replicas(worker, n, seed, threads=None):
+def run_replicas(worker, n, seed):
     """Evaluate worker(index, rng) for n replicas; results in index order.
 
-    Thread count affects scheduling only: every replica owns the stream
-    derived from (seed, index), and the returned list is index-ordered.
+    Every replica owns the stream derived from (seed, index).
     """
-    threads = resolve_threads(threads)
-    results = [None] * n
-    if threads == 1:
-        for i in range(n):
-            results[i] = worker(i, replica_rng(seed, i))
-        return results
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, i, replica_rng(seed, i)): i
-                   for i in range(n)}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
+    return [worker(i, replica_rng(seed, i)) for i in range(n)]
 
 
-class _Stopwatch:
-    def __init__(self):
-        self._last = time.perf_counter()
-
-    def lap(self):
-        now = time.perf_counter()
-        dt = now - self._last
-        self._last = now
-        return dt
-
-
-def _check(name, statistic, threshold, relation, n, wall):
+def _check(name, statistic, threshold, relation, n):
     statistic = float(statistic)
     if relation == "<":
         ok = statistic < threshold
@@ -134,7 +94,7 @@ def _check(name, statistic, threshold, relation, n, wall):
         ok = statistic >= threshold
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    return CheckResult(name, statistic, float(threshold), relation, ok, n, wall)
+    return CheckResult(name, statistic, float(threshold), relation, ok, n)
 
 
 def _echo(params, **extra):
@@ -146,17 +106,12 @@ def _part(state, k):
     return state.parts[k - 1] if len(state.parts) >= k else 0.0
 
 
-def _delta_default():
-    return FiniteAtomic([(1.0, (0.6, 0.4))])
-
-
 # ---------------------------------------------------------------- suites
 
 
-def _suite_erosion(params, threads):
+def _suite_erosion(params):
     law, c = params["law"], params["c"]
     t, n_rep, seed = params["t"], params["replicas"], params["seed"]
-    watch = _Stopwatch()
     grid = tuple((i + 1) * t / 10.0 for i in range(10))
 
     # Pure erosion: a single fragment must follow the exponential exactly.
@@ -164,8 +119,8 @@ def _suite_erosion(params, threads):
     err = max(abs(_part(s, 1) - math.exp(-c * u))
               for s, u in zip(traj.snapshots, grid))
     stray = sum(len(s.parts) != 1 for s in traj.snapshots)
-    checks = [_check("pure_erosion_error", err, 1e-12, "<", 10, watch.lap()),
-              _check("stray_fragments", stray, 0, "<=", 10, watch.lap())]
+    checks = [_check("pure_erosion_error", err, 1e-12, "<", 10),
+              _check("stray_fragments", stray, 0, "<=", 10)]
 
     # With dislocations: the eroded path must equal the unEroded path of
     # the same seed rescaled by exp(-c t), part by part.
@@ -182,9 +137,8 @@ def _suite_erosion(params, threads):
                 worst = max(worst, abs(a - b * factor))
         return worst
 
-    devs = run_replicas(worker, n_rep, seed, threads)
-    checks.append(_check("factorization_error", max(devs), 1e-12, "<",
-                         n_rep, watch.lap()))
+    devs = run_replicas(worker, n_rep, seed)
+    checks.append(_check("factorization_error", max(devs), 1e-12, "<", n_rep))
     return SuiteReport(
         "erosion",
         "pure erosion shrinks the single fragment exactly exponentially, "
@@ -192,10 +146,9 @@ def _suite_erosion(params, threads):
         _echo(params), seed, tuple(checks))
 
 
-def _suite_conservation(params, threads):
+def _suite_conservation(params):
     law, t = params["law"], params["t"]
     n_rep, seed = params["replicas"], params["seed"]
-    watch = _Stopwatch()
 
     def worker(_i, rng):
         traj = run(SimConfig(law, t), rng)
@@ -211,13 +164,12 @@ def _suite_conservation(params, threads):
                     violations += 1
         return worst, violations
 
-    results = run_replicas(worker, n_rep, seed, threads)
-    wall = watch.lap()
+    results = run_replicas(worker, n_rep, seed)
     checks = (
         _check("mass_balance_error", max(r[0] for r in results), 1e-9, "<",
-               n_rep, wall),
+               n_rep),
         _check("prefix_increase_count", sum(r[1] for r in results), 0, "<=",
-               n_rep, watch.lap()),
+               n_rep),
     )
     return SuiteReport(
         "conservation",
@@ -226,20 +178,18 @@ def _suite_conservation(params, threads):
         _echo(params), seed, checks)
 
 
-def _suite_poisson_counts(params, threads):
+def _suite_poisson_counts(params):
     law, t, eps = params["law"], params["t"], params["eps"]
     n_rep, seed = params["replicas"], params["seed"]
-    watch = _Stopwatch()
     rate = law.truncated_mass(eps) * t
 
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps), rng)
         return sum(ev.target_rank == 1 for ev in traj.events)
 
-    counts = np.array(run_replicas(worker, n_rep, seed, threads))
-    wall = watch.lap()
+    counts = np.array(run_replicas(worker, n_rep, seed))
     p = poisson_pmf_test(np.bincount(counts), rate)
-    checks = [_check("count_chi_square_p", p, 0.01, ">", n_rep, wall)]
+    checks = [_check("count_chi_square_p", p, 0.01, ">", n_rep)]
 
     # Same content read through the pmf: frequency of n events vs the
     # Poisson mass, worst z-score over n = 0..3.
@@ -249,7 +199,7 @@ def _suite_poisson_counts(params, threads):
         freq = float(np.mean(counts == m))
         se = math.sqrt(pm * (1.0 - pm) / n_rep)
         worst_z = max(worst_z, abs(freq - pm) / se)
-    checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", n_rep, watch.lap()))
+    checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", n_rep))
     return SuiteReport(
         "poisson-counts",
         "rank-1 dislocations on a window form a Poisson count with the "
@@ -257,18 +207,17 @@ def _suite_poisson_counts(params, threads):
         _echo(params, rate=rate), seed, tuple(checks))
 
 
-def _suite_records(params, threads):
+def _suite_records(params):
     law, t, eps = params["law"], params["t"], params["eps"]
     n_rep, seed = params["replicas"], params["seed"]
-    watch = _Stopwatch()
 
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps), rng)
         return record_value(traj, t)
 
-    values = run_replicas(worker, n_rep, seed, threads)
+    values = run_replicas(worker, n_rep, seed)
     stat = ks_stat(values, lambda x: record_cdf(law, t, x), x_min=eps)
-    checks = (_check("record_ks", stat, 0.02, "<", n_rep, watch.lap()),)
+    checks = (_check("record_ks", stat, 0.02, "<", n_rep),)
     return SuiteReport(
         "records",
         "the running max of the rank-1 second piece follows the "
@@ -276,10 +225,9 @@ def _suite_records(params, threads):
         _echo(params), seed, checks)
 
 
-def _suite_sandwich(params, threads):
+def _suite_sandwich(params):
     law, t, eps = params["law"], params["t"], params["eps"]
     n_rep, seed = params["replicas"], params["seed"]
-    watch = _Stopwatch()
 
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps, obs_times=(t,)), rng)
@@ -287,16 +235,14 @@ def _suite_sandwich(params, threads):
         return (_part(snap, 1), _part(snap, 2),
                 record_value(traj, t), chi_value(traj, t))
 
-    rows = run_replicas(worker, n_rep, seed, threads)
-    wall = watch.lap()
+    rows = run_replicas(worker, n_rep, seed)
     conditioned = [r for r in rows if r[0] >= 0.5]
     violations = sum(1 for _l1, l2, rec, chi in conditioned
                      if chi * rec > l2 + _SLACK or l2 > rec + _SLACK)
     checks = (
         _check("conditioning_fraction", len(conditioned) / n_rep, 0.99, ">",
-               n_rep, wall),
-        _check("sandwich_violations", violations, 0, "<=",
-               len(conditioned), watch.lap()),
+               n_rep),
+        _check("sandwich_violations", violations, 0, "<=", len(conditioned)),
     )
     return SuiteReport(
         "sandwich",
@@ -306,10 +252,9 @@ def _suite_sandwich(params, threads):
         _echo(params), seed, checks)
 
 
-def _suite_subordinator(params, threads):
+def _suite_subordinator(params):
     law, t = params["law"], params["t"]
     n_rep, seed, m_max = params["replicas"], params["seed"], params["m_max"]
-    watch = _Stopwatch()
     if len(law.atoms) != 1:
         raise ConfigError("the subordinator suite needs a single-atom law "
                           "so jump counts can be read off the path value")
@@ -320,8 +265,7 @@ def _suite_subordinator(params, threads):
     def worker(_i, rng):
         return run_subordinator(spec, t, rng)
 
-    rows = run_replicas(worker, n_rep, seed, threads)
-    wall = watch.lap()
+    rows = run_replicas(worker, n_rep, seed)
     observed = np.zeros(m_max + 2)
     alive_count = 0
     for value, alive in rows:
@@ -339,12 +283,12 @@ def _suite_subordinator(params, threads):
          for m in range(m_max + 1)])
     expected = np.append(expected, n_rep - expected.sum())
     p = pooled_chi_square(observed, expected)
-    checks = [_check("value_chi_square_p", p, 0.01, ">", n_rep, watch.lap())]
+    checks = [_check("value_chi_square_p", p, 0.01, ">", n_rep)]
 
     surv = math.exp(-kill * t)
     se = math.sqrt(surv * (1.0 - surv) / n_rep)
     z = abs(alive_count / n_rep - surv) / se
-    checks.append(_check("survival_z", z, 3.0, "<", n_rep, watch.lap()))
+    checks.append(_check("survival_z", z, 3.0, "<", n_rep))
     return SuiteReport(
         "subordinator",
         "minus log of the top fragment evolves as a killed compound "
@@ -365,7 +309,7 @@ def _require_binary_power(name, law):
     return law.a
 
 
-def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed, threads):
+def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed):
     """Sample the given part ranks at time t, divided by the normalizer.
 
     The mass floor dusts debris far below the statistic scale; fragments
@@ -378,15 +322,14 @@ def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed, threads):
         snap = run(cfg, rng).snapshots[0]
         return tuple(normalize_lambda2(law, t, _part(snap, k)) for k in ranks)
 
-    return run_replicas(worker, n_rep, seed, threads)
+    return run_replicas(worker, n_rep, seed)
 
 
-def _suite_extreme(params, threads):
+def _suite_extreme(params):
     law = params["law"]
     a = _require_binary_power("extreme", law)
     t, n_rep, seed = params["t"], params["replicas"], params["seed"]
     budget, floor = params["event_budget"], params["mass_floor"]
-    watch = _Stopwatch()
     t_coarse = 10.0 * t
     eps_fine = _eps_for_budget(law, t, budget)
     eps_coarse = _eps_for_budget(law, t_coarse, budget)
@@ -394,18 +337,15 @@ def _suite_extreme(params, threads):
     # Both legs reuse the same replica streams, which couples them and
     # stabilizes the directional comparison.
     fine = [r[0] for r in
-            _normalized_parts(law, t, eps_fine, floor, (2,), n_rep, seed,
-                              threads)]
+            _normalized_parts(law, t, eps_fine, floor, (2,), n_rep, seed)]
     coarse = [r[0] for r in
               _normalized_parts(law, t_coarse, eps_coarse, floor, (2,),
-                                n_rep, seed, threads)]
+                                n_rep, seed)]
     ks_fine = ks_stat(fine, lambda x: extreme_cdf(x, a))
     ks_coarse = ks_stat(coarse, lambda x: extreme_cdf(x, a))
-    wall = watch.lap()
     checks = (
-        _check("extreme_ks", ks_fine, 0.05, "<", n_rep, wall),
-        _check("directionality", ks_fine - ks_coarse, 0.0, "<",
-               n_rep, watch.lap()),
+        _check("extreme_ks", ks_fine, 0.05, "<", n_rep),
+        _check("directionality", ks_fine - ks_coarse, 0.0, "<", n_rep),
     )
     return SuiteReport(
         "extreme",
@@ -417,26 +357,23 @@ def _suite_extreme(params, threads):
         seed, checks)
 
 
-def _suite_frechet_k(params, threads):
+def _suite_frechet_k(params):
     law = params["law"]
     a = _require_binary_power("frechet-k", law)
     t, n_rep, seed = params["t"], params["replicas"], params["seed"]
     budget, floor = params["event_budget"], params["mass_floor"]
-    watch = _Stopwatch()
     eps = _eps_for_budget(law, t, budget)
 
     # The k-th extreme law governs the k-th largest logged second piece,
     # which at small horizons is the (k+1)-th ranked fragment. The k-th
     # law keeps mass P(Poisson(budget) <= k-1) below the truncation cut,
     # so the budget must grow with the deepest k tested.
-    rows = _normalized_parts(law, t, eps, floor, (3, 4), n_rep, seed,
-                             threads)
+    rows = _normalized_parts(law, t, eps, floor, (3, 4), n_rep, seed)
     checks = []
     for col, k in ((0, 2), (1, 3)):
         sample = [r[col] for r in rows]
         stat = ks_stat(sample, lambda x, k=k: frechet_k_cdf(k, a, x))
-        checks.append(_check(f"frechet_k{k}_ks", stat, 0.07, "<",
-                             n_rep, watch.lap()))
+        checks.append(_check(f"frechet_k{k}_ks", stat, 0.07, "<", n_rep))
     return SuiteReport(
         "frechet-k",
         "lower-ranked fragments, normalized the same way as the second, "
@@ -444,10 +381,9 @@ def _suite_frechet_k(params, threads):
         _echo(params, eps=eps), seed, tuple(checks))
 
 
-def _suite_correspondence(params, threads):
+def _suite_correspondence(params):
     law, t, n = params["law"], params["t"], params["n"]
     n_rep, seed = params["replicas"], params["seed"]
-    watch = _Stopwatch()
     kernel = make_step_kernel(law)
 
     # Ranked side, observed through the same finite-n paintbox channel the
@@ -468,21 +404,20 @@ def _suite_correspondence(params, threads):
         p = partition_step(p, t / 2.0, kernel, rng)
         return frequencies(p).parts[0]
 
-    ranked = run_replicas(ranked_worker, n_rep, seed, threads)
-    one_step = run_replicas(partition_worker, n_rep, seed + 1, threads)
-    chain = run_replicas(chain_worker, n_rep, seed + 2, threads)
-    wall = watch.lap()
+    ranked = run_replicas(ranked_worker, n_rep, seed)
+    one_step = run_replicas(partition_worker, n_rep, seed + 1)
+    chain = run_replicas(chain_worker, n_rep, seed + 2)
 
     lam1 = np.array([r[0] for r in ranked])
     channel = np.array([r[1] for r in ranked])
     tops = np.array(one_step)
     checks = [_check("channel_ks", ks_two_sample(channel, tops), 0.05, "<",
-                     n_rep, wall)]
+                     n_rep)]
     se = math.sqrt(lam1.var(ddof=1) / n_rep + tops.var(ddof=1) / n_rep)
     checks.append(_check("mean_z", abs(lam1.mean() - tops.mean()) / se,
-                         3.0, "<", n_rep, watch.lap()))
+                         3.0, "<", n_rep))
     checks.append(_check("semigroup_ks", ks_two_sample(tops, np.array(chain)),
-                         0.05, "<", n_rep, watch.lap()))
+                         0.05, "<", n_rep))
     return SuiteReport(
         "correspondence",
         "ranked dynamics observed through a finite paintbox agree in law "
@@ -491,10 +426,9 @@ def _suite_correspondence(params, threads):
         _echo(params), seed, tuple(checks))
 
 
-def _suite_scaling(params, threads):
+def _suite_scaling(params):
     law, alpha, r = params["law"], params["alpha"], params["r"]
     t, n_rep, seed = params["t"], params["replicas"], params["seed"]
-    watch = _Stopwatch()
 
     def small_worker(_i, rng):
         cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
@@ -505,12 +439,12 @@ def _suite_scaling(params, threads):
         cfg = SimConfig(law, u, alpha=alpha, obs_times=(u,))
         return r * _part(run(cfg, rng).snapshots[0], 1)
 
-    small = run_replicas(small_worker, n_rep, seed, threads)
+    small = run_replicas(small_worker, n_rep, seed)
     # Independent streams for the second sample: a two-sample test needs
     # the sides unpaired.
-    unit = run_replicas(unit_worker, n_rep, seed + n_rep, threads)
+    unit = run_replicas(unit_worker, n_rep, seed + n_rep)
     stat = ks_two_sample(small, unit)
-    checks = (_check("scaling_ks", stat, 0.03, "<", n_rep, watch.lap()),)
+    checks = (_check("scaling_ks", stat, 0.03, "<", n_rep),)
     return SuiteReport(
         "scaling",
         "a path started from reduced mass r matches, in law, the unit "
@@ -518,60 +452,65 @@ def _suite_scaling(params, threads):
         _echo(params), seed, checks)
 
 
-_SUITES = {
-    "erosion": _suite_erosion,
-    "conservation": _suite_conservation,
-    "poisson-counts": _suite_poisson_counts,
-    "records": _suite_records,
-    "sandwich": _suite_sandwich,
-    "subordinator": _suite_subordinator,
-    "extreme": _suite_extreme,
-    "frechet-k": _suite_frechet_k,
-    "correspondence": _suite_correspondence,
-    "scaling": _suite_scaling,
-}
+def _split_64():
+    return FiniteAtomic([(1.0, (0.6, 0.4))])
 
-_DEFAULTS = {
-    "erosion": dict(law=None, c=1.0, t=1.0, replicas=50, seed=11),
-    "conservation": dict(law=None, t=3.0, replicas=200, seed=13),
-    "poisson-counts": dict(law=None, t=0.5, eps=0.0, replicas=10 ** 4,
-                           seed=17),
-    "records": dict(law=None, t=0.01, eps=1e-4, replicas=10 ** 4, seed=19),
-    "sandwich": dict(law=None, t=0.01, eps=1e-4, replicas=10 ** 4, seed=23),
-    "subordinator": dict(law=None, t=1.0, m_max=4, replicas=10 ** 4,
-                         seed=29),
-    "extreme": dict(law=None, t=1e-3, event_budget=5.0, mass_floor=1e-12,
-                    replicas=10 ** 4, seed=31),
-    "frechet-k": dict(law=None, t=1e-3, event_budget=7.0, mass_floor=1e-12,
-                      replicas=10 ** 4, seed=37),
-    "correspondence": dict(law=None, t=0.3, n=1000, replicas=2000, seed=41),
-    "scaling": dict(law=None, alpha=1.0, r=0.5, t=0.4, replicas=5000,
-                    seed=43),
+
+def _split_91():
+    return FiniteAtomic([(1.0, (0.9, 0.1))])
+
+
+def _binary_half():
+    return BinaryPowerLaw(0.5)
+
+
+# One row per suite: its function and its pinned defaults. The law is a
+# factory so every run gets a fresh law object (FiniteAtomic caches).
+_SUITES = {
+    "erosion": (_suite_erosion,
+                dict(law=_split_64, c=1.0, t=1.0, replicas=50, seed=11)),
+    "conservation": (_suite_conservation,
+                     dict(law=_split_64, t=3.0, replicas=200, seed=13)),
+    "poisson-counts": (_suite_poisson_counts,
+                       dict(law=_split_91, t=0.5, eps=0.0, replicas=10 ** 4,
+                            seed=17)),
+    "records": (_suite_records,
+                dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4,
+                     seed=19)),
+    "sandwich": (_suite_sandwich,
+                 dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4,
+                      seed=23)),
+    "subordinator": (_suite_subordinator,
+                     dict(law=_split_91, t=1.0, m_max=4, replicas=10 ** 4,
+                          seed=29)),
+    "extreme": (_suite_extreme,
+                dict(law=_binary_half, t=1e-3, event_budget=5.0,
+                     mass_floor=1e-12, replicas=10 ** 4, seed=31)),
+    "frechet-k": (_suite_frechet_k,
+                  dict(law=_binary_half, t=1e-3, event_budget=7.0,
+                       mass_floor=1e-12, replicas=10 ** 4, seed=37)),
+    "correspondence": (_suite_correspondence,
+                       dict(law=_split_64, t=0.3, n=1000, replicas=2000,
+                            seed=41)),
+    "scaling": (_suite_scaling,
+                dict(law=_split_64, alpha=1.0, r=0.5, t=0.4, replicas=5000,
+                     seed=43)),
 }
 
 _TRANSLATE = {"t_end": "t"}
-
-
-def _default_law(name):
-    if name in ("records", "sandwich", "extreme", "frechet-k"):
-        return BinaryPowerLaw(0.5)
-    if name in ("poisson-counts", "subordinator"):
-        return FiniteAtomic([(1.0, (0.9, 0.1))])
-    return _delta_default()
 
 
 def suite_names():
     return tuple(sorted(_SUITES))
 
 
-def run_suite(name, overrides=None, *, seed=None, replicas=None,
-              threads=None):
+def run_suite(name, overrides=None, *, seed=None, replicas=None):
     """Run one verification suite; returns its SuiteReport."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; "
                            f"choose from {', '.join(suite_names())}")
-    params = dict(_DEFAULTS[name])
-    params["law"] = _default_law(name)
+    suite, defaults = _SUITES[name]
+    params = dict(defaults, law=defaults["law"]())
     for key, value in (overrides or {}).items():
         key = _TRANSLATE.get(key, key)
         if key not in params:
@@ -581,4 +520,6 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None,
         params["seed"] = int(seed)
     if replicas is not None:
         params["replicas"] = int(replicas)
-    return _SUITES[name](params, threads)
+    if params["replicas"] < 1:
+        raise ConfigError(f"replica count {params['replicas']} must be >= 1")
+    return suite(params)

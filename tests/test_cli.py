@@ -81,13 +81,9 @@ def test_verify_with_override_config(tmp_path, capsys):
     assert main(["verify", "erosion", "--config", bad]) == 2
 
 
-def test_verify_threads_flag_matches_serial(capsys):
-    assert main(["verify", "conservation", "--replicas", "30",
-                 "--threads", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["verify", "conservation", "--replicas", "30",
-                 "--threads", "4"]) == 0
-    assert capsys.readouterr().out == serial
+def test_verify_rejects_a_non_positive_replica_count(capsys):
+    assert main(["verify", "erosion", "--replicas", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: replica count 0")
 
 
 def test_tail_grid(capsys):

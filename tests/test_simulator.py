@@ -359,6 +359,29 @@ def test_snapshot_csv_round_trip():
     assert float(fields[17]) == 1e-17
 
 
+@pytest.mark.parametrize("law, alpha, eps, floor, cap, duration", [
+    (SPLIT_64, 0.0, 0.0, 0.0, 10 ** 6, 3.0),
+    (SPLIT_64, 1.0, 0.0, 0.0, 10 ** 6, 3.0),
+    (BinaryPowerLaw(0.5), 0.0, 0.05, 1e-12, 10 ** 6, 1.0),
+    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 0.0, 2, 3.0),
+])
+def test_step_kernel_is_run_to_the_scaled_horizon(law, alpha, eps, floor, cap,
+                                                  duration):
+    mass = 0.5
+    kernel = make_step_kernel(law, alpha, eps, floor, cap)
+    h = duration * mass ** alpha
+    cfg = SimConfig(law, h, alpha=alpha, eps=eps, obs_times=(h,),
+                    mass_floor=floor, max_fragments=cap)
+    events = cap_hits = 0
+    for seed in range(8):
+        traj = run(cfg, np.random.default_rng(seed))
+        assert kernel(mass, duration, np.random.default_rng(seed)) == traj.snapshots[0]
+        events += len(traj.events)
+        cap_hits += traj.cap_hit
+    assert events > 8
+    assert (cap_hits > 0) == (cap == 2)
+
+
 def test_make_step_kernel():
     rng = np.random.default_rng(23)
     frozen = make_step_kernel(FiniteAtomic([]))

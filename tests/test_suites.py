@@ -1,4 +1,4 @@
-"""Verification suite plumbing: determinism, threading, overrides."""
+"""Verification suite plumbing: determinism, replica order, overrides."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from fragsim import (
     FAIL_EXIT,
     FiniteAtomic,
     PASS_EXIT,
-    resolve_threads,
     run_replicas,
     run_suite,
     suite_names,
@@ -64,30 +63,21 @@ def test_report_text_is_byte_stable():
     assert "wall" not in a
 
 
-def test_thread_count_does_not_change_the_report(monkeypatch):
-    base = run_suite("conservation", replicas=40, threads=1).to_text()
-    assert base == run_suite("conservation", replicas=40, threads=4).to_text()
-    monkeypatch.setenv("FRAGSIM_THREADS", "3")
-    assert base == run_suite("conservation", replicas=40).to_text()
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("FRAGSIM_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("FRAGSIM_THREADS", "6")
-    assert resolve_threads() == 6
-    assert resolve_threads(2) == 2
+@pytest.mark.parametrize("name", ["erosion", "conservation"])
+@pytest.mark.parametrize("replicas", [0, -3])
+def test_replica_count_must_be_positive(name, replicas):
     with pytest.raises(ConfigError):
-        resolve_threads(0)
+        run_suite(name, replicas=replicas)
+    with pytest.raises(ConfigError):
+        run_suite(name, {"replicas": replicas})
 
 
 def test_run_replicas_is_index_ordered():
     def worker(i, rng):
         return i, rng.random()
 
-    serial = run_replicas(worker, 20, seed=5, threads=1)
-    pooled = run_replicas(worker, 20, seed=5, threads=4)
+    serial = run_replicas(worker, 20, seed=5)
+    pooled = run_replicas(worker, 20, seed=5)
     assert [i for i, _ in pooled] == list(range(20))
     assert serial == pooled
 
