@@ -1,5 +1,7 @@
 """Verification suite plumbing: determinism, replica order, overrides."""
 
+import hashlib
+
 import pytest
 
 from fragsim import (
@@ -98,3 +100,31 @@ def test_failing_suite_reports_fail():
     report = run_suite("records", replicas=60)
     assert not report.passed
     assert "FAIL" in report.to_text()
+
+
+# sha256 of run_suite(name, replicas=R).to_text() at each suite's pinned
+# seed. Reports must stay byte-identical for a given seed and config, so a
+# refactor must leave every digest as it is; regenerate a pin only for a
+# change that alters the random stream on purpose, and say so. Several of
+# these reports FAIL at these reduced replica counts; that is expected,
+# since the verdict lines are part of the pinned text.
+_REPORT_DIGESTS = {
+    "poisson-counts": (600, "bc01c53d7476c8bd20a762ce3bda8356d1bed397d0ed2bd79b11e059f6a54296"),
+    "records": (600, "f67db0ff421c0f6a81f685afc2ae3740227b62a9221979ec0175f778dc419d27"),
+    "sandwich": (600, "de63f9b38ca4d44ecadb8bf31d49bed2a254ba4346d493e949e211047e713250"),
+    "subordinator": (600, "a3036af012aab049ab49eb22d20641c0f0a24ec9795f8b4cd358e982c7cc848a"),
+    "extreme": (100, "8a07514517bfcebce44d72a79cee4b3d7819ff2a29aa8dc02434b7b0307dad8d"),
+    "frechet-k": (100, "80e99eef29f5474b9dbdcb177bf27f747d80eeb49ebb2ddb23a733664736acb8"),
+    "correspondence": (50, "f975e988e3dfdb0747a9fac5c148504eb5a031a3cf498b6b8d693b6439637096"),
+    "scaling": (300, "52f4dd940624fce8cd6d9bf1d9cd5e1eb5407b91534d49d54ae61a46f279994a"),
+    "erosion": (None, "6ec6c5756b8bc3d6bab7b3747f74529a18cf0c58c1a336c8c31c9e3f7f653102"),
+    "conservation": (None, "5226799089930e902e5d4f9dcb8f8d97a35ed6d7dda84b45bedb686795491c15"),
+}
+
+
+def test_reports_match_their_pinned_digests():
+    assert set(_REPORT_DIGESTS) == set(suite_names())
+    got = {name: hashlib.sha256(
+               run_suite(name, replicas=r).to_text().encode()).hexdigest()
+           for name, (r, _) in _REPORT_DIGESTS.items()}
+    assert got == {name: d for name, (_, d) in _REPORT_DIGESTS.items()}
