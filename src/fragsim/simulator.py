@@ -9,7 +9,6 @@ which is legitimate only because erosion is restricted to index zero,
 where jump rates do not depend on fragment masses.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -85,21 +84,21 @@ class EventAtom:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated path: snapshots, event log, and the two derived traces.
+    """One simulated path: snapshots and event log.
 
-    snapshots[i] is the state at obs_times[i] with erosion applied.
-    record_trace holds (time, value) at each strict increase of the running
-    max of the second piece over rank-1 events; chi_trace holds (time,
-    value) of the running product of the first piece over events of rank 1
-    and 2.
+    snapshots[i] is the state at obs_times[i] with erosion applied. Every
+    other view of the path (record_value, chi_value, cap_hit) is read off
+    the event log.
     """
 
     obs_times: tuple
     snapshots: tuple
     events: tuple
-    record_trace: tuple = ()
-    chi_trace: tuple = ()
-    cap_hit: bool = False
+
+    @property
+    def cap_hit(self):
+        """Whether the fragment cap trimmed the output of any event."""
+        return any(ev.capped for ev in self.events)
 
 
 def next_event(state, law, alpha, eps, rng, trunc=None):
@@ -176,8 +175,7 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
     c at each time in obs. Returns (Trajectory, final state); the final
     state carries no erosion factor.
     """
-    snapshots, events, record, chi = [], [], [], []
-    cap_hit = False
+    snapshots, events = [], []
     obs_idx = 0
     t = 0.0
     while True:
@@ -194,20 +192,9 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
         parent = state.parts[target - 1]
         state = dislocate(state, target, frags, mass_floor)
         state, capped = _trim_to_cap(state, max_fragments)
-        cap_hit = cap_hit or capped
         events.append(EventAtom(t_next, target, frags, parent, capped))
-        if target == 1:
-            s2 = frags[1] if len(frags) > 1 else 0.0
-            if not record or s2 > record[-1][1]:
-                record.append((t_next, s2))
-        if target <= 2:
-            s1 = frags[0] if frags else 0.0
-            prev = chi[-1][1] if chi else 1.0
-            chi.append((t_next, prev * s1))
         t = t_next
-    traj = Trajectory(obs, tuple(snapshots), tuple(events), tuple(record),
-                      tuple(chi), cap_hit)
-    return traj, state
+    return Trajectory(obs, tuple(snapshots), tuple(events)), state
 
 
 def run(config, rng=None):
@@ -230,16 +217,23 @@ def run(config, rng=None):
 
 def record_value(traj, t):
     """Largest second piece over rank-1 events with time <= t; 0 if none."""
-    times = [u for u, _ in traj.record_trace]
-    i = bisect.bisect_right(times, t)
-    return traj.record_trace[i - 1][1] if i else 0.0
+    return max((ev.fragments[1] if len(ev.fragments) > 1 else 0.0
+                for ev in traj.events if ev.target_rank == 1 and ev.time <= t),
+               default=0.0)
 
 
 def chi_value(traj, t):
-    """Product of first pieces over rank-1/rank-2 events with time < t; 1 if none."""
-    times = [u for u, _ in traj.chi_trace]
-    i = bisect.bisect_left(times, t)
-    return traj.chi_trace[i - 1][1] if i else 1.0
+    """Product of first pieces over rank-1/rank-2 events with time < t; 1 if none.
+
+    The factors are multiplied in event order, so the float is reproducible.
+    """
+    chi = 1.0
+    for ev in traj.events:
+        if ev.time >= t:
+            break
+        if ev.target_rank <= 2:
+            chi *= ev.fragments[0] if ev.fragments else 0.0
+    return chi
 
 
 def _fmt(x):

@@ -1,8 +1,9 @@
 """Verification suites binding simulated paths to analytic oracles.
 
-Each suite runs replicas of a pinned scenario, computes one or more
-check statistics, and returns a SuiteReport. Reports are byte-stable:
-identical seed and config give identical text.
+Each suite runs replicas of a pinned scenario and returns its check
+results; run_suite wraps them, with the suite's claim from its _SUITES row
+and the echoed parameters, into the one SuiteReport. Reports are
+byte-stable: identical seed and config give identical text.
 
 Replicas draw their streams from (seed, replica_index) and aggregation
 is a fold in replica-index order. Suites testing a shrinking-horizon
@@ -11,6 +12,7 @@ degrades, so convergence is evidenced directionally rather than assumed.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +84,12 @@ def run_replicas(worker, n, seed):
     return [worker(i, replica_rng(seed, i)) for i in range(n)]
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
+
+
 def _check(name, statistic, threshold, relation, n):
     statistic = float(statistic)
-    if relation == "<":
-        ok = statistic < threshold
-    elif relation == "<=":
-        ok = statistic <= threshold
-    elif relation == ">":
-        ok = statistic > threshold
-    elif relation == ">=":
-        ok = statistic >= threshold
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
+    ok = _RELATIONS[relation](statistic, threshold)
     return CheckResult(name, statistic, float(threshold), relation, ok, n)
 
 
@@ -107,11 +103,11 @@ def _part(state, k):
 
 
 # ---------------------------------------------------------------- suites
+# Each suite takes its parameters as keywords and returns (checks, derived):
+# derived holds computed values that the report echoes beside the params.
 
 
-def _suite_erosion(params):
-    law, c = params["law"], params["c"]
-    t, n_rep, seed = params["t"], params["replicas"], params["seed"]
+def _suite_erosion(law, c, t, replicas, seed):
     grid = tuple((i + 1) * t / 10.0 for i in range(10))
 
     # Pure erosion: a single fragment must follow the exponential exactly.
@@ -137,19 +133,13 @@ def _suite_erosion(params):
                 worst = max(worst, abs(a - b * factor))
         return worst
 
-    devs = run_replicas(worker, n_rep, seed)
-    checks.append(_check("factorization_error", max(devs), 1e-12, "<", n_rep))
-    return SuiteReport(
-        "erosion",
-        "pure erosion shrinks the single fragment exactly exponentially, "
-        "and a positive erosion rate factors out of any dislocation path",
-        _echo(params), seed, tuple(checks))
+    devs = run_replicas(worker, replicas, seed)
+    checks.append(_check("factorization_error", max(devs), 1e-12, "<",
+                         replicas))
+    return checks, {}
 
 
-def _suite_conservation(params):
-    law, t = params["law"], params["t"]
-    n_rep, seed = params["replicas"], params["seed"]
-
+def _suite_conservation(law, t, replicas, seed):
     def worker(_i, rng):
         traj = run(SimConfig(law, t), rng)
         state = MassState((1.0,), 0.0, 1.0)
@@ -164,32 +154,25 @@ def _suite_conservation(params):
                     violations += 1
         return worst, violations
 
-    results = run_replicas(worker, n_rep, seed)
-    checks = (
+    results = run_replicas(worker, replicas, seed)
+    return [
         _check("mass_balance_error", max(r[0] for r in results), 1e-9, "<",
-               n_rep),
+               replicas),
         _check("prefix_increase_count", sum(r[1] for r in results), 0, "<=",
-               n_rep),
-    )
-    return SuiteReport(
-        "conservation",
-        "total mass is conserved at every jump and the mass of the k "
-        "largest fragments never increases",
-        _echo(params), seed, checks)
+               replicas),
+    ], {}
 
 
-def _suite_poisson_counts(params):
-    law, t, eps = params["law"], params["t"], params["eps"]
-    n_rep, seed = params["replicas"], params["seed"]
+def _suite_poisson_counts(law, t, eps, replicas, seed):
     rate = law.truncated_mass(eps) * t
 
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps), rng)
         return sum(ev.target_rank == 1 for ev in traj.events)
 
-    counts = np.array(run_replicas(worker, n_rep, seed))
+    counts = np.array(run_replicas(worker, replicas, seed))
     p = poisson_pmf_test(np.bincount(counts), rate)
-    checks = [_check("count_chi_square_p", p, 0.01, ">", n_rep)]
+    checks = [_check("count_chi_square_p", p, 0.01, ">", replicas)]
 
     # Same content read through the pmf: frequency of n events vs the
     # Poisson mass, worst z-score over n = 0..3.
@@ -197,64 +180,41 @@ def _suite_poisson_counts(params):
     for m in range(4):
         pm = math.exp(-rate) * rate ** m / math.factorial(m)
         freq = float(np.mean(counts == m))
-        se = math.sqrt(pm * (1.0 - pm) / n_rep)
+        se = math.sqrt(pm * (1.0 - pm) / replicas)
         worst_z = max(worst_z, abs(freq - pm) / se)
-    checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", n_rep))
-    return SuiteReport(
-        "poisson-counts",
-        "rank-1 dislocations on a window form a Poisson count with the "
-        "truncated-law rate",
-        _echo(params, rate=rate), seed, tuple(checks))
+    checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", replicas))
+    return checks, dict(rate=rate)
 
 
-def _suite_records(params):
-    law, t, eps = params["law"], params["t"], params["eps"]
-    n_rep, seed = params["replicas"], params["seed"]
-
+def _suite_records(law, t, eps, replicas, seed):
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps), rng)
         return record_value(traj, t)
 
-    values = run_replicas(worker, n_rep, seed)
+    values = run_replicas(worker, replicas, seed)
     stat = ks_stat(values, lambda x: record_cdf(law, t, x), x_min=eps)
-    checks = (_check("record_ks", stat, 0.02, "<", n_rep),)
-    return SuiteReport(
-        "records",
-        "the running max of the rank-1 second piece follows the "
-        "void-probability law above the truncation level",
-        _echo(params), seed, checks)
+    return [_check("record_ks", stat, 0.02, "<", replicas)], {}
 
 
-def _suite_sandwich(params):
-    law, t, eps = params["law"], params["t"], params["eps"]
-    n_rep, seed = params["replicas"], params["seed"]
-
+def _suite_sandwich(law, t, eps, replicas, seed):
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps, obs_times=(t,)), rng)
         snap = traj.snapshots[0]
         return (_part(snap, 1), _part(snap, 2),
                 record_value(traj, t), chi_value(traj, t))
 
-    rows = run_replicas(worker, n_rep, seed)
+    rows = run_replicas(worker, replicas, seed)
     conditioned = [r for r in rows if r[0] >= 0.5]
     violations = sum(1 for _l1, l2, rec, chi in conditioned
                      if chi * rec > l2 + _SLACK or l2 > rec + _SLACK)
-    checks = (
-        _check("conditioning_fraction", len(conditioned) / n_rep, 0.99, ">",
-               n_rep),
+    return [
+        _check("conditioning_fraction", len(conditioned) / replicas, 0.99, ">",
+               replicas),
         _check("sandwich_violations", violations, 0, "<=", len(conditioned)),
-    )
-    return SuiteReport(
-        "sandwich",
-        "on paths keeping the main fragment above one half, chi times the "
-        "record bounds the second fragment below and the record bounds it "
-        "above",
-        _echo(params), seed, checks)
+    ], {}
 
 
-def _suite_subordinator(params):
-    law, t = params["law"], params["t"]
-    n_rep, seed, m_max = params["replicas"], params["seed"], params["m_max"]
+def _suite_subordinator(law, t, m_max, replicas, seed):
     if len(law.atoms) != 1:
         raise ConfigError("the subordinator suite needs a single-atom law "
                           "so jump counts can be read off the path value")
@@ -265,7 +225,7 @@ def _suite_subordinator(params):
     def worker(_i, rng):
         return run_subordinator(spec, t, rng)
 
-    rows = run_replicas(worker, n_rep, seed)
+    rows = run_replicas(worker, replicas, seed)
     observed = np.zeros(m_max + 2)
     alive_count = 0
     for value, alive in rows:
@@ -278,23 +238,19 @@ def _suite_subordinator(params):
     jump_rate = weight * atom[0]
     kill = spec.killing_rate
     expected = np.array(
-        [n_rep * math.exp(-kill * t)
+        [replicas * math.exp(-kill * t)
          * math.exp(-jump_rate * t) * (jump_rate * t) ** m / math.factorial(m)
          for m in range(m_max + 1)])
-    expected = np.append(expected, n_rep - expected.sum())
+    expected = np.append(expected, replicas - expected.sum())
     p = pooled_chi_square(observed, expected)
-    checks = [_check("value_chi_square_p", p, 0.01, ">", n_rep)]
+    checks = [_check("value_chi_square_p", p, 0.01, ">", replicas)]
 
     surv = math.exp(-kill * t)
-    se = math.sqrt(surv * (1.0 - surv) / n_rep)
-    z = abs(alive_count / n_rep - surv) / se
-    checks.append(_check("survival_z", z, 3.0, "<", n_rep))
-    return SuiteReport(
-        "subordinator",
-        "minus log of the top fragment evolves as a killed compound "
-        "Poisson process whose jump law is reweighted by the first piece",
-        _echo(params, jump_size=jump, jump_rate=jump_rate,
-              killing_rate=kill), seed, tuple(checks))
+    se = math.sqrt(surv * (1.0 - surv) / replicas)
+    z = abs(alive_count / replicas - surv) / se
+    checks.append(_check("survival_z", z, 3.0, "<", replicas))
+    return checks, dict(jump_size=jump, jump_rate=jump_rate,
+                        killing_rate=kill)
 
 
 def _eps_for_budget(law, t, budget):
@@ -325,65 +281,49 @@ def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed):
     return run_replicas(worker, n_rep, seed)
 
 
-def _suite_extreme(params):
-    law = params["law"]
+def _suite_extreme(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("extreme", law)
-    t, n_rep, seed = params["t"], params["replicas"], params["seed"]
-    budget, floor = params["event_budget"], params["mass_floor"]
     t_coarse = 10.0 * t
-    eps_fine = _eps_for_budget(law, t, budget)
-    eps_coarse = _eps_for_budget(law, t_coarse, budget)
+    eps_fine = _eps_for_budget(law, t, event_budget)
+    eps_coarse = _eps_for_budget(law, t_coarse, event_budget)
 
     # Both legs reuse the same replica streams, which couples them and
     # stabilizes the directional comparison.
-    fine = [r[0] for r in
-            _normalized_parts(law, t, eps_fine, floor, (2,), n_rep, seed)]
-    coarse = [r[0] for r in
-              _normalized_parts(law, t_coarse, eps_coarse, floor, (2,),
-                                n_rep, seed)]
+    fine = [r[0] for r in _normalized_parts(law, t, eps_fine, mass_floor,
+                                            (2,), replicas, seed)]
+    coarse = [r[0] for r in _normalized_parts(law, t_coarse, eps_coarse,
+                                              mass_floor, (2,), replicas,
+                                              seed)]
     ks_fine = ks_stat(fine, lambda x: extreme_cdf(x, a))
     ks_coarse = ks_stat(coarse, lambda x: extreme_cdf(x, a))
-    checks = (
-        _check("extreme_ks", ks_fine, 0.05, "<", n_rep),
-        _check("directionality", ks_fine - ks_coarse, 0.0, "<", n_rep),
-    )
-    return SuiteReport(
-        "extreme",
-        "the normalized second fragment approaches the extreme law "
-        "exp(-x^-a) as the horizon shrinks, and the fit degrades at a "
-        "10x coarser horizon",
-        _echo(params, eps_fine=eps_fine, eps_coarse=eps_coarse,
-              t_coarse=t_coarse, ks_coarse=round(ks_coarse, 10)),
-        seed, checks)
+    return [
+        _check("extreme_ks", ks_fine, 0.05, "<", replicas),
+        _check("directionality", ks_fine - ks_coarse, 0.0, "<", replicas),
+    ], dict(eps_fine=eps_fine, eps_coarse=eps_coarse, t_coarse=t_coarse,
+            ks_coarse=round(ks_coarse, 10))
 
 
-def _suite_frechet_k(params):
-    law = params["law"]
+def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("frechet-k", law)
-    t, n_rep, seed = params["t"], params["replicas"], params["seed"]
-    budget, floor = params["event_budget"], params["mass_floor"]
-    eps = _eps_for_budget(law, t, budget)
+    eps = _eps_for_budget(law, t, event_budget)
 
     # The k-th extreme law governs the k-th largest logged second piece,
     # which at small horizons is the (k+1)-th ranked fragment. The k-th
     # law keeps mass P(Poisson(budget) <= k-1) below the truncation cut,
     # so the budget must grow with the deepest k tested.
-    rows = _normalized_parts(law, t, eps, floor, (3, 4), n_rep, seed)
+    rows = _normalized_parts(law, t, eps, mass_floor, (3, 4), replicas, seed)
     checks = []
     for col, k in ((0, 2), (1, 3)):
         sample = [r[col] for r in rows]
         stat = ks_stat(sample, lambda x, k=k: frechet_k_cdf(k, a, x))
-        checks.append(_check(f"frechet_k{k}_ks", stat, 0.07, "<", n_rep))
-    return SuiteReport(
-        "frechet-k",
-        "lower-ranked fragments, normalized the same way as the second, "
-        "follow the k-record extreme laws",
-        _echo(params, eps=eps), seed, tuple(checks))
+        checks.append(_check(f"frechet_k{k}_ks", stat, 0.07, "<", replicas))
+    return checks, dict(eps=eps)
 
 
-def _suite_correspondence(params):
-    law, t, n = params["law"], params["t"], params["n"]
-    n_rep, seed = params["replicas"], params["seed"]
+def _suite_correspondence(law, t, n, replicas, seed):
+    if replicas < 2:
+        raise ConfigError(f"the correspondence suite needs >= 2 replicas for "
+                          f"its variance estimate, got {replicas}")
     kernel = make_step_kernel(law)
 
     # Ranked side, observed through the same finite-n paintbox channel the
@@ -404,32 +344,25 @@ def _suite_correspondence(params):
         p = partition_step(p, t / 2.0, kernel, rng)
         return frequencies(p).parts[0]
 
-    ranked = run_replicas(ranked_worker, n_rep, seed)
-    one_step = run_replicas(partition_worker, n_rep, seed + 1)
-    chain = run_replicas(chain_worker, n_rep, seed + 2)
+    ranked = run_replicas(ranked_worker, replicas, seed)
+    one_step = run_replicas(partition_worker, replicas, seed + 1)
+    chain = run_replicas(chain_worker, replicas, seed + 2)
 
     lam1 = np.array([r[0] for r in ranked])
     channel = np.array([r[1] for r in ranked])
     tops = np.array(one_step)
-    checks = [_check("channel_ks", ks_two_sample(channel, tops), 0.05, "<",
-                     n_rep)]
-    se = math.sqrt(lam1.var(ddof=1) / n_rep + tops.var(ddof=1) / n_rep)
-    checks.append(_check("mean_z", abs(lam1.mean() - tops.mean()) / se,
-                         3.0, "<", n_rep))
-    checks.append(_check("semigroup_ks", ks_two_sample(tops, np.array(chain)),
-                         0.05, "<", n_rep))
-    return SuiteReport(
-        "correspondence",
-        "ranked dynamics observed through a finite paintbox agree in law "
-        "with blockwise partition dynamics, and partition steps compose "
-        "over split horizons",
-        _echo(params), seed, tuple(checks))
+    se = math.sqrt(lam1.var(ddof=1) / replicas + tops.var(ddof=1) / replicas)
+    return [
+        _check("channel_ks", ks_two_sample(channel, tops), 0.05, "<",
+               replicas),
+        _check("mean_z", abs(lam1.mean() - tops.mean()) / se, 3.0, "<",
+               replicas),
+        _check("semigroup_ks", ks_two_sample(tops, np.array(chain)), 0.05,
+               "<", replicas),
+    ], {}
 
 
-def _suite_scaling(params):
-    law, alpha, r = params["law"], params["alpha"], params["r"]
-    t, n_rep, seed = params["t"], params["replicas"], params["seed"]
-
+def _suite_scaling(law, alpha, r, t, replicas, seed):
     def small_worker(_i, rng):
         cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
         return _part(run(cfg, rng).snapshots[0], 1)
@@ -439,17 +372,12 @@ def _suite_scaling(params):
         cfg = SimConfig(law, u, alpha=alpha, obs_times=(u,))
         return r * _part(run(cfg, rng).snapshots[0], 1)
 
-    small = run_replicas(small_worker, n_rep, seed)
+    small = run_replicas(small_worker, replicas, seed)
     # Independent streams for the second sample: a two-sample test needs
     # the sides unpaired.
-    unit = run_replicas(unit_worker, n_rep, seed + n_rep)
+    unit = run_replicas(unit_worker, replicas, seed + replicas)
     stat = ks_two_sample(small, unit)
-    checks = (_check("scaling_ks", stat, 0.03, "<", n_rep),)
-    return SuiteReport(
-        "scaling",
-        "a path started from reduced mass r matches, in law, the unit "
-        "path run to r^alpha t and rescaled by r",
-        _echo(params), seed, checks)
+    return [_check("scaling_ks", stat, 0.03, "<", replicas)], {}
 
 
 def _split_64():
@@ -464,37 +392,65 @@ def _binary_half():
     return BinaryPowerLaw(0.5)
 
 
-# One row per suite: its function and its pinned defaults. The law is a
-# factory so every run gets a fresh law object (FiniteAtomic caches).
+# One row per suite: its function, the claim its report states, and its
+# pinned defaults. The law is a factory so every run gets a fresh law
+# object (FiniteAtomic caches).
 _SUITES = {
-    "erosion": (_suite_erosion,
-                dict(law=_split_64, c=1.0, t=1.0, replicas=50, seed=11)),
-    "conservation": (_suite_conservation,
-                     dict(law=_split_64, t=3.0, replicas=200, seed=13)),
-    "poisson-counts": (_suite_poisson_counts,
-                       dict(law=_split_91, t=0.5, eps=0.0, replicas=10 ** 4,
-                            seed=17)),
-    "records": (_suite_records,
-                dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4,
-                     seed=19)),
-    "sandwich": (_suite_sandwich,
-                 dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4,
-                      seed=23)),
-    "subordinator": (_suite_subordinator,
-                     dict(law=_split_91, t=1.0, m_max=4, replicas=10 ** 4,
-                          seed=29)),
-    "extreme": (_suite_extreme,
-                dict(law=_binary_half, t=1e-3, event_budget=5.0,
-                     mass_floor=1e-12, replicas=10 ** 4, seed=31)),
-    "frechet-k": (_suite_frechet_k,
-                  dict(law=_binary_half, t=1e-3, event_budget=7.0,
-                       mass_floor=1e-12, replicas=10 ** 4, seed=37)),
-    "correspondence": (_suite_correspondence,
-                       dict(law=_split_64, t=0.3, n=1000, replicas=2000,
-                            seed=41)),
-    "scaling": (_suite_scaling,
-                dict(law=_split_64, alpha=1.0, r=0.5, t=0.4, replicas=5000,
-                     seed=43)),
+    "erosion": (
+        _suite_erosion,
+        "pure erosion shrinks the single fragment exactly exponentially, "
+        "and a positive erosion rate factors out of any dislocation path",
+        dict(law=_split_64, c=1.0, t=1.0, replicas=50, seed=11)),
+    "conservation": (
+        _suite_conservation,
+        "total mass is conserved at every jump and the mass of the k "
+        "largest fragments never increases",
+        dict(law=_split_64, t=3.0, replicas=200, seed=13)),
+    "poisson-counts": (
+        _suite_poisson_counts,
+        "rank-1 dislocations on a window form a Poisson count with the "
+        "truncated-law rate",
+        dict(law=_split_91, t=0.5, eps=0.0, replicas=10 ** 4, seed=17)),
+    "records": (
+        _suite_records,
+        "the running max of the rank-1 second piece follows the "
+        "void-probability law above the truncation level",
+        dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4, seed=19)),
+    "sandwich": (
+        _suite_sandwich,
+        "on paths keeping the main fragment above one half, chi times the "
+        "record bounds the second fragment below and the record bounds it "
+        "above",
+        dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4, seed=23)),
+    "subordinator": (
+        _suite_subordinator,
+        "minus log of the top fragment evolves as a killed compound "
+        "Poisson process whose jump law is reweighted by the first piece",
+        dict(law=_split_91, t=1.0, m_max=4, replicas=10 ** 4, seed=29)),
+    "extreme": (
+        _suite_extreme,
+        "the normalized second fragment approaches the extreme law "
+        "exp(-x^-a) as the horizon shrinks, and the fit degrades at a "
+        "10x coarser horizon",
+        dict(law=_binary_half, t=1e-3, event_budget=5.0, mass_floor=1e-12,
+             replicas=10 ** 4, seed=31)),
+    "frechet-k": (
+        _suite_frechet_k,
+        "lower-ranked fragments, normalized the same way as the second, "
+        "follow the k-record extreme laws",
+        dict(law=_binary_half, t=1e-3, event_budget=7.0, mass_floor=1e-12,
+             replicas=10 ** 4, seed=37)),
+    "correspondence": (
+        _suite_correspondence,
+        "ranked dynamics observed through a finite paintbox agree in law "
+        "with blockwise partition dynamics, and partition steps compose "
+        "over split horizons",
+        dict(law=_split_64, t=0.3, n=1000, replicas=2000, seed=41)),
+    "scaling": (
+        _suite_scaling,
+        "a path started from reduced mass r matches, in law, the unit "
+        "path run to r^alpha t and rescaled by r",
+        dict(law=_split_64, alpha=1.0, r=0.5, t=0.4, replicas=5000, seed=43)),
 }
 
 _TRANSLATE = {"t_end": "t"}
@@ -509,7 +465,7 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; "
                            f"choose from {', '.join(suite_names())}")
-    suite, defaults = _SUITES[name]
+    suite, claim, defaults = _SUITES[name]
     params = dict(defaults, law=defaults["law"]())
     for key, value in (overrides or {}).items():
         key = _TRANSLATE.get(key, key)
@@ -522,4 +478,6 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
         params["replicas"] = int(replicas)
     if params["replicas"] < 1:
         raise ConfigError(f"replica count {params['replicas']} must be >= 1")
-    return suite(params)
+    checks, derived = suite(**params)
+    return SuiteReport(name, claim, _echo(params, **derived), params["seed"],
+                       tuple(checks))

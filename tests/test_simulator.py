@@ -263,34 +263,54 @@ def test_run_survival_frequency():
 
 
 def test_run_traces():
-    cfg = SimConfig(law=SPLIT_64, t_end=5.0, seed=21)
-    traj = run(cfg)
-    assert len(traj.events) > 5
-    # the one record: every rank-1 split has second piece 0.4
-    assert len(traj.record_trace) == 1
-    assert traj.record_trace[0][1] == 0.4
-    assert traj.record_trace[0][0] == traj.events[0].time
-    # chi multiplies 0.6 per rank-1/2 event, so it is 0.6^k
-    for k, (_, value) in enumerate(traj.chi_trace):
-        assert value == pytest.approx(0.6 ** (k + 1), rel=1e-12)
-    times = [t for t, _ in traj.chi_trace]
-    assert times == sorted(times)
+    # both values are read off the event log alone
+    events = run(SimConfig(law=SPLIT_64, t_end=5.0, seed=21)).events
+    assert len(events) > 5
+    traj = Trajectory(obs_times=(), snapshots=(), events=events)
+    assert record_value(traj, traj.events[0].time / 2) == 0.0
+    # every rank-1 split has second piece 0.4, so the record is 0.4 from
+    # the first event on; chi multiplies 0.6 per rank-1/2 event strictly
+    # before t, so it is 0.6^k
+    k = 0
+    for ev in traj.events:
+        assert record_value(traj, ev.time) == 0.4
+        assert chi_value(traj, ev.time) == pytest.approx(0.6 ** k, rel=1e-12)
+        k += ev.target_rank <= 2
+    assert chi_value(traj, math.inf) == pytest.approx(0.6 ** k, rel=1e-12)
+
+
+def _event(time, rank, fragments, capped=False):
+    return EventAtom(time, rank, fragments, 1.0, capped)
 
 
 def test_record_and_chi_lookup():
-    traj = Trajectory(obs_times=(), snapshots=(), events=(),
-                      record_trace=((1.0, 0.1), (2.0, 0.3)),
-                      chi_trace=((1.0, 0.72), (2.5, 0.36)))
+    traj = Trajectory(obs_times=(), snapshots=(), events=(
+        _event(1.0, 1, (0.8, 0.1, 0.1)),
+        _event(1.5, 3, (0.5, 0.5)),        # rank 3: ignored by both
+        _event(2.0, 1, (0.7, 0.3)),
+        _event(2.5, 2, (0.5, 0.45, 0.05)),  # rank 2: chi only
+        _event(3.0, 1, (0.9, 0.2)),        # below the record: a running max
+    ))
     assert record_value(traj, 0.5) == 0.0
     assert record_value(traj, 1.0) == 0.1
     assert record_value(traj, 1.7) == 0.1
     assert record_value(traj, 2.0) == 0.3
+    assert record_value(traj, 2.7) == 0.3
     assert record_value(traj, 9.0) == 0.3
-    # chi is a left limit: the value strictly before t
+    # chi is a left limit: the product strictly before t, in event order
     assert chi_value(traj, 1.0) == 1.0
-    assert chi_value(traj, 1.1) == 0.72
-    assert chi_value(traj, 2.5) == 0.72
-    assert chi_value(traj, 3.0) == 0.36
+    assert chi_value(traj, 1.1) == 0.8
+    assert chi_value(traj, 2.0) == 0.8
+    assert chi_value(traj, 2.5) == 0.8 * 0.7
+    assert chi_value(traj, 3.0) == 0.8 * 0.7 * 0.5
+    assert chi_value(traj, 9.0) == 0.8 * 0.7 * 0.5 * 0.9
+    assert not traj.cap_hit
+    # a one-piece event has second piece 0; its first piece still counts
+    lone = Trajectory(obs_times=(), snapshots=(),
+                      events=(_event(1.0, 1, (0.7,), capped=True),))
+    assert record_value(lone, 2.0) == 0.0
+    assert chi_value(lone, 2.0) == 0.7
+    assert lone.cap_hit
     empty = Trajectory(obs_times=(), snapshots=(), events=())
     assert record_value(empty, 1.0) == 0.0
     assert chi_value(empty, 1.0) == 1.0

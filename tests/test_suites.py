@@ -13,6 +13,7 @@ from fragsim import (
     run_suite,
     suite_names,
 )
+from fragsim.cli import main
 from fragsim.errors import ConfigError, UnknownSuite
 
 
@@ -72,6 +73,14 @@ def test_replica_count_must_be_positive(name, replicas):
         run_suite(name, replicas=replicas)
     with pytest.raises(ConfigError):
         run_suite(name, {"replicas": replicas})
+
+
+def test_correspondence_needs_two_replicas(capsys):
+    # its mean check estimates a variance with ddof=1
+    with pytest.raises(ConfigError):
+        run_suite("correspondence", replicas=1)
+    assert main(["verify", "correspondence", "--replicas", "1"]) == CONFIG_EXIT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_replicas_is_index_ordered():
