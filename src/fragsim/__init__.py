@@ -23,11 +23,9 @@ from .measures import (
 from .partitions import (
     FinitePartition,
     apply_permutation,
-    compose,
     frequencies,
     from_blocks,
     from_labels,
-    induced,
     paintbox,
     partition_step,
     trivial,

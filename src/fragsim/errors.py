@@ -25,12 +25,8 @@ class InvalidFragmentVector(FragsimError):
     """Fragment vector is not non-negative, non-increasing, with sum <= 1."""
 
 
-class EmptyRestriction(FragsimError):
-    """Partition restricted to an empty element set."""
-
-
-class RefinementMismatch(FragsimError):
-    """Per-block refinements do not line up with the blocks being refined."""
+class InvalidPartition(FragsimError, ValueError):
+    """Partition blocks are empty, overlap, or do not cover the ground set."""
 
 
 class NotAPermutation(FragsimError):

@@ -1,9 +1,12 @@
 """Exchangeable partitions of a finite label set.
 
 Partitions are stored canonically: each block ascending, blocks ordered by
-least element. The ground set is kept explicit (a sorted tuple of integer
-labels) so that restriction can retain original labels and composition can
-check that refinements cover exactly the blocks they refine.
+least element, over an explicit ground set (a sorted tuple of integer
+labels). The validating constructors from_blocks, from_labels and trivial
+own that form: they are where outside input enters, and they reject empty,
+overlapping or non-covering blocks. paintbox and partition_step trust
+their canonical inputs and keep the form by construction, so each
+partition they return is built once and never re-checked.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRestriction, NotAPermutation, RefinementMismatch
+from .errors import InvalidPartition, NotAPermutation
 from .ranked_state import from_masses
 
 
@@ -33,19 +36,19 @@ def from_blocks(blocks, ground=None):
     """Validating constructor; canonicalizes block and element order."""
     cleaned = [tuple(sorted(b)) for b in blocks]
     if any(not b for b in cleaned):
-        raise ValueError("empty block")
+        raise InvalidPartition("empty block")
     cleaned.sort(key=lambda b: b[0])
     seen = set()
     for b in cleaned:
         if seen.intersection(b):
-            raise ValueError("blocks are not disjoint")
+            raise InvalidPartition("blocks are not disjoint")
         seen.update(b)
     if ground is None:
         ground = tuple(sorted(seen))
     else:
         ground = tuple(sorted(ground))
         if set(ground) != seen:
-            raise ValueError("blocks do not cover the ground set")
+            raise InvalidPartition("blocks do not cover the ground set")
     return FinitePartition(ground, tuple(cleaned))
 
 
@@ -62,59 +65,35 @@ def trivial(n):
     return from_blocks([range(1, n + 1)])
 
 
-def _paint_labels(state, count, rng):
-    """Independent paintbox labels for count elements; -1 marks dust."""
-    shares = np.asarray(state.parts, dtype=float) / state.nominal
-    cum = np.cumsum(shares)
-    u = rng.random(count)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.where(idx < len(shares), idx, -1)
-
-
 def _paint_over(state, elements, rng):
-    labels = _paint_labels(state, len(elements), rng)
-    # Dust elements get a label no fragment can produce: their own position.
-    keys = [int(lab) if lab >= 0 else -(pos + 1)
-            for pos, lab in enumerate(labels)]
-    return from_labels(elements, keys)
+    """Paintbox blocks of elements, driven by state, as a canonical tuple.
+
+    One uniform per element picks the fragment whose cumulative share of
+    the nominal budget first exceeds it, or dust past the last fragment.
+    elements must be ascending: blocks then appear in order of their least
+    element and each block is ascending, so no sort or check is needed.
+    """
+    shares = np.asarray(state.parts, dtype=float) / state.nominal
+    idx = np.searchsorted(np.cumsum(shares), rng.random(len(elements)),
+                          side="right").tolist()
+    dust = len(shares)
+    groups = {}
+    for pos, (e, k) in enumerate(zip(elements, idx)):
+        # Dust keys a singleton by its position, a negative key that no
+        # fragment index takes; an element could be label 0.
+        groups.setdefault(k if k < dust else -(pos + 1), []).append(e)
+    return tuple(tuple(b) for b in groups.values())
 
 
 def paintbox(s, n, rng):
     """Paintbox partition of {1..n} driven by the ranked state s."""
-    return _paint_over(s, tuple(range(1, n + 1)), rng)
+    ground = tuple(range(1, n + 1))
+    return FinitePartition(ground, _paint_over(s, ground, rng))
 
 
 def frequencies(p):
     """Ranked block frequencies |B|/n as a mass state (no dust at finite n)."""
     return from_masses([len(b) / p.n for b in p.blocks])
-
-
-def induced(p, subset):
-    """Restriction of p to subset, keeping original labels."""
-    subset = set(subset)
-    if not subset:
-        raise EmptyRestriction("cannot restrict to the empty set")
-    if not subset.issubset(p.ground):
-        raise ValueError("subset is not contained in the ground set")
-    blocks = [cut for b in p.blocks if (cut := subset.intersection(b))]
-    return from_blocks(blocks, subset)
-
-
-def compose(p, refinements):
-    """Replace each block of p by the blocks of its refinement.
-
-    refinements[i] must partition exactly p.blocks[i]; the result refines p.
-    """
-    if len(refinements) != len(p.blocks):
-        raise RefinementMismatch(
-            f"{len(refinements)} refinements for {len(p.blocks)} blocks")
-    merged = []
-    for block, ref in zip(p.blocks, refinements):
-        if ref.ground != block:
-            raise RefinementMismatch(
-                f"refinement ground {ref.ground} is not the block {block}")
-        merged.extend(ref.blocks)
-    return from_blocks(merged, p.ground)
 
 
 def apply_permutation(p, sigma):
@@ -136,12 +115,15 @@ def partition_step(p, duration, kernel, rng):
     Each block's mass is estimated by its frequency |B|/n, evolved through
     the kernel for the duration, and the resulting relative masses drive a
     paintbox over the block's elements. Blocks consume the rng stream in
-    canonical order, which makes the draw reproducible.
+    canonical order, which makes the draw reproducible. p is trusted to be
+    canonical, as from the validating constructors; the painted blocks then
+    partition p.ground and need only one sort by least element.
     """
     if duration == 0.0:
         return p
-    refinements = []
+    blocks = []
     for block in p.blocks:
         rel = kernel(len(block) / p.n, duration, rng)
-        refinements.append(_paint_over(rel, block, rng))
-    return compose(p, refinements)
+        blocks.extend(_paint_over(rel, block, rng))
+    blocks.sort(key=lambda b: b[0])
+    return FinitePartition(p.ground, tuple(blocks))

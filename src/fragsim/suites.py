@@ -30,7 +30,13 @@ from .partitions import frequencies, paintbox, partition_step, trivial
 from .ranked_state import dislocate, MassState, prefix_mass
 from .rng import replica_rng
 from .simulator import SimConfig, chi_value, make_step_kernel, record_value, run
-from .stats import ks_two_sample, ks_stat, poisson_pmf_test, pooled_chi_square
+from .stats import (
+    _MIN_KS_SAMPLES,
+    ks_two_sample,
+    ks_stat,
+    poisson_pmf_test,
+    pooled_chi_square,
+)
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -100,6 +106,12 @@ def _echo(params, **extra):
 
 def _part(state, k):
     return state.parts[k - 1] if len(state.parts) >= k else 0.0
+
+
+def _require_ks_sample(name, replicas):
+    if replicas < _MIN_KS_SAMPLES:
+        raise ConfigError(f"suite {name!r} needs >= {_MIN_KS_SAMPLES} "
+                          f"replicas for its KS checks, got {replicas}")
 
 
 # ---------------------------------------------------------------- suites
@@ -187,6 +199,8 @@ def _suite_poisson_counts(law, t, eps, replicas, seed):
 
 
 def _suite_records(law, t, eps, replicas, seed):
+    _require_ks_sample("records", replicas)
+
     def worker(_i, rng):
         traj = run(SimConfig(law, t, eps=eps), rng)
         return record_value(traj, t)
@@ -283,6 +297,7 @@ def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed):
 
 def _suite_extreme(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("extreme", law)
+    _require_ks_sample("extreme", replicas)
     t_coarse = 10.0 * t
     eps_fine = _eps_for_budget(law, t, event_budget)
     eps_coarse = _eps_for_budget(law, t_coarse, event_budget)
@@ -305,6 +320,7 @@ def _suite_extreme(law, t, event_budget, mass_floor, replicas, seed):
 
 def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("frechet-k", law)
+    _require_ks_sample("frechet-k", replicas)
     eps = _eps_for_budget(law, t, event_budget)
 
     # The k-th extreme law governs the k-th largest logged second piece,
@@ -321,9 +337,10 @@ def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
 
 
 def _suite_correspondence(law, t, n, replicas, seed):
-    if replicas < 2:
-        raise ConfigError(f"the correspondence suite needs >= 2 replicas for "
-                          f"its variance estimate, got {replicas}")
+    _require_ks_sample("correspondence", replicas)
+    if n < 1:
+        raise ConfigError(f"the correspondence suite needs n >= 1 labels, "
+                          f"got {n}")
     kernel = make_step_kernel(law)
 
     # Ranked side, observed through the same finite-n paintbox channel the
@@ -363,6 +380,8 @@ def _suite_correspondence(law, t, n, replicas, seed):
 
 
 def _suite_scaling(law, alpha, r, t, replicas, seed):
+    _require_ks_sample("scaling", replicas)
+
     def small_worker(_i, rng):
         cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
         return _part(run(cfg, rng).snapshots[0], 1)

@@ -9,17 +9,34 @@ import pytest
 from fragsim import (
     FinitePartition,
     apply_permutation,
-    compose,
     frequencies,
     from_blocks,
     from_labels,
     from_masses,
-    induced,
     paintbox,
     partition_step,
     trivial,
 )
-from fragsim.errors import EmptyRestriction, NotAPermutation, RefinementMismatch
+from fragsim.errors import FragsimError, InvalidPartition, NotAPermutation
+
+
+# A fixed state with dust share 0.3: each label lands in dust often enough
+# that a dust key colliding with a fragment index would merge blocks.
+DUSTY = from_masses([0.35, 0.25, 0.1], dust=0.3)
+
+
+def painted_reference(state, blocks, uniforms):
+    """Blockwise paintbox through from_labels: element e of block i keys
+    (i, k) for the first fragment k whose cumulative share exceeds its
+    uniform, and ("dust", e) past the last fragment."""
+    cum = list(itertools.accumulate(m / state.nominal for m in state.parts))
+    keys = {}
+    for i, block in enumerate(blocks):
+        for e, u in zip(block, uniforms.random(len(block))):
+            k = next((k for k, c in enumerate(cum) if u < c), None)
+            keys[e] = ("dust", e) if k is None else (i, k)
+    ground = sorted(keys)
+    return from_labels(ground, [keys[e] for e in ground])
 
 
 def paintbox_distribution(shares, n):
@@ -116,31 +133,6 @@ def test_frequencies():
     assert frequencies(p).dust == 0.0
 
 
-def test_induced():
-    p = from_blocks([[1, 3, 5], [2, 4]])
-    assert induced(p, {2, 3, 4}) == from_blocks([[2, 4], [3]])
-    assert induced(p, p.ground) == p
-    with pytest.raises(EmptyRestriction):
-        induced(p, set())
-    with pytest.raises(ValueError):
-        induced(p, {3, 7})
-
-
-def test_compose():
-    p = from_blocks([[1, 2, 3], [4, 5]])
-    q = compose(p, [from_blocks([[1, 3], [2]]),
-                    from_blocks([[4], [5]])])
-    assert q == from_blocks([[1, 3], [2], [4], [5]])
-    # every block of the composition sits inside a block of p
-    for b in q.blocks:
-        assert any(set(b) <= set(c) for c in p.blocks)
-    with pytest.raises(RefinementMismatch):
-        compose(p, [from_blocks([[1, 2, 3]])])
-    with pytest.raises(RefinementMismatch):
-        compose(p, [from_blocks([[1, 2], [3]]),
-                    from_blocks([[4], [6]], ground=(4, 6))])
-
-
 def test_apply_permutation():
     p = from_blocks([[1, 2], [3]])
     assert apply_permutation(p, (1, 2, 3)) == p
@@ -190,3 +182,36 @@ def test_paintbox_frequencies_law_of_large_numbers():
     assert len(freq.parts) == 2
     for share in freq.parts:
         assert 0.47 < share < 0.53
+
+
+def test_invalid_blocks_raise_a_typed_error():
+    for blocks, ground in (([[1, 2], []], None), ([[1, 2], [2, 3]], None),
+                           ([[1, 2]], (1, 2, 3))):
+        with pytest.raises(InvalidPartition):
+            from_blocks(blocks, ground)
+    with pytest.raises(InvalidPartition):
+        trivial(0)
+    assert issubclass(InvalidPartition, FragsimError)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_painted_partitions_are_canonical_by_construction(seed):
+    def fixed(mass, duration, rng):
+        return DUSTY
+
+    for p in (trivial(12),
+              from_blocks([[0, 3, 5, 9], [1, 2], [4, 6, 7, 8]]),
+              from_blocks([[-2, 0, 1], [-5, 2, 3, 4], [6]])):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        q = partition_step(p, 1.0, fixed, rng)
+        assert q == painted_reference(DUSTY, p.blocks, twin)
+        assert q == from_blocks(q.blocks, q.ground)
+        # a second step paints the first one's blocks in canonical order
+        r = partition_step(q, 1.0, fixed, rng)
+        assert r == painted_reference(DUSTY, q.blocks, twin)
+        assert r == from_blocks(r.blocks, r.ground)
+
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    q = paintbox(DUSTY, 30, rng)
+    assert q == painted_reference(DUSTY, [tuple(range(1, 31))], twin)
+    assert q == from_blocks(q.blocks, q.ground)

@@ -13,6 +13,7 @@ from fragsim import (
     run_suite,
     suite_names,
 )
+from fragsim import suites
 from fragsim.cli import main
 from fragsim.errors import ConfigError, UnknownSuite
 
@@ -81,6 +82,30 @@ def test_correspondence_needs_two_replicas(capsys):
         run_suite("correspondence", replicas=1)
     assert main(["verify", "correspondence", "--replicas", "1"]) == CONFIG_EXIT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "name", ["records", "extreme", "frechet-k", "correspondence", "scaling"])
+@pytest.mark.parametrize("replicas", [1, 49])
+def test_ks_suites_need_fifty_replicas(name, replicas, monkeypatch):
+    # the floor ks_threshold enforces; checked before any replica runs
+    def no_replicas(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(suites, "run_replicas", no_replicas)
+    with pytest.raises(ConfigError):
+        run_suite(name, replicas=replicas)
+
+
+def test_verify_rejects_a_ks_sample_below_fifty(capsys):
+    assert main(["verify", "scaling", "--replicas", "1"]) == CONFIG_EXIT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_correspondence_needs_a_label(n):
+    with pytest.raises(ConfigError):
+        run_suite("correspondence", {"n": n}, replicas=50)
 
 
 def test_run_replicas_is_index_ordered():
