@@ -29,7 +29,6 @@ class SubordinatorSpec:
     jump_rate: float
     jump_atoms: tuple = None
     jump_sampler: object = None
-    provenance: str = ""
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ integral.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy import integrate, stats
@@ -104,7 +105,7 @@ class FiniteAtomic(DislocationLaw):
         cleaned = []
         for weight, fragments in atoms:
             weight = float(weight)
-            if weight <= 0.0:
+            if not weight > 0.0:
                 raise NegativeMass(f"atom weight {weight} must be positive")
             fragments = validate_fragments(fragments)
             if fragments == (1.0,):
@@ -134,24 +135,33 @@ class FiniteAtomic(DislocationLaw):
         return float(np.sum(self._w * (1.0 - self._s1)))
 
     def truncated_mass(self, eps):
-        return float(np.sum(self._w[(1.0 - self._s1) >= eps]))
+        return self._truncation(eps)[4]
 
-    def _truncated(self, eps):
+    def _truncation(self, eps):
+        """The cache entry for eps, read once: (eps, kept atom indices,
+        their cumulative weights as a list, their fragment vectors, their
+        total weight)."""
         cache = self._trunc_cache
         if cache is None or cache[0] != eps:
             keep = np.flatnonzero((1.0 - self._s1) >= eps)
-            cache = (eps, keep, np.cumsum(self._w[keep]))
+            w = self._w[keep]
+            cache = (eps, keep, np.cumsum(w).tolist(),
+                     tuple(self.atoms[i][1] for i in keep), float(np.sum(w)))
             self._trunc_cache = cache
+        return cache
+
+    def _truncated(self, eps):
+        cache = self._truncation(eps)
         return cache[1], cache[2]
 
     def sample_dislocation(self, eps, rng, total=None):
-        # draws against the cached cumulative weights; total is not needed
-        keep, cum = self._truncated(eps)
-        if len(keep) == 0:
+        # draws against the cached cumulative weights; total is not needed.
+        # bisect_right returns the index np.searchsorted(side="right") would.
+        _, _, cum, fragments, _ = self._truncation(eps)
+        if not fragments:
             raise EmptyTruncation(f"no atoms with 1 - s1 >= {eps}")
         u = rng.random() * cum[-1]
-        i = min(int(np.searchsorted(cum, u, side="right")), len(keep) - 1)
-        return self.atoms[keep[i]][1]
+        return fragments[min(bisect_right(cum, u), len(fragments) - 1)]
 
     def jump_rate_truncated(self, eps):
         keep, _ = self._truncated(eps)
@@ -174,6 +184,7 @@ class BinaryPowerLaw(DislocationLaw):
                 f"exponent a={a}: lost-mass integral is finite only for 0 < a < 1")
         self.a = a
         self._two_a = 2.0 ** a
+        self._mass_cache = None  # (eps, truncated_mass(eps))
 
     def __repr__(self):
         return f"BinaryPowerLaw(a={self.a})"
@@ -190,9 +201,14 @@ class BinaryPowerLaw(DislocationLaw):
         return self.a / (1.0 - self.a) * 0.5 ** (1.0 - self.a)
 
     def truncated_mass(self, eps):
-        if eps <= 0.0:
-            raise EmptyTruncation("binary power law needs a positive truncation")
-        return max(self.tail_nu2(eps), 0.0)
+        cache = self._mass_cache
+        if cache is None or cache[0] != eps:
+            if eps <= 0.0:
+                raise EmptyTruncation(
+                    "binary power law needs a positive truncation")
+            cache = (eps, max(self.tail_nu2(eps), 0.0))
+            self._mass_cache = cache
+        return cache[1]
 
     def sample_dislocation(self, eps, rng, total=None):
         if total is None:
@@ -290,7 +306,6 @@ def sub_levy_transform(law, c, eps):
         jump_rate=rate,
         jump_atoms=atoms,
         jump_sampler=sampler,
-        provenance=f"{law!r}, c={c}, eps={eps}",
     )
 
 

@@ -7,6 +7,8 @@ inequality sum(parts) + dust <= nominal (within a small float tolerance)
 and keep the parts ranked.
 """
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -60,20 +62,24 @@ def scale(state, factor):
 def validate_fragments(fragments):
     """Check a dislocation vector: non-negative, non-increasing, sum <= 1.
 
-    Returns the vector with zero entries stripped.
+    Returns the vector with zero entries stripped; being non-increasing,
+    its zeros form a suffix. NaN ratios are rejected.
     """
     prev = None
     total = 0.0
+    positive = 0
     for x in fragments:
-        if x < 0.0:
-            raise InvalidFragmentVector(f"fragment ratio {x} is negative")
+        if not x >= 0.0:
+            raise InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                        f"non-negative number")
         if prev is not None and x > prev:
             raise InvalidFragmentVector("fragment vector is not non-increasing")
         prev = x
         total += x
+        positive += x > 0.0
     if total > 1.0 + BUDGET_TOL:
         raise InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
-    return tuple(x for x in fragments if x > 0.0)
+    return tuple(fragments[:positive])
 
 
 def dislocate(state, rank, fragments, mass_floor=0.0):
@@ -86,20 +92,20 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     if not 1 <= rank <= len(state.parts):
         raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
     fragments = validate_fragments(fragments)
-    parent = state.parts[rank - 1]
+    parts = list(state.parts)
+    parent = parts.pop(rank - 1)
     dust = state.dust
     deficit = 1.0 - sum(fragments)
     if deficit > 0.0:
         dust += parent * deficit
-    survivors = list(state.parts[:rank - 1] + state.parts[rank:])
     for x in fragments:
         piece = parent * x
         if piece < mass_floor or piece == 0.0:
             dust += piece
         else:
-            survivors.append(piece)
-    survivors.sort(reverse=True)  # stable: pre-existing fragments precede new ones on ties
-    return MassState(tuple(survivors), dust, state.nominal)
+            # after every equal part: pre-existing fragments precede new ones
+            parts.insert(bisect_right(parts, -piece, key=operator.neg), piece)
+    return MassState(tuple(parts), dust, state.nominal)
 
 
 def uniform_dist(a, b):

@@ -11,6 +11,7 @@ where jump rates do not depend on fragment masses.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, DeadState, EmptyTruncation
 from .ranked_state import MassState, dislocate
@@ -44,8 +45,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "obs_times", tuple(float(t) for t in self.obs_times))
-        if self.t_end < 0.0:
-            raise ConfigError(f"t_end {self.t_end} is negative")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end {self.t_end} must be finite and >= 0")
         if not 0.0 < self.initial_mass <= 1.0:
             raise ConfigError(f"initial_mass {self.initial_mass} outside (0, 1]")
         if self.c < 0.0:
@@ -71,8 +72,7 @@ class SimConfig:
             prev = t
 
 
-@dataclass(frozen=True)
-class EventAtom:
+class EventAtom(NamedTuple):
     """One dislocation event: which rank split, into what, from what mass."""
 
     time: float

@@ -269,6 +269,9 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
 
 def _eps_for_budget(law, t, budget):
     """Truncation level making the expected rank-1 event count = budget."""
+    if not (t > 0.0 and budget > 0.0):
+        raise ConfigError(f"an event budget needs t > 0 and event_budget > 0, "
+                          f"got t={t!r}, event_budget={budget!r}")
     return law.gen_inverse_f(budget / t)
 
 
@@ -369,11 +372,13 @@ def _suite_correspondence(law, t, n, replicas, seed):
     channel = np.array([r[1] for r in ranked])
     tops = np.array(one_step)
     se = math.sqrt(lam1.var(ddof=1) / replicas + tops.var(ddof=1) / replicas)
+    gap = abs(lam1.mean() - tops.mean())
+    # two constant samples (at t = 0, say) agree exactly or not at all
+    mean_z = gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)
     return [
         _check("channel_ks", ks_two_sample(channel, tops), 0.05, "<",
                replicas),
-        _check("mean_z", abs(lam1.mean() - tops.mean()) / se, 3.0, "<",
-               replicas),
+        _check("mean_z", mean_z, 3.0, "<", replicas),
         _check("semigroup_ks", ks_two_sample(tops, np.array(chain)), 0.05,
                "<", replicas),
     ], {}

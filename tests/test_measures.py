@@ -164,6 +164,67 @@ def test_sample_dislocation_atomic():
     assert abs(hits / 20000 - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 20000)
 
 
+class _FixedUniform:
+    """Stub generator whose random() returns a preset value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.1))
+def test_atomic_sampler_on_cumulative_boundaries(eps):
+    # dyadic weights, so u * total lands exactly on each cumulative weight;
+    # the reference is np.searchsorted(side="right"), clamped to the last atom
+    atoms = [(1.0, (0.6, 0.4)), (0.5, (0.95, 0.05)), (1.0, (0.7, 0.3)),
+             (2.0, (0.5, 0.5))]
+    law = FiniteAtomic(atoms)
+    keep = [i for i, (_, f) in enumerate(atoms) if 1.0 - f[0] >= eps]
+    cum = np.cumsum([atoms[i][0] for i in keep])
+    total = cum[-1]
+    grid = [0.0, 1.0] + [c / total for c in cum]
+    grid += [np.nextafter(r, side) for r in grid[2:] for side in (0.0, 1.0)]
+    for r in grid:
+        i = min(int(np.searchsorted(cum, r * total, side="right")),
+                len(keep) - 1)
+        assert law.sample_dislocation(eps, _FixedUniform(r)) == atoms[keep[i]][1]
+
+
+def test_truncated_mass_cache_follows_eps():
+    atoms = [(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))]
+    law = FiniteAtomic(atoms)
+    w = np.array([a[0] for a in atoms])
+    s1 = np.array([a[1][0] for a in atoms])
+    rng = np.random.default_rng(3)
+    for eps in (0.0, 0.2, 0.0, 0.45, 0.1, 0.1):
+        assert law.truncated_mass(eps) == float(np.sum(w[(1.0 - s1) >= eps]))
+        if eps < 0.45:
+            assert 1.0 - law.sample_dislocation(eps, rng)[0] >= eps
+        else:
+            with pytest.raises(EmptyTruncation):
+                law.sample_dislocation(eps, rng)
+    binary = BinaryPowerLaw(0.5)
+    for eps in (0.01, 0.1, 0.01, 0.6, 0.25):
+        assert binary.truncated_mass(eps) == max(binary.tail_nu2(eps), 0.0)
+    for eps in (0.0, -0.1):
+        with pytest.raises(EmptyTruncation):
+            binary.truncated_mass(eps)
+
+
+def test_nan_is_rejected_with_a_typed_error():
+    with pytest.raises(NegativeMass):
+        FiniteAtomic([(math.nan, (0.6, 0.4))])
+    with pytest.raises(InvalidFragmentVector):
+        FiniteAtomic([(1.0, (math.nan, 0.5))])
+    for spec in ("measure = atomic; atoms = nan:0.5,0.5",
+                 "measure = atomic; atoms = 1.0:nan,0.5",
+                 "measure = atomic; atoms = 1.0:0.6,0.4;1.0:0.5,nan"):
+        with pytest.raises(ConfigError):
+            parse_measure(spec)
+
+
 def test_sample_dislocation_binary_inverse_cdf():
     law = BinaryPowerLaw(0.5)
     rng = np.random.default_rng(2)

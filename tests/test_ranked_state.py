@@ -1,5 +1,8 @@
 """Ranked mass states: construction, scaling, dislocation, distances."""
 
+import math
+
+import numpy as np
 import pytest
 
 from fragsim import (
@@ -60,6 +63,10 @@ def test_validate_fragments():
     assert validate_fragments((0.6, 0.4)) == (0.6, 0.4)
     assert validate_fragments((0.5, 0.3, 0.0)) == (0.5, 0.3)
     assert validate_fragments(()) == ()
+    # the zeros of a non-increasing vector are a suffix, and all of it goes
+    assert validate_fragments((0.5, 0.0, 0.0)) == (0.5,)
+    assert validate_fragments((0.0, 0.0)) == ()
+    assert validate_fragments([0.5, 0.5, 0.0]) == (0.5, 0.5)
     with pytest.raises(InvalidFragmentVector):
         validate_fragments((0.4, 0.6))
     with pytest.raises(InvalidFragmentVector):
@@ -112,6 +119,72 @@ def test_dislocate_tie_order_is_stable():
     st = from_masses([0.5, 0.5])
     st = dislocate(st, 2, (0.5, 0.5))
     assert st.parts == (0.5, 0.25, 0.25)
+
+
+def test_validate_fragments_rejects_nan():
+    for bad in ((math.nan,), (0.5, math.nan), (math.nan, 0.5), (0.5, 0.3, math.nan)):
+        with pytest.raises(InvalidFragmentVector):
+            validate_fragments(bad)
+
+
+def _dislocate_by_sort(state, rank, fragments, mass_floor=0.0):
+    """Reference dislocate: slice the target out, append the kept pieces
+    and re-rank with a stable reverse sort."""
+    fragments = validate_fragments(fragments)
+    parent = state.parts[rank - 1]
+    dust = state.dust
+    deficit = 1.0 - sum(fragments)
+    if deficit > 0.0:
+        dust += parent * deficit
+    survivors = list(state.parts[:rank - 1] + state.parts[rank:])
+    for x in fragments:
+        piece = parent * x
+        if piece < mass_floor or piece == 0.0:
+            dust += piece
+        else:
+            survivors.append(piece)
+    survivors.sort(reverse=True)
+    return MassState(tuple(survivors), dust, state.nominal)
+
+
+def _bits(state):
+    return ([x.hex() for x in state.parts], state.dust.hex(),
+            state.nominal.hex())
+
+
+def _random_fragments(rng):
+    """Dyadic ratios, so pieces tie with parts and with each other exactly,
+    or plain uniforms; sometimes empty, one piece, or with a zero suffix."""
+    size = int(rng.integers(0, 5))
+    if rng.random() < 0.5:
+        ratios = sorted((0.5 ** int(rng.integers(1, 5)) for _ in range(size)),
+                        reverse=True)
+    else:
+        ratios = sorted(rng.random(size).tolist(), reverse=True)
+    kept, total = [], 0.0
+    for x in ratios:
+        if total + x > 1.0:
+            break
+        kept.append(x)
+        total += x
+    return tuple(kept) + (0.0,) * int(rng.integers(0, 2))
+
+
+def test_dislocate_matches_the_sort_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        # multiples of 1/256 repeat, and halving them hits other parts
+        masses = sorted((int(k) / 256.0 for k in rng.integers(1, 7, size=n)),
+                        reverse=True)
+        state = MassState(tuple(masses), float(rng.integers(0, 4)) / 64.0, 1.0)
+        floor = float(rng.choice([0.0, 0.0, 1.0 / 512.0, 1.0 / 256.0,
+                                  rng.random() / 64.0]))
+        fragments = _random_fragments(rng)
+        for rank in {1, n, int(rng.integers(1, n + 1))}:
+            got = dislocate(state, rank, fragments, floor)
+            want = _dislocate_by_sort(state, rank, fragments, floor)
+            assert _bits(got) == _bits(want), (state, rank, fragments, floor)
 
 
 def test_uniform_dist():

@@ -50,6 +50,12 @@ def test_config_validation():
         SimConfig(law=BinaryPowerLaw(0.5), t_end=1.0, eps=0.0)
 
 
+@pytest.mark.parametrize("t_end", (math.inf, math.nan))
+def test_t_end_must_be_finite(t_end):
+    with pytest.raises(ConfigError):
+        SimConfig(law=FiniteAtomic([]), t_end=t_end)
+
+
 def test_next_event_waiting_time_and_target():
     rng = np.random.default_rng(0)
     state = MassState((1.0,), 0.0, 1.0)
@@ -314,6 +320,19 @@ def test_record_and_chi_lookup():
     empty = Trajectory(obs_times=(), snapshots=(), events=())
     assert record_value(empty, 1.0) == 0.0
     assert chi_value(empty, 1.0) == 1.0
+
+
+def test_event_atoms_are_immutable():
+    ev = EventAtom(0.5, 1, (0.6, 0.4), 1.0)
+    assert ev.capped is False
+    assert (ev.time, ev.target_rank, ev.fragments, ev.parent_mass) == (
+        0.5, 1, (0.6, 0.4), 1.0)
+    for field in ("time", "capped"):
+        with pytest.raises(AttributeError):
+            setattr(ev, field, True)
+    capped = EventAtom(0.7, 2, (0.5,), 0.4, True)
+    assert not Trajectory((), (), (ev,)).cap_hit
+    assert Trajectory((), (), (ev, capped)).cap_hit
 
 
 def test_fragment_cap_trims_and_flags():

@@ -1,6 +1,7 @@
 """Verification suite plumbing: determinism, replica order, overrides."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -106,6 +107,38 @@ def test_verify_rejects_a_ks_sample_below_fifty(capsys):
 def test_correspondence_needs_a_label(n):
     with pytest.raises(ConfigError):
         run_suite("correspondence", {"n": n}, replicas=50)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("extreme", {"t": 0.0}),
+    ("extreme", {"t": -1e-3}),
+    ("extreme", {"event_budget": 0.0}),
+    ("frechet-k", {"t": 0.0}),
+    ("frechet-k", {"event_budget": 0}),
+    ("frechet-k", {"event_budget": -7.0}),
+])
+def test_event_budget_suites_need_positive_t_and_budget(name, overrides,
+                                                        monkeypatch):
+    def no_replicas(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(suites, "run_replicas", no_replicas)
+    with pytest.raises(ConfigError):
+        run_suite(name, overrides, replicas=50)
+
+
+def test_correspondence_with_constant_sides():
+    # at t = 0 both sides are the whole mass on every replica: equal means
+    report = run_suite("correspondence", {"t": 0.0}, replicas=50)
+    assert report.passed
+    assert [c.statistic for c in report.checks] == [0.0, 0.0, 0.0]
+    # a law that dusts everything within two events: the ranked top is 0
+    # and the painted top 1/2 on every replica, so the means differ exactly
+    dusting = FiniteAtomic([(1e4, (1e-200,))])
+    report = run_suite("correspondence", {"law": dusting, "n": 2},
+                       replicas=50)
+    mean_z = {c.name: c for c in report.checks}["mean_z"]
+    assert mean_z.statistic == math.inf and not mean_z.passed
 
 
 def test_run_replicas_is_index_ordered():
