@@ -89,7 +89,11 @@ def record_cdf(law, t, x):
     eps-truncated stream whenever x >= eps.
     """
     x = np.asarray(x, dtype=float)
-    out = np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float))
+    if t == 0.0:
+        # nothing arrives by time 0, even where the tail is infinite
+        out = np.ones_like(x)
+    else:
+        out = np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float))
     out = np.where(x < 0.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
 

@@ -45,6 +45,10 @@ class DeadState(FragsimError):
     """No fragments remain to dislocate."""
 
 
+class RateOverflow(FragsimError):
+    """Mass-biased jump rates overflow, as tiny fragments do at alpha < 0."""
+
+
 class DegenerateNormalizer(FragsimError):
     """Normalizing scale is zero at the requested time."""
 

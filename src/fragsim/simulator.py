@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DeadState, EmptyTruncation
+from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from .ranked_state import MassState, dislocate
 from .rng import master_rng
 
@@ -113,6 +113,9 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
     _truncated_rate) and pass it in; it is forwarded to
     law.sample_dislocation as total. The draws do not depend on which
     way it arrives.
+
+    Raises RateOverflow when the mass-biased total rate is not finite, as
+    when fragments shrink toward 0 at alpha < 0 with no mass floor.
     """
     n = len(state.parts)
     if n == 0:
@@ -126,8 +129,15 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
         target = int(rng.integers(1, n + 1))
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
-        rates = state.parts if alpha == 1.0 else [m ** alpha for m in state.parts]
+        try:
+            rates = state.parts if alpha == 1.0 else [m ** alpha for m in state.parts]
+        except OverflowError:
+            rates = (math.inf,)
         total = sum(rates)
+        if not total < math.inf:
+            raise RateOverflow(
+                f"mass-biased rates overflow at alpha={alpha}: fragments are "
+                f"too small; a positive mass_floor dusts them")
         wait = rng.exponential(1.0 / (total * trunc))
         u = rng.random() * total
         acc = 0.0

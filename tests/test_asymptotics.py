@@ -92,6 +92,8 @@ def test_record_cdf_values():
     assert record_cdf(law, 0.01, 0.25) == pytest.approx(want, abs=1e-12)
     assert record_cdf(law, 0.01, 0.25) == pytest.approx(0.9941593, abs=1e-6)
     assert record_cdf(law, 0.0, 0.3) == 1.0
+    # at t = 0 the law is the step at 0, also where the tail is infinite
+    assert record_cdf(law, 0.0, [-0.1, 0.0, 0.3]).tolist() == [0.0, 1.0, 1.0]
     assert record_cdf(law, 5.0, 0.7) == 1.0
     assert record_cdf(law, 5.0, -0.1) == 0.0
     # atoms: the strict tail drives the record law

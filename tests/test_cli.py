@@ -52,6 +52,14 @@ def test_simulate_config_must_be_complete(tmp_path, capsys):
     assert err.count("error:") == 3
 
 
+def test_simulate_reports_a_rate_overflow(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SIM_CFG.replace("t_end = 1.0", "t_end = 5.0")
+                    + "alpha = -1\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mass_floor" in err
+
+
 def test_verify_pass(capsys):
     assert main(["verify", "erosion", "--replicas", "5"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,22 @@
 """Stream derivation: replicas depend on (seed, index) and nothing else."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragsim import master_rng, replica_rng
+
+
+def numpy_replica(seed, index):
+    """The reference stream: numpy's own spawned SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def assert_same_stream(rng, ref):
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random(3).tolist() == ref.random(3).tolist()
+    assert rng.integers(0, 2 ** 63, 3).tolist() == ref.integers(0, 2 ** 63, 3).tolist()
 
 
 def test_master_rng_is_deterministic():
@@ -23,3 +37,50 @@ def test_replica_index_does_not_collide_with_seed_shift():
     x = replica_rng(3, 1).random()
     y = replica_rng(4, 0).random()
     assert x != y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 200), st.integers(0, 2 ** 33))
+def test_replica_streams_are_numpys(seed, index):
+    assert_same_stream(replica_rng(seed, index), numpy_replica(seed, index))
+
+
+def test_replica_streams_at_word_boundaries():
+    # seeds of one, two, four and five 32-bit words; indices of one and two
+    for seed in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 128 - 1, 2 ** 128):
+        for index in (0, 2 ** 32 - 1, 2 ** 32):
+            assert_same_stream(replica_rng(seed, index),
+                               numpy_replica(seed, index))
+
+
+def test_interleaved_seeds_keep_their_own_streams():
+    a, b = 11, 2 ** 140 + 7
+    for seed, index in ((a, 0), (b, 0), (a, 1), (b, 1), (a, 1)):
+        assert_same_stream(replica_rng(seed, index), numpy_replica(seed, index))
+
+
+def test_numpy_integers_give_the_int_stream():
+    for seed in (np.int64(5), np.uint32(5)):
+        assert_same_stream(replica_rng(seed, 3), numpy_replica(5, 3))
+    assert_same_stream(replica_rng(5, np.int64(3)), numpy_replica(5, 3))
+
+
+@pytest.mark.parametrize("seed, index", ((-1, 0), (0, -1), (-2 ** 40, 3)))
+def test_negative_inputs_raise_numpys_error(seed, index):
+    with pytest.raises(ValueError) as want:
+        numpy_replica(seed, index)
+    with pytest.raises(ValueError) as got:
+        replica_rng(seed, index)
+    assert str(got.value) == str(want.value)
+
+
+def test_seed_sequence_behaves_like_numpys():
+    for seed, index in ((3, 4), (2 ** 130, 2 ** 32 - 1)):
+        ours, ref = replica_rng(seed, index), numpy_replica(seed, index)
+        for _ in range(2):  # a second spawn continues the child count
+            for child, want in zip(ours.spawn(2), ref.spawn(2)):
+                assert_same_stream(child, want)
+        ours_seq, ref_seq = ours.bit_generator.seed_seq, ref.bit_generator.seed_seq
+        for n_words, dtype in ((8, np.uint32), (4, np.uint64), (3, "u8")):
+            assert np.array_equal(ours_seq.generate_state(n_words, dtype),
+                                  ref_seq.generate_state(n_words, dtype))

@@ -23,7 +23,7 @@ from fragsim import (
     write_event_csv,
     write_snapshot_csv,
 )
-from fragsim.errors import ConfigError, DeadState, EmptyTruncation
+from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 
@@ -90,6 +90,21 @@ def test_next_event_degenerate_states():
         next_event(MassState((1.0,), 0.0, 1.0), BinaryPowerLaw(0.5), 0.0, 0.6, rng)
     with pytest.raises(EmptyTruncation):
         next_event(MassState((1.0,), 0.0, 1.0), FiniteAtomic([]), 0.0, 0.0, rng)
+
+
+def test_rate_overflow_at_negative_alpha_is_typed():
+    rng = np.random.default_rng(2)
+    # one rate overflows a float, or every rate is finite and the sum is not
+    for parts in ((0.5, 1e-310), (1e-308, 1e-308)):
+        with pytest.raises(RateOverflow, match="mass_floor"):
+            next_event(MassState(parts, 0.0, 1.0), SPLIT_64, -1.0, 0.0, rng)
+    # tiny fragments split ever faster until their rates overflow
+    with pytest.raises(RateOverflow, match="mass_floor"):
+        run(SimConfig(SPLIT_64, 5.0, alpha=-1.0, seed=1))
+    # a mass floor dusts them first, and the path ends with no fragment left
+    traj = run(SimConfig(SPLIT_64, 5.0, alpha=-1.0, mass_floor=1e-3,
+                         obs_times=(5.0,), seed=1))
+    assert traj.snapshots[0].parts == ()
 
 
 # one law per family, each at a truncation level where it has events

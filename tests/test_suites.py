@@ -141,6 +141,13 @@ def test_correspondence_with_constant_sides():
     assert mean_z.statistic == math.inf and not mean_z.passed
 
 
+def test_records_at_time_zero():
+    # no replica has an event, and the record law is the step at 0
+    report = run_suite("records", {"t": 0.0}, replicas=50)
+    assert report.passed
+    assert [c.statistic for c in report.checks] == [0.0]
+
+
 def test_run_replicas_is_index_ordered():
     def worker(i, rng):
         return i, rng.random()
