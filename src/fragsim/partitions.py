@@ -2,24 +2,27 @@
 
 Partitions are stored canonically: each block ascending, blocks ordered by
 least element, over an explicit ground set (a sorted tuple of integer
-labels). The validating constructors from_blocks, from_labels and trivial
-own that form: they are where outside input enters, and they reject empty,
-overlapping or non-covering blocks. paintbox and partition_step trust
-their canonical inputs and keep the form by construction, so each
-partition they return is built once and never re-checked.
+labels). The validating constructors from_blocks and from_labels own that
+form: they are where outside input enters, and they reject empty,
+overlapping or non-covering blocks. trivial (which checks only n >= 1),
+paintbox, partition_step and frequencies build their results in
+canonical form by construction, so each one is built once and never
+re-checked.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
 budget, and falls into dust with the remaining probability; dust labels
-are unique to their element, so each becomes a singleton.
+are unique to their element, so each becomes a singleton. _paint_over
+groups the labels in numpy, by position, without a per-label loop.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPartition, NotAPermutation
-from .ranked_state import from_masses
+from .ranked_state import MassState
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,10 @@ def from_labels(elements, labels):
 
 def trivial(n):
     """The one-block partition of {1..n}."""
-    return from_blocks([range(1, n + 1)])
+    if n < 1:
+        raise InvalidPartition(f"the trivial partition needs n >= 1, got {n}")
+    ground = tuple(range(1, n + 1))
+    return FinitePartition(ground, (ground,))
 
 
 def _paint_over(state, elements, rng):
@@ -70,19 +76,33 @@ def _paint_over(state, elements, rng):
 
     One uniform per element picks the fragment whose cumulative share of
     the nominal budget first exceeds it, or dust past the last fragment.
-    elements must be ascending: blocks then appear in order of their least
-    element and each block is ascending, so no sort or check is needed.
+    A stable argsort of the fragment indices lists the positions fragment
+    by fragment, each run ascending; the run is cut where the index
+    changes and at every dust position, so each dust element is its own
+    singleton. The labels are gathered by position, never converted to a
+    numeric array, so blocks hold the caller's own labels. elements must be
+    ascending: a block's first position then holds its least element, and
+    ordering the blocks by it needs no sort of the labels or check.
     """
+    n = len(elements)
     shares = np.asarray(state.parts, dtype=float) / state.nominal
-    idx = np.searchsorted(np.cumsum(shares), rng.random(len(elements)),
-                          side="right").tolist()
     dust = len(shares)
-    groups = {}
-    for pos, (e, k) in enumerate(zip(elements, idx)):
-        # Dust keys a singleton by its position, a negative key that no
-        # fragment index takes; an element could be label 0.
-        groups.setdefault(k if k < dust else -(pos + 1), []).append(e)
-    return tuple(tuple(b) for b in groups.values())
+    # Narrowed to the smallest unsigned type that holds the dust index,
+    # the indices take numpy's radix sort (used for up to 16 bits).
+    idx = np.searchsorted(np.cumsum(shares), rng.random(n),
+                          side="right").astype(np.min_scalar_type(dust))
+    order = np.argsort(idx, kind="stable")
+    run = idx[order]
+    # cuts lists every block's start position in the sorted run, then n.
+    edge = np.ones(n + 1, dtype=bool)
+    np.logical_or(run[1:] != run[:-1], run[1:] == dust, out=edge[1:n])
+    cuts = np.flatnonzero(edge)
+    by_least = np.argsort(order[cuts[:-1]])
+    # itemgetter returns a bare label, not a tuple, for a single position.
+    labels = (operator.itemgetter(*order.tolist())(elements) if n > 1
+              else tuple(elements))
+    return tuple(labels[a:b] for a, b in zip(cuts[by_least].tolist(),
+                                            cuts[by_least + 1].tolist()))
 
 
 def paintbox(s, n, rng):
@@ -93,7 +113,8 @@ def paintbox(s, n, rng):
 
 def frequencies(p):
     """Ranked block frequencies |B|/n as a mass state (no dust at finite n)."""
-    return from_masses([len(b) / p.n for b in p.blocks])
+    return MassState(tuple(sorted((len(b) / p.n for b in p.blocks),
+                                  reverse=True)), 0.0, 1.0)
 
 
 def apply_permutation(p, sigma):

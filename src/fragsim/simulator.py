@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
+from .errors import (ConfigError, DeadState, EmptyTruncation, NegativeMass,
+                     RateOverflow)
 from .ranked_state import MassState, dislocate
 from .rng import master_rng
 
@@ -274,13 +275,15 @@ def write_snapshot_csv(traj, stream):
 def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     """Kernel for partition steps: evolve a fragment of given mass for a duration.
 
-    Returns kernel(mass, duration, rng) -> MassState of relative masses.
-    Self-similarity reduces the draw to a unit-mass path run to time
-    duration * mass**alpha.
+    Returns kernel(mass, duration, rng) -> MassState of relative masses;
+    a mass that is not positive raises NegativeMass. Self-similarity
+    reduces the draw to a unit-mass path run to time duration * mass**alpha.
     """
     trunc = _truncated_rate(law, eps)
 
     def kernel(mass, duration, rng):
+        if not mass > 0.0:
+            raise NegativeMass(f"step kernel mass {mass} must be positive")
         _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, alpha, eps, trunc,
                            duration * mass ** alpha, mass_floor, max_fragments,
                            rng)

@@ -132,9 +132,9 @@ def _suite_erosion(law, c, t, replicas, seed):
 
     # With dislocations: the eroded path must equal the unEroded path of
     # the same seed rescaled by exp(-c t), part by part.
-    def worker(i, _rng):
+    def worker(i, rng):
         cfg = dict(law=law, t_end=t, obs_times=grid)
-        eroded = run(SimConfig(c=c, **cfg), replica_rng(seed, i))
+        eroded = run(SimConfig(c=c, **cfg), rng)
         plain = run(SimConfig(c=0.0, **cfg), replica_rng(seed, i))
         worst = 0.0
         for se, sp, u in zip(eroded.snapshots, plain.snapshots, grid):

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from fragsim import (
+    FiniteAtomic,
     FinitePartition,
     apply_permutation,
     frequencies,
     from_blocks,
     from_labels,
     from_masses,
+    make_step_kernel,
     paintbox,
     partition_step,
     trivial,
 )
+from fragsim import partitions
 from fragsim.errors import FragsimError, InvalidPartition, NotAPermutation
 
 
@@ -37,6 +40,19 @@ def painted_reference(state, blocks, uniforms):
             keys[e] = ("dust", e) if k is None else (i, k)
     ground = sorted(keys)
     return from_labels(ground, [keys[e] for e in ground])
+
+
+def dict_paint_over(state, elements, rng):
+    """Reference paint layer: the per-label dict grouping that the numpy
+    grouping in partitions._paint_over replaced, with the same single draw."""
+    shares = np.asarray(state.parts, dtype=float) / state.nominal
+    idx = np.searchsorted(np.cumsum(shares), rng.random(len(elements)),
+                          side="right").tolist()
+    dust = len(shares)
+    groups = {}
+    for pos, (e, k) in enumerate(zip(elements, idx)):
+        groups.setdefault(k if k < dust else -(pos + 1), []).append(e)
+    return tuple(tuple(b) for b in groups.values())
 
 
 def paintbox_distribution(shares, n):
@@ -72,7 +88,8 @@ def test_from_blocks_validation():
 
 
 def test_trivial_and_from_labels():
-    assert trivial(3) == from_blocks([[1, 2, 3]])
+    for n in (1, 2, 3, 1000):
+        assert trivial(n) == from_blocks([range(1, n + 1)])
     p = from_labels((1, 2, 3, 4), ("a", "b", "a", "c"))
     assert p.blocks == ((1, 3), (2,), (4,))
 
@@ -189,8 +206,9 @@ def test_invalid_blocks_raise_a_typed_error():
                            ([[1, 2]], (1, 2, 3))):
         with pytest.raises(InvalidPartition):
             from_blocks(blocks, ground)
-    with pytest.raises(InvalidPartition):
-        trivial(0)
+    for n in (0, -3):
+        with pytest.raises(InvalidPartition):
+            trivial(n)
     assert issubclass(InvalidPartition, FragsimError)
 
 
@@ -215,3 +233,70 @@ def test_painted_partitions_are_canonical_by_construction(seed):
     q = paintbox(DUSTY, 30, rng)
     assert q == painted_reference(DUSTY, [tuple(range(1, 31))], twin)
     assert q == from_blocks(q.blocks, q.ground)
+
+
+FEW = from_masses([0.5, 0.3, 0.15])
+PAINT_STATES = {
+    "few": FEW,
+    "tiny": from_masses([0.0019] * 500),
+    "dust70": from_masses([0.2, 0.1], dust=0.7),
+    "all-dust": from_masses([], dust=1.0),
+    "nominal-above": from_masses([0.3, 0.2], dust=0.1, nominal=2.0),
+}
+# Ascending grounds: with 0, with negative labels, and with gaps, as the
+# blocks of a partition are.
+PAINT_GROUNDS = {
+    "zero": (0, 1, 2, 5, 6, 9, 10, 11, 40),
+    "negative": tuple(range(-300, 300, 7)),
+    "gaps": tuple(range(3, 3000, 11)),
+}
+
+
+def assert_paints_like_the_dict(state, elements, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert partitions._paint_over(state, elements, rng) == dict_paint_over(
+        state, elements, twin)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 10 ** 4])
+@pytest.mark.parametrize("state", sorted(PAINT_STATES))
+def test_paint_over_matches_the_dict_grouping(state, n):
+    for seed in range(3):
+        assert_paints_like_the_dict(PAINT_STATES[state],
+                                    tuple(range(1, n + 1)), seed)
+
+
+@pytest.mark.parametrize("ground", sorted(PAINT_GROUNDS))
+def test_paint_over_matches_the_dict_grouping_on_any_labels(ground):
+    for state in PAINT_STATES.values():
+        for seed in range(3):
+            assert_paints_like_the_dict(state, PAINT_GROUNDS[ground], seed)
+
+
+def test_partition_steps_match_the_dict_grouping(monkeypatch):
+    kernel = make_step_kernel(FiniteAtomic([(0.7, (0.6, 0.4)),
+                                            (0.3, (0.5, 0.3, 0.1))]))
+    starts = (trivial(200), paintbox(FEW, 200, np.random.default_rng(9)),
+              from_blocks([PAINT_GROUNDS["negative"]]))
+    refined = 0
+    for seed in range(3):
+        for p in starts:
+            chains = []
+            for paint in (partitions._paint_over, dict_paint_over):
+                monkeypatch.setattr(partitions, "_paint_over", paint)
+                rng = np.random.default_rng(seed)
+                q = partition_step(p, 1.5, kernel, rng)
+                chains.append((q, partition_step(q, 1.5, kernel, rng),
+                               rng.random()))
+            assert chains[0] == chains[1]
+            refined += len(chains[0][1].blocks) > len(p.blocks)
+    assert refined >= 6
+
+
+def test_frequencies_match_the_validating_route():
+    rng = np.random.default_rng(12)
+    painted = [paintbox(state, n, rng) for state in PAINT_STATES.values()
+               for n in (1, 7, 300)]
+    for p in painted + [trivial(1), trivial(9), paintbox(FEW, 0, rng)]:
+        assert frequencies(p) == from_masses([len(b) / p.n for b in p.blocks])

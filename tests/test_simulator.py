@@ -23,7 +23,8 @@ from fragsim import (
     write_event_csv,
     write_snapshot_csv,
 )
-from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
+from fragsim.errors import (ConfigError, DeadState, EmptyTruncation, NegativeMass,
+                            RateOverflow)
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 
@@ -434,6 +435,15 @@ def test_step_kernel_is_run_to_the_scaled_horizon(law, alpha, eps, floor, cap,
         cap_hits += traj.cap_hit
     assert events > 8
     assert (cap_hits > 0) == (cap == 2)
+
+
+@pytest.mark.parametrize("alpha, mass", [(-1.0, 0.0), (0.5, -0.5),
+                                         (0.0, 0.0), (1.0, math.nan)])
+def test_step_kernel_rejects_a_non_positive_mass(alpha, mass):
+    # at alpha = -1 the horizon is 0.0 ** -1, at alpha = 0.5 it is complex
+    kernel = make_step_kernel(SPLIT_64, alpha=alpha)
+    with pytest.raises(NegativeMass):
+        kernel(mass, 1.0, np.random.default_rng(0))
 
 
 def test_make_step_kernel():

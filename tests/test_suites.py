@@ -10,6 +10,7 @@ from fragsim import (
     FAIL_EXIT,
     FiniteAtomic,
     PASS_EXIT,
+    replica_rng,
     run_replicas,
     run_suite,
     suite_names,
@@ -156,6 +157,20 @@ def test_run_replicas_is_index_ordered():
     pooled = run_replicas(worker, 20, seed=5)
     assert [i for i, _ in pooled] == list(range(20))
     assert serial == pooled
+
+
+def test_erosion_derives_one_stream_per_leg(monkeypatch):
+    # run_replicas hands each replica its stream, which the eroded leg
+    # runs on; only the plain leg derives a fresh copy of it
+    calls = []
+
+    def counted(seed, index):
+        calls.append(index)
+        return replica_rng(seed, index)
+
+    monkeypatch.setattr(suites, "replica_rng", counted)
+    run_suite("erosion", replicas=50)
+    assert len(calls) == 100
 
 
 def test_report_echoes_the_scenario():
