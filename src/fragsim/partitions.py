@@ -16,12 +16,13 @@ are unique to their element, so each becomes a singleton. _paint_over
 groups the labels in numpy, by position, without a per-label loop.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, NotAPermutation
+from .errors import ConfigError, InvalidPartition, NotAPermutation
 from .ranked_state import MassState
 
 
@@ -138,8 +139,11 @@ def partition_step(p, duration, kernel, rng):
     paintbox over the block's elements. Blocks consume the rng stream in
     canonical order, which makes the draw reproducible. p is trusted to be
     canonical, as from the validating constructors; the painted blocks then
-    partition p.ground and need only one sort by least element.
+    partition p.ground and need only one sort by least element. A duration
+    that is not finite and >= 0 raises ConfigError.
     """
+    if not 0.0 <= duration < math.inf:
+        raise ConfigError(f"step duration {duration} must be finite and >= 0")
     if duration == 0.0:
         return p
     blocks = []

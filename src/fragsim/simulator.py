@@ -20,6 +20,7 @@ from .rng import master_rng
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
+_SCAN_BLOCK = 64  # rates summed per step of next_event's target walk
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,17 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
 
     Each fragment carries an exponential clock of rate mass**alpha times
     the truncated total mass; the winner is the target. Draw order is
-    fixed (wait, target, fragments) so that paths are reproducible.
+    fixed (wait, target, fragments) so that paths are reproducible. At
+    alpha = 0 a single fragment is the target without a draw; numpy draws
+    nothing for a one-value range, so the stream is the same either way.
+
+    For alpha != 0 the target is the first rank whose running sum of
+    rates exceeds u * total. The scan first walks blocks of _SCAN_BLOCK
+    rates with sum(block, acc) and then steps through the one block that
+    crosses u. This gives the element loop's target bit for bit: CPython
+    3.11's sum with a float start adds left to right in one C double, so
+    sum(block, acc) is the running sum at the block's end, and rates are
+    non-negative, so running sums never decrease.
 
     trunc is law.truncated_mass(eps), computed here when not given. It is
     fixed for a whole run, so event loops compute it once (see
@@ -127,7 +138,7 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
         wait = rng.exponential(1.0 / (n * trunc))
-        target = int(rng.integers(1, n + 1))
+        target = int(rng.integers(1, n + 1)) if n > 1 else 1
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
         try:
@@ -141,12 +152,17 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
                 f"too small; a positive mass_floor dusts them")
         wait = rng.exponential(1.0 / (total * trunc))
         u = rng.random() * total
-        acc = 0.0
+        acc, lo = 0.0, 0
+        while lo + _SCAN_BLOCK < n:
+            end = sum(rates[lo:lo + _SCAN_BLOCK], acc)
+            if u < end:
+                break
+            acc, lo = end, lo + _SCAN_BLOCK
         target = n
-        for i, r in enumerate(rates):
+        for i, r in enumerate(rates[lo:lo + _SCAN_BLOCK], lo + 1):
             acc += r
             if u < acc:
-                target = i + 1
+                target = i
                 break
     return wait, target, law.sample_dislocation(eps, rng, total=trunc)
 
@@ -247,36 +263,34 @@ def chi_value(traj, t):
     return chi
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_event_csv(traj, stream):
     """Event log: time,target_rank,parent_mass,s1..s8 (vector padded/truncated)."""
     cols = ",".join(f"s{i + 1}" for i in range(CSV_EVENT_COLS))
     stream.write(f"time,target_rank,parent_mass,{cols}\n")
+    row = "%.17g,%d,%.17g" + ",%.17g" * CSV_EVENT_COLS + "\n"
+    pad = (0.0,) * CSV_EVENT_COLS
     for ev in traj.events:
-        padded = (ev.fragments + (0.0,) * CSV_EVENT_COLS)[:CSV_EVENT_COLS]
-        row = [_fmt(ev.time), str(ev.target_rank), _fmt(ev.parent_mass)]
-        row += [_fmt(x) for x in padded]
-        stream.write(",".join(row) + "\n")
+        stream.write(row % ((ev.time, ev.target_rank, ev.parent_mass)
+                            + (ev.fragments + pad)[:CSV_EVENT_COLS]))
 
 
 def write_snapshot_csv(traj, stream):
     """Snapshots: time,lambda1..lambda16,dust (parts padded/truncated)."""
     cols = ",".join(f"lambda{i + 1}" for i in range(CSV_SNAPSHOT_COLS))
     stream.write(f"time,{cols},dust\n")
+    row = "%.17g" + ",%.17g" * (CSV_SNAPSHOT_COLS + 1) + "\n"
+    pad = (0.0,) * CSV_SNAPSHOT_COLS
     for t, snap in zip(traj.obs_times, traj.snapshots):
-        padded = (snap.parts + (0.0,) * CSV_SNAPSHOT_COLS)[:CSV_SNAPSHOT_COLS]
-        row = [_fmt(t)] + [_fmt(x) for x in padded] + [_fmt(snap.dust)]
-        stream.write(",".join(row) + "\n")
+        stream.write(row % ((t,) + (snap.parts + pad)[:CSV_SNAPSHOT_COLS]
+                            + (snap.dust,)))
 
 
 def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     """Kernel for partition steps: evolve a fragment of given mass for a duration.
 
     Returns kernel(mass, duration, rng) -> MassState of relative masses;
-    a mass that is not positive raises NegativeMass. Self-similarity
+    a mass that is not positive raises NegativeMass, and a duration that
+    is not finite and >= 0 raises ConfigError. Self-similarity
     reduces the draw to a unit-mass path run to time duration * mass**alpha.
     """
     trunc = _truncated_rate(law, eps)
@@ -284,6 +298,8 @@ def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 *
     def kernel(mass, duration, rng):
         if not mass > 0.0:
             raise NegativeMass(f"step kernel mass {mass} must be positive")
+        if not 0.0 <= duration < math.inf:
+            raise ConfigError(f"step duration {duration} must be finite and >= 0")
         _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, alpha, eps, trunc,
                            duration * mass ** alpha, mass_floor, max_fragments,
                            rng)

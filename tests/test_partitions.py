@@ -20,7 +20,8 @@ from fragsim import (
     trivial,
 )
 from fragsim import partitions
-from fragsim.errors import FragsimError, InvalidPartition, NotAPermutation
+from fragsim.errors import (ConfigError, FragsimError, InvalidPartition,
+                            NotAPermutation)
 
 
 # A fixed state with dust share 0.3: each label lands in dust often enough
@@ -177,6 +178,16 @@ def test_partition_step_zero_duration_and_identity_kernel():
         return from_masses([mass], nominal=mass)
 
     assert partition_step(p, 1.0, keep_whole, rng) == p
+
+
+@pytest.mark.parametrize("duration", (math.nan, math.inf, -math.inf, -1.0))
+def test_partition_step_rejects_a_bad_duration(duration):
+    def unreachable(mass, duration, rng):
+        raise AssertionError("the kernel ran")
+
+    p = from_blocks([[1, 2], [3]], (1, 2, 3))
+    with pytest.raises(ConfigError, match="duration"):
+        partition_step(p, duration, unreachable, np.random.default_rng(0))
 
 
 def test_partition_step_refines():

@@ -72,6 +72,28 @@ def test_next_event_waiting_time_and_target():
     assert set(targets) == {1, 2}
 
 
+def test_integers_over_one_value_draws_nothing():
+    # next_event takes a lone fragment as the target without calling
+    # rng.integers(1, 2); that keeps every stream only while numpy draws
+    # nothing for a one-value range
+    rng = np.random.default_rng(8)
+    rng.random()
+    before = rng.bit_generator.state
+    assert rng.integers(1, 2) == 1
+    assert rng.bit_generator.state == before
+
+
+def test_lone_fragment_target_keeps_the_stream():
+    state = MassState((0.7,), 0.3, 1.0)
+    skip, draw = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        wait, target, frags = next_event(state, SPLIT_64, 0.0, 0.0, skip)
+        assert wait == draw.exponential(1.0 / SPLIT_64.truncated_mass(0.0))
+        assert target == draw.integers(1, 2) == 1
+        assert frags == SPLIT_64.sample_dislocation(0.0, draw)
+    assert skip.bit_generator.state == draw.bit_generator.state
+
+
 def test_next_event_mass_biased_target():
     rng = np.random.default_rng(1)
     state = MassState((0.6, 0.4), 0.0, 1.0)
@@ -209,6 +231,73 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
     if alpha == 1.0:
         assert [next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))[1]
                 for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
+
+
+def dyadic_parts(n):
+    # 2**-12 then 2**-14: every running sum of m**alpha is exact at alpha
+    # in {0.5, 1, 2}, so a running sum can equal u * total exactly
+    return (2.0 ** -12,) * (n // 3) + (2.0 ** -14,) * (n - n // 3)
+
+
+def onto(cut, total):
+    """A uniform u whose u * total rounds to cut exactly; None if none does."""
+    guess = cut / total
+    for u in (guess, math.nextafter(guess, 0.0), math.nextafter(guess, 2.0)):
+        if u * total == cut:
+            return u
+    return None
+
+
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 128, 129, 3300))
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
+def test_block_scan_matches_the_element_loop(n, alpha):
+    parts = dyadic_parts(n)
+    state = MassState(parts, 0.0, 1.0)
+    rates = [m ** alpha for m in parts]
+    total = sum(rates)
+
+    def target(u):
+        got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))[1]
+        assert got == reference_target(parts, alpha, u)
+        return got
+
+    assert target(0.0) == 1
+    assert target(1.0) == n  # the running sum never exceeds total
+    # a running sum equal to u * total is not crossed (`<` is strict), so
+    # u on a block boundary picks the first rank of the next block; a few
+    # sums at n = 3300 are no product u * total of floats and are skipped
+    bounds = (*range(64, n, 64), *range(63, n, 64), *range(65, n, 64))
+    hits = [(b, u) for b in bounds
+            if (u := onto(sum(rates[:b]), total)) is not None]
+    assert len(hits) >= 0.9 * len(bounds)
+    for b, u in hits:
+        assert target(u) == b + 1
+        target(math.nextafter(u, 0.0))
+        target(math.nextafter(u, 1.0))
+    for u in np.random.default_rng(n).random(50):
+        target(float(u))
+
+
+def test_block_scan_on_int_and_simulated_parts():
+    rng = np.random.default_rng(12)
+    # initial_mass = 1 leaves the int 1 among the parts
+    mixed = (1,) + tuple(sorted(rng.random(200) * 1e-3, reverse=True))
+    dense = run(SimConfig(FiniteAtomic([(1.0, (0.6, 0.4)), (0.5, (0.5, 0.3, 0.2)),
+                                        (0.25, (0.9, 0.05))]),
+                          300.0, alpha=1.0, obs_times=(300.0,), seed=3))
+    parts = dense.snapshots[0].parts
+    assert len(parts) > 600
+    for state in (MassState(mixed, 0.0, 2.0), MassState(parts, 0.0, 1.0)):
+        for alpha in (0.5, 1.0, 2.0):
+            for u in (*rng.random(100), 1.0):
+                got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(float(u)))[1]
+                assert got == reference_target(state.parts, alpha, float(u))
+
+
+def test_sum_adds_left_to_right():
+    # the block scan relies on sum(block, acc) rounding after every add, as
+    # CPython 3.11 does; 3.12 compensates, which would move the pinned streams
+    assert sum([1e16, 1.0, -1e16], 0.0) == 0.0
 
 
 def test_run_pure_erosion_is_exact():
@@ -414,6 +503,66 @@ def test_snapshot_csv_round_trip():
     assert float(fields[17]) == 1e-17
 
 
+def fmt_reference(x):
+    return format(float(x), ".17g")
+
+
+def event_csv_reference(traj, stream):
+    """The per-field event writer the one-template writer replaced."""
+    cols = ",".join(f"s{i + 1}" for i in range(8))
+    stream.write(f"time,target_rank,parent_mass,{cols}\n")
+    for ev in traj.events:
+        padded = (ev.fragments + (0.0,) * 8)[:8]
+        row = [fmt_reference(ev.time), str(ev.target_rank),
+               fmt_reference(ev.parent_mass)]
+        row += [fmt_reference(x) for x in padded]
+        stream.write(",".join(row) + "\n")
+
+
+def snapshot_csv_reference(traj, stream):
+    """The per-field snapshot writer the one-template writer replaced."""
+    cols = ",".join(f"lambda{i + 1}" for i in range(16))
+    stream.write(f"time,{cols},dust\n")
+    for t, snap in zip(traj.obs_times, traj.snapshots):
+        padded = (snap.parts + (0.0,) * 16)[:16]
+        row = ([fmt_reference(t)] + [fmt_reference(x) for x in padded]
+               + [fmt_reference(snap.dust)])
+        stream.write(",".join(row) + "\n")
+
+
+def csv_pair(writer, reference, traj):
+    new, old = io.StringIO(), io.StringIO()
+    writer(traj, new)
+    reference(traj, old)
+    return new.getvalue(), old.getvalue()
+
+
+def test_csv_writers_match_the_per_field_reference():
+    odd = (math.inf, -0.0, 5e-324, 2 ** 60, 1, 0.1, 1 / 3, 1e300, 0.0)
+    handmade = Trajectory(
+        obs_times=(0.0, 0.5, 2 ** 60, 1),
+        snapshots=(MassState((1,), 0.0, 1), MassState(odd[1:], 5e-324, 1.0),
+                   MassState(tuple(2.0 ** -k for k in range(1, 20)), 1e-17, 1.0),
+                   MassState((), 1.0, 1.0)),
+        events=tuple(EventAtom(0.25 * k, k + 1, odd[:k], 1 / (k + 1))
+                     for k in (0, 2, 3, 8, 9)))
+    laws = (SPLIT_64, FiniteAtomic([(1.0, (0.5, 0.3, 0.2)),
+                                    (0.5, tuple([0.1] * 10))]))
+    paths = [handmade,
+             run(SimConfig(FiniteAtomic([]), 1.0, obs_times=(0.0, 1.0))),
+             run(SimConfig(SPLIT_64, 3.0, initial_mass=1, obs_times=(0.0, 0.3, 3.0),
+                           seed=3))]
+    paths += [run(SimConfig(law, 4.0, alpha=1.0, obs_times=(1.0, 4.0), seed=5))
+              for law in laws]
+    assert paths[1].events == () and paths[2].events[0].parent_mass == 1
+    assert max(len(s.parts) for p in paths for s in p.snapshots) > 16
+    for traj in paths:
+        new, old = csv_pair(write_event_csv, event_csv_reference, traj)
+        assert new == old
+        new, old = csv_pair(write_snapshot_csv, snapshot_csv_reference, traj)
+        assert new == old
+
+
 @pytest.mark.parametrize("law, alpha, eps, floor, cap, duration", [
     (SPLIT_64, 0.0, 0.0, 0.0, 10 ** 6, 3.0),
     (SPLIT_64, 1.0, 0.0, 0.0, 10 ** 6, 3.0),
@@ -444,6 +593,16 @@ def test_step_kernel_rejects_a_non_positive_mass(alpha, mass):
     kernel = make_step_kernel(SPLIT_64, alpha=alpha)
     with pytest.raises(NegativeMass):
         kernel(mass, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("duration", (math.nan, math.inf, -1.0, -0.5))
+@pytest.mark.parametrize("law, floor", ((SPLIT_64, 0.0), (SPLIT_64, 0.1),
+                                        (FiniteAtomic([]), 0.0)),
+                         ids=("capped", "floored", "frozen"))
+def test_step_kernel_rejects_a_bad_duration(duration, law, floor):
+    kernel = make_step_kernel(law, alpha=1.0, mass_floor=floor, max_fragments=1000)
+    with pytest.raises(ConfigError, match="duration"):
+        kernel(0.5, duration, np.random.default_rng(0))
 
 
 def test_make_step_kernel():
