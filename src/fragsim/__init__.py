@@ -35,8 +35,6 @@ from .ranked_state import (
     dislocate,
     from_masses,
     prefix_mass,
-    scale,
-    uniform_dist,
     validate_fragments,
 )
 from .rng import master_rng, replica_rng

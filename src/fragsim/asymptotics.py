@@ -19,15 +19,13 @@ from .errors import DegenerateNormalizer
 class SubordinatorSpec:
     """Killed compound-Poisson subordinator with drift.
 
-    Jumps arrive at jump_rate; sizes come from jump_atoms ((size, rate)
-    pairs) when the law is finitely supported, otherwise from jump_sampler.
-    The path is sent to a graveyard at killing_rate.
+    Jumps arrive at jump_rate; jump_sampler(rng) draws one jump size. The
+    path is sent to a graveyard at killing_rate.
     """
 
     drift: float
     killing_rate: float
     jump_rate: float
-    jump_atoms: tuple = None
     jump_sampler: object = None
 
 
@@ -53,22 +51,18 @@ class SubordinatorPath:
 
 
 def sample_subordinator_path(spec, horizon, rng):
-    """Draw the event set on [0, horizon]: killing time, jump times, sizes."""
+    """Draw the event set on [0, horizon]: killing time, jump times, sizes.
+
+    The sizes come last, one jump_sampler call each, so the kill time,
+    jump count and jump times do not depend on how sizes are drawn.
+    """
     if spec.killing_rate > 0.0:
         kill = rng.exponential(1.0 / spec.killing_rate)
     else:
         kill = math.inf
     count = rng.poisson(spec.jump_rate * horizon) if spec.jump_rate > 0.0 else 0
     times = np.sort(rng.random(count)) * horizon
-    if count == 0:
-        sizes = ()
-    elif spec.jump_atoms is not None:
-        values = np.array([a[0] for a in spec.jump_atoms])
-        weights = np.array([a[1] for a in spec.jump_atoms])
-        picks = rng.choice(len(values), size=count, p=weights / weights.sum())
-        sizes = tuple(float(values[i]) for i in picks)
-    else:
-        sizes = tuple(spec.jump_sampler(rng) for _ in range(count))
+    sizes = tuple(spec.jump_sampler(rng) for _ in range(count))
     return SubordinatorPath(spec.drift, tuple(float(t) for t in times), sizes, kill)
 
 

@@ -13,10 +13,6 @@ class MassBudgetExceeded(FragsimError):
     """Sum of parts plus dust exceeds the nominal budget beyond tolerance."""
 
 
-class ScaleOutOfRange(FragsimError):
-    """Scaling factor outside [0, 1]."""
-
-
 class RankOutOfRange(FragsimError):
     """Requested fragment rank does not exist in the state."""
 

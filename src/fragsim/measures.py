@@ -150,10 +150,6 @@ class FiniteAtomic(DislocationLaw):
             self._trunc_cache = cache
         return cache
 
-    def _truncated(self, eps):
-        cache = self._truncation(eps)
-        return cache[1], cache[2]
-
     def sample_dislocation(self, eps, rng, total=None):
         # draws against the cached cumulative weights; total is not needed.
         # bisect_right returns the index np.searchsorted(side="right") would.
@@ -164,7 +160,7 @@ class FiniteAtomic(DislocationLaw):
         return fragments[min(bisect_right(cum, u), len(fragments) - 1)]
 
     def jump_rate_truncated(self, eps):
-        keep, _ = self._truncated(eps)
+        keep = self._truncation(eps)[1]
         return float(np.sum(self._w[keep] * self._s1[keep]))
 
 
@@ -285,15 +281,11 @@ def sub_levy_transform(law, c, eps):
     killing = law.dust_integral()
     rate = law.jump_rate_truncated(eps)
     total = law.truncated_mass(eps)
-    atoms = None
-    if isinstance(law, FiniteAtomic):
-        keep, _ = law._truncated(eps)
-        atoms = tuple(
-            (-math.log(law._s1[i]), law._w[i] * law._s1[i]) for i in keep)
 
     def sampler(rng):
         # accept a truncated dislocation with probability s1 (>= 1/2 for the
-        # binary families), jump by -log s1
+        # binary families), jump by -log s1; each dislocation's jump then
+        # has weight rate * s1, the integrand of jump_rate_truncated
         while True:
             s = law.sample_dislocation(eps, rng, total=total)
             s1 = s[0] if s else 0.0
@@ -304,7 +296,6 @@ def sub_levy_transform(law, c, eps):
         drift=c,
         killing_rate=killing,
         jump_rate=rate,
-        jump_atoms=atoms,
         jump_sampler=sampler,
     )
 

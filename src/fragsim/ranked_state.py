@@ -16,7 +16,6 @@ from .errors import (
     MassBudgetExceeded,
     NegativeMass,
     RankOutOfRange,
-    ScaleOutOfRange,
 )
 
 # Absolute slack for budget checks; conservation itself is exact float
@@ -47,16 +46,6 @@ def from_masses(masses, dust=0.0, nominal=1.0):
     kept = [m for m in masses if m > 0.0]
     kept.sort(reverse=True)  # stable: equal masses keep input order
     return MassState(tuple(kept), float(dust), float(nominal))
-
-
-def scale(state, factor):
-    """Multiply every part, the dust, and the nominal budget by factor in [0, 1]."""
-    if not 0.0 <= factor <= 1.0:
-        raise ScaleOutOfRange(f"scale factor {factor} outside [0, 1]")
-    if factor == 0.0:
-        return MassState((), 0.0, 0.0)
-    return MassState(tuple(m * factor for m in state.parts),
-                     state.dust * factor, state.nominal * factor)
 
 
 def validate_fragments(fragments):
@@ -106,16 +95,6 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
             # after every equal part: pre-existing fragments precede new ones
             parts.insert(bisect_right(parts, -piece, key=operator.neg), piece)
     return MassState(tuple(parts), dust, state.nominal)
-
-
-def uniform_dist(a, b):
-    """Sup over ranks of |a_k - b_k|, reading missing ranks as zero."""
-    d = 0.0
-    for i in range(max(len(a.parts), len(b.parts))):
-        x = a.parts[i] if i < len(a.parts) else 0.0
-        y = b.parts[i] if i < len(b.parts) else 0.0
-        d = max(d, abs(x - y))
-    return d
 
 
 def prefix_mass(state, k):

@@ -57,10 +57,7 @@ class SimConfig:
             raise ConfigError(
                 "erosion with a nonzero self-similarity index is not supported; "
                 "set alpha = 0 or c = 0")
-        if self.eps < 0.0:
-            raise ConfigError(f"eps {self.eps} is negative")
-        if self.eps == 0.0 and getattr(self.law, "infinite_activity", False):
-            raise ConfigError("an infinite-activity law requires eps > 0")
+        _check_eps(self.law, self.eps)
         if self.max_fragments < 1:
             raise ConfigError(f"max_fragments {self.max_fragments} must be >= 1")
         if self.mass_floor < 0.0:
@@ -72,6 +69,14 @@ class SimConfig:
             if t > self.t_end:
                 raise ConfigError(f"observation time {t} exceeds t_end {self.t_end}")
             prev = t
+
+
+def _check_eps(law, eps):
+    """Reject a truncation level no event loop can run at."""
+    if not eps >= 0.0:
+        raise ConfigError(f"eps {eps} must be a number >= 0")
+    if eps == 0.0 and getattr(law, "infinite_activity", False):
+        raise ConfigError("an infinite-activity law requires eps > 0")
 
 
 class EventAtom(NamedTuple):
@@ -121,8 +126,8 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
     non-negative, so running sums never decrease.
 
     trunc is law.truncated_mass(eps), computed here when not given. It is
-    fixed for a whole run, so event loops compute it once (see
-    _truncated_rate) and pass it in; it is forwarded to
+    fixed for a whole run, so run and make_step_kernel compute it once
+    and pass it in; it is forwarded to
     law.sample_dislocation as total. The draws do not depend on which
     way it arrives.
 
@@ -167,15 +172,6 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
     return wait, target, law.sample_dislocation(eps, rng, total=trunc)
 
 
-def _truncated_rate(law, eps):
-    """The law's total rate on {1 - s1 >= eps}; 0 when that set is empty,
-    so that next_event reports EmptyTruncation and the loop stops."""
-    try:
-        return law.truncated_mass(eps)
-    except EmptyTruncation:
-        return 0.0
-
-
 def _observe(state, c, t):
     """State as seen at time t: erosion factor applied, eroded mass dusted."""
     if c == 0.0:
@@ -200,7 +196,9 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
 
     Evolves state from time 0 to horizon, taking a snapshot eroded at rate
     c at each time in obs. Returns (Trajectory, final state); the final
-    state carries no erosion factor.
+    state carries no erosion factor. A path with no fragments left, or
+    with an empty truncation, takes its remaining snapshots and ends, even
+    when horizon is infinite.
     """
     snapshots, events = [], []
     obs_idx = 0
@@ -214,7 +212,7 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
         while obs_idx < len(obs) and obs[obs_idx] < t_next:
             snapshots.append(_observe(state, c, obs[obs_idx]))
             obs_idx += 1
-        if t_next > horizon:
+        if t_next > horizon or t_next == math.inf:
             break
         parent = state.parts[target - 1]
         state = dislocate(state, target, frags, mass_floor)
@@ -236,7 +234,7 @@ def run(config, rng=None):
         rng = master_rng(config.seed)
     state = MassState((config.initial_mass,), 0.0, config.initial_mass)
     traj, _ = _evolve(state, config.law, config.alpha, config.eps,
-                      _truncated_rate(config.law, config.eps), config.t_end,
+                      config.law.truncated_mass(config.eps), config.t_end,
                       config.mass_floor, config.max_fragments, rng,
                       config.obs_times, config.c)
     return traj
@@ -288,21 +286,32 @@ def write_snapshot_csv(traj, stream):
 def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     """Kernel for partition steps: evolve a fragment of given mass for a duration.
 
-    Returns kernel(mass, duration, rng) -> MassState of relative masses;
-    a mass that is not positive raises NegativeMass, and a duration that
-    is not finite and >= 0 raises ConfigError. Self-similarity
-    reduces the draw to a unit-mass path run to time duration * mass**alpha.
+    Returns kernel(mass, duration, rng) -> MassState of relative masses.
+    Self-similarity reduces the draw to a unit-mass path run to time
+    horizon = duration * mass**alpha. A mass that is not positive raises
+    NegativeMass; a mass that is not finite, a duration that is not finite
+    and >= 0, or a horizon that is not finite raises ConfigError. eps
+    follows SimConfig's rule: >= 0, and > 0 for an infinite-activity law.
     """
-    trunc = _truncated_rate(law, eps)
+    _check_eps(law, eps)
+    trunc = law.truncated_mass(eps)
 
     def kernel(mass, duration, rng):
         if not mass > 0.0:
             raise NegativeMass(f"step kernel mass {mass} must be positive")
+        if not mass < math.inf:
+            raise ConfigError(f"step kernel mass {mass} must be finite")
         if not 0.0 <= duration < math.inf:
             raise ConfigError(f"step duration {duration} must be finite and >= 0")
+        try:
+            horizon = duration * mass ** alpha
+        except OverflowError:
+            horizon = math.inf
+        if not horizon < math.inf:
+            raise ConfigError(f"step horizon {duration} * {mass} ** {alpha} "
+                              f"is not finite")
         _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, alpha, eps, trunc,
-                           duration * mass ** alpha, mass_floor, max_fragments,
-                           rng)
+                           horizon, mass_floor, max_fragments, rng)
         return state
 
     return kernel

@@ -13,6 +13,7 @@ from fragsim import (
     FiniteAtomic,
     ks_stat,
     parse_measure,
+    pooled_chi_square,
     sub_levy_transform,
 )
 from fragsim.errors import (
@@ -292,17 +293,30 @@ def test_sub_levy_transform_atomic():
     spec = sub_levy_transform(law, 0.7, 0.0)
     assert spec.drift == 0.7
     assert abs(spec.killing_rate - 0.1) < 1e-12
-    (size, rate), = spec.jump_atoms
-    assert abs(size - 0.1053605) < 1e-7
-    assert abs(rate - 0.9) < 1e-12
+    assert spec.jump_rate == 0.9
+    rng = np.random.default_rng(3)
+    assert all(spec.jump_sampler(rng) == -math.log(0.9) for _ in range(200))
     assert sub_levy_transform(law, 0.0, 0.0).drift == 0.0
-    assert spec.killing_rate + rate > 0.0
+
+
+def test_sub_levy_sampler_follows_the_kept_atoms():
+    # the 0.95 atom has 1 - s1 < eps and is cut; a kept atom jumps by
+    # -log s1 with probability proportional to w * s1 = (0.6, 2.1)
+    law = FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))])
+    spec = sub_levy_transform(law, 0.0, 0.1)
+    assert spec.jump_rate == pytest.approx(2.7, abs=1e-12)
+    rng = np.random.default_rng(8)
+    n = 20000
+    sizes = [spec.jump_sampler(rng) for _ in range(n)]
+    assert -math.log(0.95) not in sizes
+    counts = [sizes.count(-math.log(0.6)), sizes.count(-math.log(0.7))]
+    assert sum(counts) == n
+    assert pooled_chi_square(counts, [n * 0.6 / 2.7, n * 2.1 / 2.7]) > 0.01
 
 
 def test_sub_levy_transform_binary_sampler():
     law = BinaryPowerLaw(0.5)
     spec = sub_levy_transform(law, 0.0, 0.01)
-    assert spec.jump_atoms is None
     rng = np.random.default_rng(4)
     xs = [spec.jump_sampler(rng) for _ in range(2000)]
     # jumps are -log s1 for s1 in [1/2, 1 - eps]
@@ -345,20 +359,36 @@ def test_sub_levy_sampler_reuses_the_truncated_mass():
 
 
 def test_finite_atomic_truncation_cache_is_read_once():
-    # another thread refilling the cache at a different eps in between the
-    # reads of one entry must not mix levels: keep and cum come from a
-    # single entry. The refill is injected at the first read of keep.
+    # another thread refilling the cache at a different eps between the
+    # reads of one entry must not mix levels: every field a caller uses
+    # comes from the single entry _truncation read. The refill is injected
+    # at each read of the entry, the eps check included.
     law = FiniteAtomic([(1.0, (0.6, 0.4)), (2.0, (0.7, 0.3)), (4.0, (0.95, 0.05))])
-    keep, cum = law._truncated(0.0)
-    refill = (0.2,) + law._truncated(0.2)
+    entry = law._truncation(0.0)
+    refill = law._truncation(0.2)
+    fresh = FiniteAtomic(law.atoms)
 
     class Entry(tuple):
         def __getitem__(self, i):
-            if i == 1:
-                law._trunc_cache = refill
+            law._trunc_cache = refill
             return tuple.__getitem__(self, i)
 
-    law._trunc_cache = Entry((0.0, keep, cum))
-    got_keep, got_cum = law._truncated(0.0)
-    assert list(got_keep) == [0, 1, 2]
-    assert list(got_cum) == [1.0, 3.0, 7.0]
+        def __iter__(self):
+            law._trunc_cache = refill
+            return tuple.__iter__(self)
+
+    class TopRng:
+        # u = 0.99 * 7.0 picks the last atom, which eps = 0.2 cuts
+        def random(self):
+            return 0.99
+
+    reads = (
+        (lambda: law._truncation(0.0)[1].tolist(), [0, 1, 2]),
+        (lambda: law._truncation(0.0)[2], [1.0, 3.0, 7.0]),
+        (lambda: law.truncated_mass(0.0), 7.0),
+        (lambda: law.jump_rate_truncated(0.0), fresh.jump_rate_truncated(0.0)),
+        (lambda: law.sample_dislocation(0.0, TopRng()), (0.95, 0.05)),
+    )
+    for read, want in reads:
+        law._trunc_cache = Entry(entry)
+        assert read() == want

@@ -1,4 +1,4 @@
-"""Ranked mass states: construction, scaling, dislocation, distances."""
+"""Ranked mass states: construction, validation, dislocation, prefixes."""
 
 import math
 
@@ -10,8 +10,6 @@ from fragsim import (
     dislocate,
     from_masses,
     prefix_mass,
-    scale,
-    uniform_dist,
     validate_fragments,
 )
 from fragsim.errors import (
@@ -19,7 +17,6 @@ from fragsim.errors import (
     MassBudgetExceeded,
     NegativeMass,
     RankOutOfRange,
-    ScaleOutOfRange,
 )
 
 
@@ -45,18 +42,6 @@ def test_from_masses_validation():
         from_masses([0.7], dust=0.31)
     # budget slack: a femto-scale float overshoot is accepted
     from_masses([0.7, 0.3 + 1e-12])
-
-
-def test_scale():
-    st = from_masses([0.6, 0.4], dust=0.0, nominal=1.0)
-    half = scale(st, 0.5)
-    assert half.parts == (0.3, 0.2)
-    assert half.nominal == 0.5
-    assert scale(st, 0.0) == MassState((), 0.0, 0.0)
-    assert scale(st, 1.0) == st
-    for bad in (-0.1, 1.5):
-        with pytest.raises(ScaleOutOfRange):
-            scale(st, bad)
 
 
 def test_validate_fragments():
@@ -185,14 +170,6 @@ def test_dislocate_matches_the_sort_reference():
             got = dislocate(state, rank, fragments, floor)
             want = _dislocate_by_sort(state, rank, fragments, floor)
             assert _bits(got) == _bits(want), (state, rank, fragments, floor)
-
-
-def test_uniform_dist():
-    a = from_masses([0.5, 0.3])
-    b = from_masses([0.5, 0.2, 0.1])
-    assert uniform_dist(a, b) == pytest.approx(0.1)
-    assert uniform_dist(a, a) == 0.0
-    assert uniform_dist(from_masses([]), b) == 0.5
 
 
 def test_prefix_mass():

@@ -25,6 +25,7 @@ from fragsim import (
 )
 from fragsim.errors import (ConfigError, DeadState, EmptyTruncation, NegativeMass,
                             RateOverflow)
+from fragsim.simulator import _evolve
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 
@@ -185,12 +186,38 @@ def test_run_computes_the_truncated_rate_once(law, eps):
 
 
 def test_run_stops_when_the_truncation_is_empty():
-    # BinaryPowerLaw has zero rate above eps = 1/2 and raises at eps = 0
+    # BinaryPowerLaw has zero rate above eps = 1/2
     law = BinaryPowerLaw(0.5)
     traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)))
     assert traj.events == () and traj.snapshots[0].parts == (1.0,)
-    kernel = make_step_kernel(law, eps=0.0)
+    kernel = make_step_kernel(law, eps=0.6)
     assert kernel(1.0, 5.0, np.random.default_rng(0)).parts == (1.0,)
+
+
+@pytest.mark.parametrize("law, eps, match", (
+    (BinaryPowerLaw(0.5), 0.0, "requires eps > 0"),
+    (SPLIT_64, -0.1, ">= 0"),
+    (SPLIT_64, math.nan, ">= 0"),  # a NaN eps keeps no atom, so no path splits
+))
+def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
+    with pytest.raises(ConfigError, match=match):
+        SimConfig(law, 1.0, eps=eps)
+    with pytest.raises(ConfigError, match=match):
+        make_step_kernel(law, eps=eps)
+
+
+@pytest.mark.parametrize("law, floor, events", (
+    (SPLIT_64, 0.7, 1),          # both pieces dusted: no fragment left
+    (FiniteAtomic([]), 0.0, 0),  # no dislocation to draw at all
+), ids=("dead", "frozen"))
+@pytest.mark.parametrize("horizon", (3.0, math.inf))
+def test_evolve_ends_a_dead_or_frozen_path(law, floor, events, horizon):
+    rng = np.random.default_rng(11)
+    start = MassState((1.0,), 0.0, 1.0)
+    traj, state = _evolve(start, law, 1.0, 0.0, law.truncated_mass(0.0),
+                          horizon, floor, 100, rng, obs=(1e-9, 2.0))
+    assert len(traj.events) == events and len(traj.snapshots) == 2
+    assert state == (MassState((), 1.0, 1.0) if events else start)
 
 
 class StubRng:
@@ -603,6 +630,19 @@ def test_step_kernel_rejects_a_bad_duration(duration, law, floor):
     kernel = make_step_kernel(law, alpha=1.0, mass_floor=floor, max_fragments=1000)
     with pytest.raises(ConfigError, match="duration"):
         kernel(0.5, duration, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha, mass, duration", (
+    (1.0, math.inf, 1.0),    # the unit path would run forever
+    (2.0, 1e300, 1.0),       # mass ** alpha overflows
+    (-2.0, 1e-300, 1.0),
+    (1.0, 10.0, 1e308),      # duration * mass ** alpha overflows
+    (math.nan, 0.5, 1.0),    # nan horizon: no event time exceeds it
+))
+def test_step_kernel_rejects_a_horizon_that_is_not_finite(alpha, mass, duration):
+    kernel = make_step_kernel(SPLIT_64, alpha=alpha, max_fragments=100)
+    with pytest.raises(ConfigError):
+        kernel(mass, duration, np.random.default_rng(0))
 
 
 def test_make_step_kernel():
