@@ -38,7 +38,7 @@ class EmptyTruncation(FragsimError):
 
 
 class DeadState(FragsimError):
-    """No fragments remain to dislocate."""
+    """No fragment remains that can dislocate, or every rate underflows to 0."""
 
 
 class RateOverflow(FragsimError):

@@ -276,8 +276,9 @@ class BrennanDurrett(DislocationLaw):
 
 def sub_levy_transform(law, c, eps):
     """Subordinator of -log(tagged fragment size): drift c, jumps -log s1 at
-    rate s1 per dislocation in the eps-truncated law, killed at the lost-mass
-    rate (the chance per unit time that the tagged point falls into dust)."""
+    rate s1 per dislocation in the eps-truncated law, killed at rate
+    integral (1 - s1), the rate at which the tagged point leaves the first
+    piece (positive even for a conservative law that makes no dust)."""
     killing = law.dust_integral()
     rate = law.jump_rate_truncated(eps)
     total = law.truncated_mass(eps)

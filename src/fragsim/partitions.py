@@ -14,6 +14,9 @@ fragment k with probability equal to that fragment's share of the nominal
 budget, and falls into dust with the remaining probability; dust labels
 are unique to their element, so each becomes a singleton. _paint_over
 groups the labels in numpy, by position, without a per-label loop.
+
+partition_step makes homogeneous (alpha = 0) steps only, the one case in
+which the partition restricted to finitely many labels is Markov.
 """
 
 import math
@@ -132,11 +135,14 @@ def apply_permutation(p, sigma):
 
 
 def partition_step(p, duration, kernel, rng):
-    """One fragmentation transition applied blockwise to p.
+    """One homogeneous fragmentation transition applied blockwise to p.
 
-    Each block's mass is estimated by its frequency |B|/n, evolved through
-    the kernel for the duration, and the resulting relative masses drive a
-    paintbox over the block's elements. Blocks consume the rng stream in
+    Each block draws kernel(duration, rng), the relative masses a unit
+    fragment reaches in the duration, and those masses drive a paintbox
+    over the block's elements. The step is homogeneous (alpha = 0) because
+    only then is the restriction to finitely many labels Markov: at
+    alpha != 0 a block's rate depends on its asymptotic frequency, which
+    the finite block does not carry. Blocks consume the rng stream in
     canonical order, which makes the draw reproducible. p is trusted to be
     canonical, as from the validating constructors; the painted blocks then
     partition p.ground and need only one sort by least element. A duration
@@ -148,7 +154,6 @@ def partition_step(p, duration, kernel, rng):
         return p
     blocks = []
     for block in p.blocks:
-        rel = kernel(len(block) / p.n, duration, rng)
-        blocks.extend(_paint_over(rel, block, rng))
+        blocks.extend(_paint_over(kernel(duration, rng), block, rng))
     blocks.sort(key=lambda b: b[0])
     return FinitePartition(p.ground, tuple(blocks))

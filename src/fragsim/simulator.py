@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (ConfigError, DeadState, EmptyTruncation, NegativeMass,
-                     RateOverflow)
+from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from .ranked_state import MassState, dislocate
 from .rng import master_rng
 
@@ -51,8 +50,10 @@ class SimConfig:
             raise ConfigError(f"t_end {self.t_end} must be finite and >= 0")
         if not 0.0 < self.initial_mass <= 1.0:
             raise ConfigError(f"initial_mass {self.initial_mass} outside (0, 1]")
-        if self.c < 0.0:
-            raise ConfigError(f"erosion rate {self.c} is negative")
+        if not 0.0 <= self.c < math.inf:
+            raise ConfigError(f"erosion rate {self.c} must be finite and >= 0")
+        if not -math.inf < self.alpha < math.inf:
+            raise ConfigError(f"alpha {self.alpha} must be finite")
         if self.c > 0.0 and self.alpha != 0.0:
             raise ConfigError(
                 "erosion with a nonzero self-similarity index is not supported; "
@@ -60,8 +61,8 @@ class SimConfig:
         _check_eps(self.law, self.eps)
         if self.max_fragments < 1:
             raise ConfigError(f"max_fragments {self.max_fragments} must be >= 1")
-        if self.mass_floor < 0.0:
-            raise ConfigError(f"mass_floor {self.mass_floor} is negative")
+        if not 0.0 <= self.mass_floor < math.inf:
+            raise ConfigError(f"mass_floor {self.mass_floor} must be finite and >= 0")
         prev = 0.0
         for t in self.obs_times:
             if t < prev:
@@ -108,7 +109,7 @@ class Trajectory:
         return any(ev.capped for ev in self.events)
 
 
-def next_event(state, law, alpha, eps, rng, trunc=None):
+def next_event(state, law, alpha, eps, rng, trunc):
     """Draw (waiting time, target rank, relative fragment vector).
 
     Each fragment carries an exponential clock of rate mass**alpha times
@@ -125,20 +126,18 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
     sum(block, acc) is the running sum at the block's end, and rates are
     non-negative, so running sums never decrease.
 
-    trunc is law.truncated_mass(eps), computed here when not given. It is
-    fixed for a whole run, so run and make_step_kernel compute it once
-    and pass it in; it is forwarded to
-    law.sample_dislocation as total. The draws do not depend on which
-    way it arrives.
+    trunc is law.truncated_mass(eps). It is fixed for a whole run, so the
+    caller computes it once; it is forwarded to law.sample_dislocation as
+    total.
 
     Raises RateOverflow when the mass-biased total rate is not finite, as
-    when fragments shrink toward 0 at alpha < 0 with no mass floor.
+    when fragments shrink toward 0 at alpha < 0 with no mass floor, and
+    DeadState, before any draw, when it underflows to 0, as every m**alpha
+    does at a large alpha.
     """
     n = len(state.parts)
     if n == 0:
         raise DeadState("no fragments left to dislocate")
-    if trunc is None:
-        trunc = law.truncated_mass(eps)
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
@@ -155,7 +154,10 @@ def next_event(state, law, alpha, eps, rng, trunc=None):
             raise RateOverflow(
                 f"mass-biased rates overflow at alpha={alpha}: fragments are "
                 f"too small; a positive mass_floor dusts them")
-        wait = rng.exponential(1.0 / (total * trunc))
+        rate = total * trunc
+        if not rate > 0.0:
+            raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
+        wait = rng.exponential(1.0 / rate)
         u = rng.random() * total
         acc, lo = 0.0, 0
         while lo + _SCAN_BLOCK < n:
@@ -196,9 +198,9 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
 
     Evolves state from time 0 to horizon, taking a snapshot eroded at rate
     c at each time in obs. Returns (Trajectory, final state); the final
-    state carries no erosion factor. A path with no fragments left, or
-    with an empty truncation, takes its remaining snapshots and ends, even
-    when horizon is infinite.
+    state carries no erosion factor. A path with no fragments left, with
+    an empty truncation, or with rates that underflow to 0 takes its
+    remaining snapshots and ends, even when horizon is infinite.
     """
     snapshots, events = [], []
     obs_idx = 0
@@ -283,35 +285,22 @@ def write_snapshot_csv(traj, stream):
                             + (snap.dust,)))
 
 
-def make_step_kernel(law, alpha=0.0, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
-    """Kernel for partition steps: evolve a fragment of given mass for a duration.
+def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
+    """Kernel for homogeneous partition steps: evolve a unit mass for a duration.
 
-    Returns kernel(mass, duration, rng) -> MassState of relative masses.
-    Self-similarity reduces the draw to a unit-mass path run to time
-    horizon = duration * mass**alpha. A mass that is not positive raises
-    NegativeMass; a mass that is not finite, a duration that is not finite
-    and >= 0, or a horizon that is not finite raises ConfigError. eps
-    follows SimConfig's rule: >= 0, and > 0 for an infinite-activity law.
+    Returns kernel(duration, rng) -> MassState of relative masses, the end
+    state of a unit-mass path run at alpha = 0 to time duration. A duration
+    that is not finite and >= 0 raises ConfigError. eps follows SimConfig's
+    rule: >= 0, and > 0 for an infinite-activity law.
     """
     _check_eps(law, eps)
     trunc = law.truncated_mass(eps)
 
-    def kernel(mass, duration, rng):
-        if not mass > 0.0:
-            raise NegativeMass(f"step kernel mass {mass} must be positive")
-        if not mass < math.inf:
-            raise ConfigError(f"step kernel mass {mass} must be finite")
+    def kernel(duration, rng):
         if not 0.0 <= duration < math.inf:
             raise ConfigError(f"step duration {duration} must be finite and >= 0")
-        try:
-            horizon = duration * mass ** alpha
-        except OverflowError:
-            horizon = math.inf
-        if not horizon < math.inf:
-            raise ConfigError(f"step horizon {duration} * {mass} ** {alpha} "
-                              f"is not finite")
-        _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, alpha, eps, trunc,
-                           horizon, mass_floor, max_fragments, rng)
+        _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, 0.0, eps, trunc,
+                           duration, mass_floor, max_fragments, rng)
         return state
 
     return kernel

@@ -174,15 +174,15 @@ def test_partition_step_zero_duration_and_identity_kernel():
     rng = np.random.default_rng(4)
     assert partition_step(p, 0.0, None, rng) is p
 
-    def keep_whole(mass, duration, rng):
-        return from_masses([mass], nominal=mass)
+    def keep_whole(duration, rng):
+        return from_masses([1.0])
 
     assert partition_step(p, 1.0, keep_whole, rng) == p
 
 
 @pytest.mark.parametrize("duration", (math.nan, math.inf, -math.inf, -1.0))
 def test_partition_step_rejects_a_bad_duration(duration):
-    def unreachable(mass, duration, rng):
+    def unreachable(duration, rng):
         raise AssertionError("the kernel ran")
 
     p = from_blocks([[1, 2], [3]], (1, 2, 3))
@@ -194,13 +194,29 @@ def test_partition_step_refines():
     rng = np.random.default_rng(5)
     p = from_blocks([[1, 2, 3, 4], [5, 6]])
 
-    def shatter(mass, duration, rng):
-        return from_masses([mass / 2, mass / 2], nominal=mass)
+    def shatter(duration, rng):
+        return from_masses([0.5, 0.5])
 
     q = partition_step(p, 1.0, shatter, rng)
     assert q.ground == p.ground
     for b in q.blocks:
         assert any(set(b) <= set(c) for c in p.blocks)
+
+
+def test_partition_step_calls_the_kernel_once_per_block_in_order():
+    # the first call keeps its block whole, the second dusts every label;
+    # only canonical order leaves the block holding 1 whole
+    calls = []
+    outcomes = (from_masses([1.0]), from_masses([], dust=1.0))
+
+    def recording(duration, rng):
+        calls.append((duration, rng))
+        return outcomes[len(calls) - 1]
+
+    rng = np.random.default_rng(7)
+    q = partition_step(from_blocks([[5, 3, 4], [2, 1]]), 1.5, recording, rng)
+    assert calls == [(1.5, rng)] * 2
+    assert q.blocks == ((1, 2), (3,), (4,), (5,))
 
 
 def test_paintbox_frequencies_law_of_large_numbers():
@@ -225,7 +241,7 @@ def test_invalid_blocks_raise_a_typed_error():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_painted_partitions_are_canonical_by_construction(seed):
-    def fixed(mass, duration, rng):
+    def fixed(duration, rng):
         return DUSTY
 
     for p in (trivial(12),

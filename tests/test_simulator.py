@@ -23,11 +23,11 @@ from fragsim import (
     write_event_csv,
     write_snapshot_csv,
 )
-from fragsim.errors import (ConfigError, DeadState, EmptyTruncation, NegativeMass,
-                            RateOverflow)
+from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from fragsim.simulator import _evolve
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
+TRUNC_64 = SPLIT_64.truncated_mass(0.0)
 
 
 def test_config_validation():
@@ -58,16 +58,46 @@ def test_t_end_must_be_finite(t_end):
         SimConfig(law=FiniteAtomic([]), t_end=t_end)
 
 
+@pytest.mark.parametrize("field, value, match", (
+    ("c", math.nan, "erosion rate"),
+    ("c", math.inf, "erosion rate"),
+    ("alpha", math.nan, "alpha"),
+    ("alpha", math.inf, "alpha"),
+    ("alpha", -math.inf, "alpha"),
+    ("mass_floor", math.nan, "mass_floor"),
+    ("mass_floor", math.inf, "mass_floor"),
+))
+def test_config_rejects_fields_that_are_not_finite(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        run(SimConfig(SPLIT_64, 1.0, obs_times=(1.0,), **{field: value}))
+
+
+def test_rates_that_underflow_end_the_path():
+    # 0.6 ** 2000 and 0.4 ** 2000 are 0.0: after the first split no rate is
+    # left, so the path ends
+    traj = run(SimConfig(SPLIT_64, 10.0, alpha=2000.0, obs_times=(10.0,)))
+    assert len(traj.events) == 1
+    assert traj.snapshots[0] == MassState((0.6, 0.4), 0.0, 1.0)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(DeadState, match="underflow"):
+        next_event(MassState((0.6, 0.4), 0.0, 1.0), SPLIT_64, 2000.0, 0.0, rng,
+                   TRUNC_64)
+    assert rng.bit_generator.state == before  # raised before any draw
+
+
 def test_next_event_waiting_time_and_target():
     rng = np.random.default_rng(0)
     state = MassState((1.0,), 0.0, 1.0)
     n = 20000
-    waits = [next_event(state, SPLIT_64, 0.0, 0.0, rng)[0] for _ in range(n)]
+    waits = [next_event(state, SPLIT_64, 0.0, 0.0, rng, TRUNC_64)[0]
+             for _ in range(n)]
     # unit rate: one fragment times unit truncated mass
     assert abs(np.mean(waits) - 1.0) < 3.0 / math.sqrt(n)
 
     state = MassState((0.6, 0.4), 0.0, 1.0)
-    targets = [next_event(state, SPLIT_64, 0.0, 0.0, rng)[1] for _ in range(n)]
+    targets = [next_event(state, SPLIT_64, 0.0, 0.0, rng, TRUNC_64)[1]
+               for _ in range(n)]
     # homogeneous case: the target is uniform, whatever the masses
     assert abs(np.mean([t == 1 for t in targets]) - 0.5) < 3 * 0.5 / math.sqrt(n)
     assert set(targets) == {1, 2}
@@ -88,8 +118,8 @@ def test_lone_fragment_target_keeps_the_stream():
     state = MassState((0.7,), 0.3, 1.0)
     skip, draw = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(20):
-        wait, target, frags = next_event(state, SPLIT_64, 0.0, 0.0, skip)
-        assert wait == draw.exponential(1.0 / SPLIT_64.truncated_mass(0.0))
+        wait, target, frags = next_event(state, SPLIT_64, 0.0, 0.0, skip, TRUNC_64)
+        assert wait == draw.exponential(1.0 / TRUNC_64)
         assert target == draw.integers(1, 2) == 1
         assert frags == SPLIT_64.sample_dislocation(0.0, draw)
     assert skip.bit_generator.state == draw.bit_generator.state
@@ -99,21 +129,25 @@ def test_next_event_mass_biased_target():
     rng = np.random.default_rng(1)
     state = MassState((0.6, 0.4), 0.0, 1.0)
     n = 20000
-    picks = [next_event(state, SPLIT_64, 1.0, 0.0, rng)[1] for _ in range(n)]
+    picks = [next_event(state, SPLIT_64, 1.0, 0.0, rng, TRUNC_64)[1]
+             for _ in range(n)]
     # alpha = 1 weights each fragment by its mass
     assert abs(np.mean([t == 1 for t in picks]) - 0.6) < 3 * 0.5 / math.sqrt(n)
-    waits = [next_event(state, SPLIT_64, 1.0, 0.0, rng)[0] for _ in range(n)]
+    waits = [next_event(state, SPLIT_64, 1.0, 0.0, rng, TRUNC_64)[0]
+             for _ in range(n)]
     assert abs(np.mean(waits) - 1.0) < 3.0 / math.sqrt(n)
 
 
 def test_next_event_degenerate_states():
     rng = np.random.default_rng(2)
     with pytest.raises(DeadState):
-        next_event(MassState((), 1.0, 1.0), SPLIT_64, 0.0, 0.0, rng)
+        next_event(MassState((), 1.0, 1.0), SPLIT_64, 0.0, 0.0, rng, TRUNC_64)
     with pytest.raises(EmptyTruncation):
-        next_event(MassState((1.0,), 0.0, 1.0), BinaryPowerLaw(0.5), 0.0, 0.6, rng)
+        law = BinaryPowerLaw(0.5)
+        next_event(MassState((1.0,), 0.0, 1.0), law, 0.0, 0.6, rng,
+                   law.truncated_mass(0.6))
     with pytest.raises(EmptyTruncation):
-        next_event(MassState((1.0,), 0.0, 1.0), FiniteAtomic([]), 0.0, 0.0, rng)
+        next_event(MassState((1.0,), 0.0, 1.0), FiniteAtomic([]), 0.0, 0.0, rng, 0.0)
 
 
 def test_rate_overflow_at_negative_alpha_is_typed():
@@ -121,7 +155,7 @@ def test_rate_overflow_at_negative_alpha_is_typed():
     # one rate overflows a float, or every rate is finite and the sum is not
     for parts in ((0.5, 1e-310), (1e-308, 1e-308)):
         with pytest.raises(RateOverflow, match="mass_floor"):
-            next_event(MassState(parts, 0.0, 1.0), SPLIT_64, -1.0, 0.0, rng)
+            next_event(MassState(parts, 0.0, 1.0), SPLIT_64, -1.0, 0.0, rng, TRUNC_64)
     # tiny fragments split ever faster until their rates overflow
     with pytest.raises(RateOverflow, match="mass_floor"):
         run(SimConfig(SPLIT_64, 5.0, alpha=-1.0, seed=1))
@@ -156,15 +190,31 @@ def counting(law):
     return twin
 
 
+def unhinted(law):
+    """A copy of law whose sample_dislocation drops the total it is given."""
+    base = type(law)
+
+    class Unhinted(base):
+        def sample_dislocation(self, eps, rng, total=None):
+            return base.sample_dislocation(self, eps, rng)
+
+    twin = Unhinted.__new__(Unhinted)
+    twin.__dict__.update(law.__dict__)
+    return twin
+
+
 @pytest.mark.parametrize("law, eps", HOISTED_LAWS)
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
 def test_next_event_precomputed_rate_keeps_the_stream(law, eps, alpha):
+    # next_event forwards trunc to sample_dislocation as total; the draws
+    # are those of a law that computes its own total
     state = MassState((0.5, 0.3, 0.15, 0.05), 0.0, 1.0)
     given, default = np.random.default_rng(31), np.random.default_rng(31)
     trunc = law.truncated_mass(eps)
+    own = unhinted(law)
     for _ in range(50):
-        a = next_event(state, law, alpha, eps, given, trunc=trunc)
-        b = next_event(state, law, alpha, eps, default)
+        a = next_event(state, law, alpha, eps, given, trunc)
+        b = next_event(state, own, alpha, eps, default, trunc)
         assert a == b
 
 
@@ -178,10 +228,10 @@ def test_run_computes_the_truncated_rate_once(law, eps):
         assert type(law).calls == 1
     assert len(traj.events) > 3
     type(law).calls = 0
-    kernel = make_step_kernel(law, alpha=1.0, eps=eps, max_fragments=200)
+    kernel = make_step_kernel(law, eps=eps, max_fragments=200)
     rng = np.random.default_rng(43)
-    assert len(kernel(1.0, 20.0, rng).parts) > 3
-    kernel(0.5, 1.0, rng)
+    assert len(kernel(20.0, rng).parts) > 3
+    kernel(1.0, rng)
     assert type(law).calls == 1
 
 
@@ -191,7 +241,7 @@ def test_run_stops_when_the_truncation_is_empty():
     traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)))
     assert traj.events == () and traj.snapshots[0].parts == (1.0,)
     kernel = make_step_kernel(law, eps=0.6)
-    assert kernel(1.0, 5.0, np.random.default_rng(0)).parts == (1.0,)
+    assert kernel(5.0, np.random.default_rng(0)).parts == (1.0,)
 
 
 @pytest.mark.parametrize("law, eps, match", (
@@ -252,11 +302,12 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
     parts = (0.5, 0.25, 0.125, 0.0625, 0.0625)
     state = MassState(parts, 0.0, 1.0)
     for u in (0.0, 0.2, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0):
-        wait, target, _ = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))
+        wait, target, _ = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u),
+                                     TRUNC_64)
         assert target == reference_target(parts, alpha, u)
         assert wait == 1.0 / sum(m ** alpha for m in parts)
     if alpha == 1.0:
-        assert [next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))[1]
+        assert [next_event(state, SPLIT_64, alpha, 0.0, StubRng(u), TRUNC_64)[1]
                 for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
 
 
@@ -284,7 +335,7 @@ def test_block_scan_matches_the_element_loop(n, alpha):
     total = sum(rates)
 
     def target(u):
-        got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u))[1]
+        got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u), TRUNC_64)[1]
         assert got == reference_target(parts, alpha, u)
         return got
 
@@ -317,7 +368,8 @@ def test_block_scan_on_int_and_simulated_parts():
     for state in (MassState(mixed, 0.0, 2.0), MassState(parts, 0.0, 1.0)):
         for alpha in (0.5, 1.0, 2.0):
             for u in (*rng.random(100), 1.0):
-                got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(float(u)))[1]
+                got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(float(u)),
+                                 TRUNC_64)[1]
                 assert got == reference_target(state.parts, alpha, float(u))
 
 
@@ -590,36 +642,23 @@ def test_csv_writers_match_the_per_field_reference():
         assert new == old
 
 
-@pytest.mark.parametrize("law, alpha, eps, floor, cap, duration", [
-    (SPLIT_64, 0.0, 0.0, 0.0, 10 ** 6, 3.0),
-    (SPLIT_64, 1.0, 0.0, 0.0, 10 ** 6, 3.0),
-    (BinaryPowerLaw(0.5), 0.0, 0.05, 1e-12, 10 ** 6, 1.0),
-    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 0.0, 2, 3.0),
+@pytest.mark.parametrize("law, eps, floor, cap, duration", [
+    (SPLIT_64, 0.0, 0.0, 10 ** 6, 3.0),
+    (BinaryPowerLaw(0.5), 0.05, 1e-12, 10 ** 6, 1.0),
+    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 2, 3.0),
 ])
-def test_step_kernel_is_run_to_the_scaled_horizon(law, alpha, eps, floor, cap,
-                                                  duration):
-    mass = 0.5
-    kernel = make_step_kernel(law, alpha, eps, floor, cap)
-    h = duration * mass ** alpha
-    cfg = SimConfig(law, h, alpha=alpha, eps=eps, obs_times=(h,),
+def test_step_kernel_is_run_to_the_duration(law, eps, floor, cap, duration):
+    kernel = make_step_kernel(law, eps, floor, cap)
+    cfg = SimConfig(law, duration, eps=eps, obs_times=(duration,),
                     mass_floor=floor, max_fragments=cap)
     events = cap_hits = 0
     for seed in range(8):
         traj = run(cfg, np.random.default_rng(seed))
-        assert kernel(mass, duration, np.random.default_rng(seed)) == traj.snapshots[0]
+        assert kernel(duration, np.random.default_rng(seed)) == traj.snapshots[0]
         events += len(traj.events)
         cap_hits += traj.cap_hit
     assert events > 8
     assert (cap_hits > 0) == (cap == 2)
-
-
-@pytest.mark.parametrize("alpha, mass", [(-1.0, 0.0), (0.5, -0.5),
-                                         (0.0, 0.0), (1.0, math.nan)])
-def test_step_kernel_rejects_a_non_positive_mass(alpha, mass):
-    # at alpha = -1 the horizon is 0.0 ** -1, at alpha = 0.5 it is complex
-    kernel = make_step_kernel(SPLIT_64, alpha=alpha)
-    with pytest.raises(NegativeMass):
-        kernel(mass, 1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("duration", (math.nan, math.inf, -1.0, -0.5))
@@ -627,35 +666,22 @@ def test_step_kernel_rejects_a_non_positive_mass(alpha, mass):
                                         (FiniteAtomic([]), 0.0)),
                          ids=("capped", "floored", "frozen"))
 def test_step_kernel_rejects_a_bad_duration(duration, law, floor):
-    kernel = make_step_kernel(law, alpha=1.0, mass_floor=floor, max_fragments=1000)
+    kernel = make_step_kernel(law, mass_floor=floor, max_fragments=1000)
     with pytest.raises(ConfigError, match="duration"):
-        kernel(0.5, duration, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("alpha, mass, duration", (
-    (1.0, math.inf, 1.0),    # the unit path would run forever
-    (2.0, 1e300, 1.0),       # mass ** alpha overflows
-    (-2.0, 1e-300, 1.0),
-    (1.0, 10.0, 1e308),      # duration * mass ** alpha overflows
-    (math.nan, 0.5, 1.0),    # nan horizon: no event time exceeds it
-))
-def test_step_kernel_rejects_a_horizon_that_is_not_finite(alpha, mass, duration):
-    kernel = make_step_kernel(SPLIT_64, alpha=alpha, max_fragments=100)
-    with pytest.raises(ConfigError):
-        kernel(mass, duration, np.random.default_rng(0))
+        kernel(duration, np.random.default_rng(0))
 
 
 def test_make_step_kernel():
     rng = np.random.default_rng(23)
     frozen = make_step_kernel(FiniteAtomic([]))
-    out = frozen(1.0, 5.0, rng)
+    out = frozen(5.0, rng)
     assert out.parts == (1.0,)
 
     kernel = make_step_kernel(SPLIT_64)
-    out = kernel(0.5, 2.0, rng)
+    out = kernel(2.0, rng)
     assert out.nominal == 1.0
     assert abs(sum(out.parts) + out.dust - 1.0) < 1e-9
     assert all(a >= b for a, b in zip(out.parts, out.parts[1:]))
 
-    # alpha scaling: zero horizon at zero duration, whatever the mass
-    assert kernel(0.8, 0.0, rng).parts == (1.0,)
+    # zero duration: the unit fragment is returned whole
+    assert kernel(0.0, rng).parts == (1.0,)
