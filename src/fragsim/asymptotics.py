@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNormalizer
+from .errors import ConfigError, DegenerateNormalizer
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,24 @@ class SubordinatorSpec:
     """Killed compound-Poisson subordinator with drift.
 
     Jumps arrive at jump_rate; jump_sampler(rng) draws one jump size. The
-    path is sent to a graveyard at killing_rate.
+    path is sent to a graveyard at killing_rate. The drift must be finite,
+    both rates finite and >= 0, and a sampler is required when jump_rate > 0.
     """
 
     drift: float
     killing_rate: float
     jump_rate: float
     jump_sampler: object = None
+
+    def __post_init__(self):
+        if not -math.inf < self.drift < math.inf:
+            raise ConfigError(f"drift {self.drift} must be finite")
+        for name in ("killing_rate", "jump_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} {value} must be finite and >= 0")
+        if self.jump_rate > 0.0 and self.jump_sampler is None:
+            raise ConfigError("a positive jump_rate needs a jump_sampler")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from scipy import integrate, stats
 
 from .asymptotics import SubordinatorSpec
 from .errors import (
@@ -225,12 +224,18 @@ class BinaryPowerLaw(DislocationLaw):
 
 
 class BrennanDurrett(DislocationLaw):
-    """Unit-rate binary splits (max(V, 1-V), min(V, 1-V)) with V ~ Beta(p, q)."""
+    """Unit-rate binary splits (max(V, 1-V), min(V, 1-V)) with V ~ Beta(p, q).
+
+    The only law that needs scipy.stats and scipy.integrate; it imports them
+    itself, so the other laws run without loading them.
+    """
 
     def __init__(self, p, q):
         p, q = float(p), float(q)
         if p <= 0.0 or q <= 0.0:
             raise DivergentMeasure(f"Beta parameters must be positive, got ({p}, {q})")
+        from scipy import stats
+
         self.p = p
         self.q = q
         self._beta = stats.beta(p, q)
@@ -248,6 +253,8 @@ class BrennanDurrett(DislocationLaw):
         return _maybe_scalar(out)
 
     def dust_integral(self):
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda v: min(v, 1.0 - v) * self._beta.pdf(v), 0.0, 1.0, points=[0.5])
         return val
@@ -268,6 +275,8 @@ class BrennanDurrett(DislocationLaw):
         eps = max(eps, 0.0)
         if eps >= 0.5:
             return 0.0
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda v: max(v, 1.0 - v) * self._beta.pdf(v),
             eps, 1.0 - eps, points=[0.5])

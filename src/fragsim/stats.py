@@ -4,12 +4,18 @@ Kolmogorov-Smirnov machinery works on the order statistics directly, so
 it is exact for atomic reference laws (no binning). The chi-square path
 pools cells left to right until every expected count reaches five, the
 usual validity rule for the asymptotic chi-square distribution.
+
+The chi-square p-value is scipy.special.chdtrc and the Poisson tail is
+scipy.special.pdtrc, the functions scipy.stats.chi2.sf and poisson.sf
+evaluate; the Poisson pmf is scipy.stats' own log-space form. scipy.special
+is imported on first use, so importing this module loads no scipy.
 """
 
-import numpy as np
-from scipy import stats as sps
+import math
 
-from .errors import EmptySample, InsufficientData, TooFewSamples
+import numpy as np
+
+from .errors import ConfigError, EmptySample, InsufficientData, TooFewSamples
 
 # Asymptotic Kolmogorov quantiles: c = sqrt(-ln(alpha/2)/2).
 _MIN_KS_SAMPLES = 50
@@ -116,21 +122,28 @@ def pooled_chi_square(observed, expected):
         raise InsufficientData("fewer than two cells after pooling")
     chi2 = float(np.sum((np.array(pooled_obs) - np.array(pooled_exp)) ** 2
                         / np.array(pooled_exp)))
-    return float(sps.chi2.sf(chi2, len(pooled_exp) - 1))
+    from scipy.special import chdtrc
+
+    return float(chdtrc(len(pooled_exp) - 1, chi2))
 
 
 def poisson_pmf_test(counts, rate):
     """Chi-square p-value of an integer histogram against a Poisson pmf.
 
     counts[m] is the number of observations equal to m; the tail mass
-    beyond the histogram folds into the last cell.
+    beyond the histogram folds into the last cell. The rate must be finite
+    and non-negative.
     """
+    if not 0.0 <= rate < math.inf:
+        raise ConfigError(f"Poisson rate must be finite and >= 0, got {rate}")
     counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if total < _MIN_CHI_TOTAL:
         raise InsufficientData(
             f"Poisson test needs >= {_MIN_CHI_TOTAL} observations, got {total}")
+    from scipy.special import gammaln, pdtrc, xlogy
+
     support = np.arange(counts.size)
-    expected = total * sps.poisson.pmf(support, rate)
-    expected[-1] += total * sps.poisson.sf(counts.size - 1, rate)
+    expected = total * np.exp(xlogy(support, rate) - gammaln(support + 1) - rate)
+    expected[-1] += total * pdtrc(counts.size - 1, rate)
     return pooled_chi_square(counts, expected)

@@ -20,6 +20,7 @@ from fragsim import (
     sample_subordinator_path,
     sub_levy_transform,
 )
+from fragsim.errors import ConfigError
 
 TAGGED_91 = sub_levy_transform(FiniteAtomic([(1.0, (0.9, 0.1))]), 0.0, 0.0)
 
@@ -31,6 +32,29 @@ def test_drift_only_path_is_linear():
         value, alive = run_subordinator(spec, t, rng)
         assert value == pytest.approx(0.3 * t, abs=1e-15)
         assert alive
+
+
+@pytest.mark.parametrize("fields", [
+    (0.0, 0.0, 1.0),
+    (0.0, math.nan, 0.0),
+    (0.0, -1.0, 0.0),
+    (0.0, math.inf, 0.0),
+    (0.0, 0.0, math.nan),
+    (0.0, 0.0, -1.0),
+    (0.0, 0.0, math.inf),
+    (math.nan, 0.0, 0.0),
+    (math.inf, 0.0, 0.0),
+    (-math.inf, 0.0, 0.0),
+], ids=["no-sampler", "nan-kill", "negative-kill", "inf-kill", "nan-jump",
+        "negative-jump", "inf-jump", "nan-drift", "inf-drift", "-inf-drift"])
+def test_subordinator_spec_rejects_bad_fields(fields):
+    with pytest.raises(ConfigError):
+        SubordinatorSpec(*fields)
+
+
+def test_subordinator_spec_accepts_jump_free_and_sampled_specs():
+    SubordinatorSpec(drift=-0.5, killing_rate=0.0, jump_rate=0.0)
+    SubordinatorSpec(0.0, 0.1, 2.0, jump_sampler=lambda rng: 1.0)
 
 
 def test_zero_horizon():

@@ -1,7 +1,13 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import fragsim
 from fragsim.cli import main
 
 SIM_CFG = """
@@ -119,3 +125,28 @@ def test_argparse_usage_error():
         main([])
     with pytest.raises(SystemExit):
         main(["simulate"])  # --config is required
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import fragsim
+import fragsim.cli
+code = fragsim.cli.main(["verify", "erosion", "--seed", "1"])
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+dust = fragsim.BrennanDurrett(2, 2).dust_integral()
+print(json.dumps({"code": code, "scipy": scipy, "dust": dust}))
+"""
+
+
+def test_import_and_a_suite_load_no_scipy():
+    # a fresh interpreter: this test process has imported scipy already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fragsim.__file__)))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, src],
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["scipy"] == []
+    # Brennan-Durrett loads scipy.stats and scipy.integrate on first use
+    assert result["dust"] == pytest.approx(0.3125, abs=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import fragsim.stats
 from fragsim import (
     ecdf,
     ks_stat,
@@ -14,7 +15,7 @@ from fragsim import (
     poisson_pmf_test,
     pooled_chi_square,
 )
-from fragsim.errors import EmptySample, InsufficientData, TooFewSamples
+from fragsim.errors import ConfigError, EmptySample, InsufficientData, TooFewSamples
 
 
 def test_ecdf():
@@ -124,3 +125,48 @@ def test_poisson_pmf_test():
         poisson_pmf_test([600], 0.5)
     with pytest.raises(InsufficientData):
         poisson_pmf_test([100, 100], 0.5)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0, -math.inf])
+def test_poisson_pmf_test_rejects_a_bad_rate(rate):
+    with pytest.raises(ConfigError):
+        poisson_pmf_test([300, 200, 100], rate)
+
+
+def test_poisson_pmf_test_at_rate_zero_has_one_cell():
+    # rate 0 puts every expected count in the first cell
+    with pytest.raises(InsufficientData):
+        poisson_pmf_test([300, 200, 100], 0.0)
+
+
+POISSON_RATES = (0.01, 0.05, 0.3 * math.pi, 0.5, 1.0, 3.7, 12.0, 40.0)
+
+
+def test_special_function_forms_equal_scipy_stats(monkeypatch):
+    """The instruments evaluate what scipy.stats evaluates, bit for bit."""
+    from scipy.special import chdtrc
+
+    xs = np.linspace(0.001, 200.0, 4001)
+    for df in range(1, 40):
+        assert np.array_equal(chdtrc(df, xs), sps.chi2.sf(xs, df))
+    # pooled_chi_square's p-value, on unpooled cells of 5 + j
+    rng = np.random.default_rng(6)
+    for df in range(1, 40):
+        expected = 5.0 + np.arange(df + 1)
+        for _ in range(20):
+            observed = rng.poisson(expected).astype(float)
+            chi2 = float(np.sum((observed - expected) ** 2 / expected))
+            assert pooled_chi_square(observed, expected) == sps.chi2.sf(chi2, df)
+    # poisson_pmf_test's expected counts: the pmf, with the tail folded
+    # into the last cell; scaling by 1024 is exact
+    seen = []
+    monkeypatch.setattr(fragsim.stats, "pooled_chi_square",
+                        lambda counts, expected: seen.append(expected))
+    for rate in POISSON_RATES:
+        for size in range(1, 80):
+            poisson_pmf_test([1024] + [0] * (size - 1), rate)
+            expected = seen.pop() / 1024.0
+            support = np.arange(size)
+            pmf = sps.poisson.pmf(support, rate)
+            assert np.array_equal(expected[:-1], pmf[:-1])
+            assert expected[-1] == pmf[-1] + sps.poisson.sf(size - 1, rate)
