@@ -7,7 +7,11 @@ which replicas ran before it.
 Deriving a replica stream is on the hot path of every suite, and numpy's
 SeedSequence spends most of that time in numpy calls on 4-word arrays. So
 replica_rng computes the PCG64 seed words of SeedSequence(seed,
-spawn_key=(index,)) with a port of its algorithm to Python ints. NumPy's
+spawn_key=(index,)) with a port of its algorithm. The mixing of the seed
+alone is done once per seed in Python ints. The index word is then mixed
+in by one numpy pass over a block of 256 consecutive indices, which yields
+the states of the whole block; the read-only array for the last
+(seed, block) is kept, and each replica takes its row. NumPy's
 stream-compatibility policy (NEP 19) freezes that algorithm, and
 tests/test_rng.py pins the port against numpy bit for bit. Inputs outside
 the port's domain take numpy's own path.
@@ -81,44 +85,46 @@ def _seed_prefix(seed):
 
 
 _prefix_cache = (None,)  # (seed, *_seed_prefix(seed))
+_BLOCK = 256  # replica indices whose states are derived in one numpy pass
+_OUT_XOR = np.array([b for b, _ in _OUT_CONSTS], dtype=np.uint64)
+_OUT_MULT = np.array([c for _, c in _OUT_CONSTS], dtype=np.uint64)
+_state_cache = (None, None, None)  # (seed, block, the block's states)
 
 
 def _replica_state(seed, index):
     """The 4-word uint64 state SeedSequence(seed, spawn_key=(index,)) gives
-    PCG64, for an int seed >= 0 and 0 <= index < 2**32."""
-    global _prefix_cache
-    cache = _prefix_cache
-    if cache[0] != seed:
-        cache = (seed, *_seed_prefix(seed))
-        _prefix_cache = cache
-    _, l0, l1, l2, l3, x0, m0, x1, m1, x2, m2, x3, m3 = cache
-    mask, mult_r = _MASK, _MIX_MULT_R
-    # mix the index word into each pool word
-    v = ((index ^ x0) * m0) & mask
-    p0 = (l0 - mult_r * (v ^ (v >> 16))) & mask
-    p0 ^= p0 >> 16
-    v = ((index ^ x1) * m1) & mask
-    p1 = (l1 - mult_r * (v ^ (v >> 16))) & mask
-    p1 ^= p1 >> 16
-    v = ((index ^ x2) * m2) & mask
-    p2 = (l2 - mult_r * (v ^ (v >> 16))) & mask
-    p2 ^= p2 >> 16
-    v = ((index ^ x3) * m3) & mask
-    p3 = (l3 - mult_r * (v ^ (v >> 16))) & mask
-    p3 ^= p3 >> 16
-    # hash the pool out twice over: 32-bit words 2k and 2k+1 form the low
-    # and high halves of 64-bit word k, and both halves take their final
-    # v ^= v >> 16 in one step
-    (b0, c0), (b1, c1), (b2, c2), (b3, c3), \
-        (b4, c4), (b5, c5), (b6, c6), (b7, c7) = _OUT_CONSTS
-    k0 = ((p0 ^ b0) * c0) & mask | (((p1 ^ b1) * c1) & mask) << 32
-    k1 = ((p2 ^ b2) * c2) & mask | (((p3 ^ b3) * c3) & mask) << 32
-    k2 = ((p0 ^ b4) * c4) & mask | (((p1 ^ b5) * c5) & mask) << 32
-    k3 = ((p2 ^ b6) * c6) & mask | (((p3 ^ b7) * c7) & mask) << 32
-    low16 = _LOW16_OF_HALVES
-    return np.array([k0 ^ (k0 >> 16) & low16, k1 ^ (k1 >> 16) & low16,
-                     k2 ^ (k2 >> 16) & low16, k3 ^ (k3 >> 16) & low16],
-                    dtype=np.uint64)
+    PCG64, for an int seed >= 0 and 0 <= index < 2**32.
+
+    The states of all _BLOCK indices in index's block are derived in one
+    numpy pass and kept, read-only, for the calls that follow; row j is
+    that of index block * _BLOCK + j. Every operand is a 32-bit word held
+    in uint64, so each product is exact and wrapping subtraction keeps the
+    low 32 bits that & _MASK selects.
+    """
+    global _prefix_cache, _state_cache
+    block = index // _BLOCK
+    cache = _state_cache
+    if cache[0] != seed or cache[1] != block:
+        prefix = _prefix_cache
+        if prefix[0] != seed:
+            prefix = _prefix_cache = (seed, *_seed_prefix(seed))
+        consts = np.array(prefix[1:], dtype=np.uint64)
+        mix_l, xor, mult = consts[:4], consts[4::2], consts[5::2]
+        index_word = np.arange(block * _BLOCK, (block + 1) * _BLOCK,
+                               dtype=np.uint64)[:, None]
+        # mix the index word into each pool word: one column per pool word
+        v = ((index_word ^ xor) * mult) & _MASK
+        pool = (mix_l - _MIX_MULT_R * (v ^ v >> 16)) & _MASK
+        pool ^= pool >> 16
+        # hash the pool out twice over: 32-bit words 2k and 2k+1 form the
+        # low and high halves of 64-bit word k, and both halves take their
+        # final v ^= v >> 16 in one step
+        words = ((np.tile(pool, 2) ^ _OUT_XOR) * _OUT_MULT) & _MASK
+        states = words[:, 0::2] | words[:, 1::2] << 32
+        states ^= states >> 16 & _LOW16_OF_HALVES
+        states.flags.writeable = False
+        cache = _state_cache = (seed, block, states)
+    return cache[2][index % _BLOCK]
 
 
 class _ReplicaSeed(ISpawnableSeedSequence):

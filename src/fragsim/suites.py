@@ -12,6 +12,7 @@ degrades, so convergence is evidenced directionally rather than assumed.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -114,6 +115,12 @@ def _require_ks_sample(name, replicas):
                           f"replicas for its KS checks, got {replicas}")
 
 
+def _require_count(name, key, value, least):
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(f"suite {name!r} needs an int {key} >= {least}, "
+                          f"got {value!r}")
+
+
 # ---------------------------------------------------------------- suites
 # Each suite takes its parameters as keywords and returns (checks, derived):
 # derived holds computed values that the report echoes beside the params.
@@ -132,10 +139,12 @@ def _suite_erosion(law, c, t, replicas, seed):
 
     # With dislocations: the eroded path must equal the unEroded path of
     # the same seed rescaled by exp(-c t), part by part.
+    eroded_cfg = SimConfig(law, t, c=c, obs_times=grid)
+    plain_cfg = SimConfig(law, t, c=0.0, obs_times=grid)
+
     def worker(i, rng):
-        cfg = dict(law=law, t_end=t, obs_times=grid)
-        eroded = run(SimConfig(c=c, **cfg), rng)
-        plain = run(SimConfig(c=0.0, **cfg), replica_rng(seed, i))
+        eroded = run(eroded_cfg, rng)
+        plain = run(plain_cfg, replica_rng(seed, i))
         worst = 0.0
         for se, sp, u in zip(eroded.snapshots, plain.snapshots, grid):
             if len(se.parts) != len(sp.parts):
@@ -152,8 +161,10 @@ def _suite_erosion(law, c, t, replicas, seed):
 
 
 def _suite_conservation(law, t, replicas, seed):
+    cfg = SimConfig(law, t)
+
     def worker(_i, rng):
-        traj = run(SimConfig(law, t), rng)
+        traj = run(cfg, rng)
         state = MassState((1.0,), 0.0, 1.0)
         worst = 0.0
         violations = 0
@@ -177,9 +188,10 @@ def _suite_conservation(law, t, replicas, seed):
 
 def _suite_poisson_counts(law, t, eps, replicas, seed):
     rate = law.truncated_mass(eps) * t
+    cfg = SimConfig(law, t, eps=eps)
 
     def worker(_i, rng):
-        traj = run(SimConfig(law, t, eps=eps), rng)
+        traj = run(cfg, rng)
         return sum(ev.target_rank == 1 for ev in traj.events)
 
     counts = np.array(run_replicas(worker, replicas, seed))
@@ -200,9 +212,10 @@ def _suite_poisson_counts(law, t, eps, replicas, seed):
 
 def _suite_records(law, t, eps, replicas, seed):
     _require_ks_sample("records", replicas)
+    cfg = SimConfig(law, t, eps=eps)
 
     def worker(_i, rng):
-        traj = run(SimConfig(law, t, eps=eps), rng)
+        traj = run(cfg, rng)
         return record_value(traj, t)
 
     values = run_replicas(worker, replicas, seed)
@@ -211,8 +224,10 @@ def _suite_records(law, t, eps, replicas, seed):
 
 
 def _suite_sandwich(law, t, eps, replicas, seed):
+    cfg = SimConfig(law, t, eps=eps, obs_times=(t,))
+
     def worker(_i, rng):
-        traj = run(SimConfig(law, t, eps=eps, obs_times=(t,)), rng)
+        traj = run(cfg, rng)
         snap = traj.snapshots[0]
         return (_part(snap, 1), _part(snap, 2),
                 record_value(traj, t), chi_value(traj, t))
@@ -229,6 +244,10 @@ def _suite_sandwich(law, t, eps, replicas, seed):
 
 
 def _suite_subordinator(law, t, m_max, replicas, seed):
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"the subordinator suite needs a finite horizon "
+                          f"t >= 0, got {t!r}")
+    _require_count("subordinator", "m_max", m_max, 0)
     if len(law.atoms) != 1:
         raise ConfigError("the subordinator suite needs a single-atom law "
                           "so jump counts can be read off the path value")
@@ -290,8 +309,9 @@ def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed):
     observed ranks is unchanged while the fragment population stays
     linear in the event budget instead of exponential.
     """
+    cfg = SimConfig(law, t, eps=eps, obs_times=(t,), mass_floor=floor)
+
     def worker(_i, rng):
-        cfg = SimConfig(law, t, eps=eps, obs_times=(t,), mass_floor=floor)
         snap = run(cfg, rng).snapshots[0]
         return tuple(normalize_lambda2(law, t, _part(snap, k)) for k in ranks)
 
@@ -341,16 +361,16 @@ def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
 
 def _suite_correspondence(law, t, n, replicas, seed):
     _require_ks_sample("correspondence", replicas)
-    if n < 1:
-        raise ConfigError(f"the correspondence suite needs n >= 1 labels, "
-                          f"got {n}")
+    _require_count("correspondence", "n", n, 1)
     kernel = make_step_kernel(law)
 
     # Ranked side, observed through the same finite-n paintbox channel the
     # partition side is forced through; raw top mass kept for the mean
     # cross-check, where the channel noise cancels in expectation.
+    ranked_cfg = SimConfig(law, t, obs_times=(t,))
+
     def ranked_worker(_i, rng):
-        traj = run(SimConfig(law, t, obs_times=(t,)), rng)
+        traj = run(ranked_cfg, rng)
         snap = traj.snapshots[0]
         top = frequencies(paintbox(snap, n, rng)).parts[0]
         return _part(snap, 1), top
@@ -387,16 +407,20 @@ def _suite_correspondence(law, t, n, replicas, seed):
 def _suite_scaling(law, alpha, r, t, replicas, seed):
     _require_ks_sample("scaling", replicas)
 
-    def small_worker(_i, rng):
-        cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
-        return _part(run(cfg, rng).snapshots[0], 1)
+    small_cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
 
-    def unit_worker(_i, rng):
-        u = r ** alpha * t
-        cfg = SimConfig(law, u, alpha=alpha, obs_times=(u,))
-        return r * _part(run(cfg, rng).snapshots[0], 1)
+    def small_worker(_i, rng):
+        return _part(run(small_cfg, rng).snapshots[0], 1)
 
     small = run_replicas(small_worker, replicas, seed)
+    # Built after the small leg: at a mass whose rates overflow, that leg
+    # raises RateOverflow, where r ** alpha would overflow a bare float.
+    u = r ** alpha * t
+    unit_cfg = SimConfig(law, u, alpha=alpha, obs_times=(u,))
+
+    def unit_worker(_i, rng):
+        return r * _part(run(unit_cfg, rng).snapshots[0], 1)
+
     # Independent streams for the second sample: a two-sample test needs
     # the sides unpaired.
     unit = run_replicas(unit_worker, replicas, seed + replicas)

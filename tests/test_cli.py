@@ -66,6 +66,13 @@ def test_simulate_reports_a_rate_overflow(tmp_path, capsys):
     assert err.startswith("error:") and "mass_floor" in err
 
 
+@pytest.mark.parametrize("t_end", ["-1", "nan", "inf"])
+def test_verify_subordinator_rejects_a_bad_horizon(tmp_path, capsys, t_end):
+    cfg = write_cfg(tmp_path, f"t_end = {t_end}\n")
+    assert main(["verify", "subordinator", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_pass(capsys):
     assert main(["verify", "erosion", "--replicas", "5"]) == 0
     out = capsys.readouterr().out

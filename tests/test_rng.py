@@ -59,6 +59,36 @@ def test_interleaved_seeds_keep_their_own_streams():
         assert_same_stream(replica_rng(seed, index), numpy_replica(seed, index))
 
 
+@pytest.mark.parametrize("seed", (0, 29, 2 ** 140 + 7))
+def test_replica_streams_across_block_edges(seed):
+    # states are derived 256 indices at a time; the last full block ends
+    # at 2**32 - 1, and 2**32 takes numpy's own path
+    top = 2 ** 32
+    for index in (255, 256, 257, *range(top - 257, top), top):
+        assert_same_stream(replica_rng(seed, index), numpy_replica(seed, index))
+
+
+def test_descending_indices_and_alternating_seeds():
+    a, b = 11, 2 ** 140 + 7
+    for index in range(700, -1, -9):
+        assert_same_stream(replica_rng(a, index), numpy_replica(a, index))
+    for index in (0, 300, 255, 256, 511, 512, 0):
+        for seed in (a, b):
+            assert_same_stream(replica_rng(seed, index),
+                               numpy_replica(seed, index))
+
+
+def test_a_handed_out_state_cannot_change_its_block():
+    state = replica_rng(7, 300).bit_generator.seed_seq.generate_state(
+        4, np.uint64)
+    try:
+        state[0] ^= np.uint64(1)
+    except ValueError:
+        pass  # the block's states are read-only
+    for index in (300, 301):
+        assert_same_stream(replica_rng(7, index), numpy_replica(7, index))
+
+
 def test_numpy_integers_give_the_int_stream():
     for seed in (np.int64(5), np.uint32(5)):
         assert_same_stream(replica_rng(seed, 3), numpy_replica(5, 3))

@@ -17,7 +17,7 @@ from fragsim import (
 )
 from fragsim import suites
 from fragsim.cli import main
-from fragsim.errors import ConfigError, UnknownSuite
+from fragsim.errors import ConfigError, RateOverflow, UnknownSuite
 
 
 def test_exit_codes():
@@ -128,6 +128,36 @@ def test_event_budget_suites_need_positive_t_and_budget(name, overrides,
         run_suite(name, overrides, replicas=50)
 
 
+_NAN = float("nan")
+
+
+# Each leg builds its SimConfig once, before its replicas run, and the
+# scaling suite derives its unit horizon only after the small leg: a bad
+# override must raise the same typed error a per-replica build raised.
+_BAD_OVERRIDES = [
+    ("scaling", {"r": 1e-200, "alpha": -2.0}, RateOverflow),
+    ("scaling", {"r": _NAN}, ConfigError),
+    ("scaling", {"alpha": _NAN}, ConfigError),
+    ("erosion", {"c": _NAN}, ConfigError),
+    ("extreme", {"mass_floor": _NAN}, ConfigError),
+    *[(name, {"t": _NAN}, ConfigError) for name in suite_names()],
+    *[(name, {"eps": _NAN}, ConfigError)
+      for name in ("poisson-counts", "records", "sandwich")],
+    ("subordinator", {"t": -1.0}, ConfigError),
+    ("subordinator", {"t": math.inf}, ConfigError),
+    ("subordinator", {"m_max": -3}, ConfigError),
+    ("subordinator", {"m_max": 2.5}, ConfigError),
+    ("correspondence", {"n": 10.5}, ConfigError),
+]
+
+
+@pytest.mark.parametrize("name, overrides, error", _BAD_OVERRIDES,
+                         ids=[f"{n}-{o}" for n, o, _ in _BAD_OVERRIDES])
+def test_bad_overrides_raise_a_typed_error(name, overrides, error):
+    with pytest.raises(error):
+        run_suite(name, overrides, replicas=50)
+
+
 def test_correspondence_with_constant_sides():
     # at t = 0 both sides are the whole mass on every replica: equal means
     report = run_suite("correspondence", {"t": 0.0}, replicas=50)
@@ -171,6 +201,25 @@ def test_erosion_derives_one_stream_per_leg(monkeypatch):
     monkeypatch.setattr(suites, "replica_rng", counted)
     run_suite("erosion", replicas=50)
     assert len(calls) == 100
+
+
+@pytest.mark.parametrize("name", sorted(set(suite_names()) - {"erosion"}))
+def test_each_replica_derives_one_stream(name, monkeypatch):
+    streams, replicas = [], []
+
+    def counted_rng(seed, index):
+        streams.append(index)
+        return replica_rng(seed, index)
+
+    def counted_replicas(worker, n, seed):
+        replicas.append(n)
+        return run_replicas(worker, n, seed)
+
+    monkeypatch.setattr(suites, "replica_rng", counted_rng)
+    monkeypatch.setattr(suites, "run_replicas", counted_replicas)
+    # the Poisson count test needs 500 observations
+    run_suite(name, replicas=600 if name == "poisson-counts" else 50)
+    assert len(streams) == sum(replicas) >= 50
 
 
 def test_report_echoes_the_scenario():
