@@ -4,22 +4,28 @@ Partitions are stored canonically: each block ascending, blocks ordered by
 least element, over an explicit ground set (a sorted tuple of integer
 labels). The validating constructors from_blocks and from_labels own that
 form: they are where outside input enters, and they reject empty,
-overlapping or non-covering blocks. trivial (which checks only n >= 1),
-paintbox, partition_step and frequencies build their results in
-canonical form by construction, so each one is built once and never
-re-checked.
+overlapping or non-covering blocks. trivial and paintbox check only their
+n (an int, >= 1 for trivial and >= 0 for paintbox); they, partition_step
+and frequencies build their results in canonical form by construction,
+so each one is built once and never re-checked. trivial and paintbox
+share one ground tuple (1, ..., n), kept for the last n asked for, so a
+repeated n does not build its labels again.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
 budget, and falls into dust with the remaining probability; dust labels
 are unique to their element, so each becomes a singleton. _paint_over
-groups the labels in numpy, by position, without a per-label loop.
+groups the labels in numpy, by position, without a per-label loop, and
+skips the grouping when every label picks the first fragment: the block
+then stays whole, the common case over a short step.
 
 partition_step makes homogeneous (alpha = 0) steps only, the one case in
 which the partition restricted to finitely many labels is Markov.
 """
 
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -67,11 +73,27 @@ def from_labels(elements, labels):
     return from_blocks(groups.values(), elements)
 
 
+def _ground(n, least):
+    """The ground tuple (1, ..., n) for an int n >= least.
+
+    A bad n raises InvalidPartition before the cache is consulted. The
+    cache keeps the last n only, keyed by n and its type, so every call
+    with that n gets the same tuple.
+    """
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise InvalidPartition(f"a partition of {{1..n}} needs an int "
+                               f"n >= {least}, got {n!r}")
+    return _labels(n)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _labels(n):
+    return tuple(range(1, n + 1))
+
+
 def trivial(n):
-    """The one-block partition of {1..n}."""
-    if n < 1:
-        raise InvalidPartition(f"the trivial partition needs n >= 1, got {n}")
-    ground = tuple(range(1, n + 1))
+    """The one-block partition of {1..n}, over the shared ground tuple."""
+    ground = _ground(n, 1)
     return FinitePartition(ground, (ground,))
 
 
@@ -87,13 +109,21 @@ def _paint_over(state, elements, rng):
     numeric array, so blocks hold the caller's own labels. elements must be
     ascending: a block's first position then holds its least element, and
     ordering the blocks by it needs no sort of the labels or check.
+
+    When every uniform falls below the first share, every element picks
+    the first fragment and the block stays whole: the grouping would
+    return (tuple(elements),), so that is returned at once, after the
+    same single draw, which leaves the stream where the grouping would.
     """
     n = len(elements)
+    uniforms = rng.random(n)
     shares = np.asarray(state.parts, dtype=float) / state.nominal
     dust = len(shares)
+    if n and dust and uniforms.max() < shares[0]:
+        return (tuple(elements),)
     # Narrowed to the smallest unsigned type that holds the dust index,
     # the indices take numpy's radix sort (used for up to 16 bits).
-    idx = np.searchsorted(np.cumsum(shares), rng.random(n),
+    idx = np.searchsorted(np.cumsum(shares), uniforms,
                           side="right").astype(np.min_scalar_type(dust))
     order = np.argsort(idx, kind="stable")
     run = idx[order]
@@ -110,8 +140,11 @@ def _paint_over(state, elements, rng):
 
 
 def paintbox(s, n, rng):
-    """Paintbox partition of {1..n} driven by the ranked state s."""
-    ground = tuple(range(1, n + 1))
+    """Paintbox partition of {1..n} driven by the ranked state s.
+
+    n is an int >= 0; the ground tuple is the one trivial(n) shares.
+    """
+    ground = _ground(n, 0)
     return FinitePartition(ground, _paint_over(s, ground, rng))
 
 

@@ -73,9 +73,13 @@ class SimConfig:
 
 
 def _check_eps(law, eps):
-    """Reject a truncation level no event loop can run at."""
-    if not eps >= 0.0:
-        raise ConfigError(f"eps {eps} must be a number >= 0")
+    """Reject a truncation level no event loop can run at.
+
+    An infinite eps would truncate every dislocation away, so a path
+    would run with no event at all.
+    """
+    if not 0.0 <= eps < math.inf:
+        raise ConfigError(f"eps {eps} must be finite and >= 0")
     if eps == 0.0 and getattr(law, "infinite_activity", False):
         raise ConfigError("an infinite-activity law requires eps > 0")
 
@@ -291,7 +295,7 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     Returns kernel(duration, rng) -> MassState of relative masses, the end
     state of a unit-mass path run at alpha = 0 to time duration. A duration
     that is not finite and >= 0 raises ConfigError. eps follows SimConfig's
-    rule: >= 0, and > 0 for an infinite-activity law.
+    rule: finite and >= 0, and > 0 for an infinite-activity law.
     """
     _check_eps(law, eps)
     trunc = law.truncated_mass(eps)

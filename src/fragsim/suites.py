@@ -288,9 +288,10 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
 
 def _eps_for_budget(law, t, budget):
     """Truncation level making the expected rank-1 event count = budget."""
-    if not (t > 0.0 and budget > 0.0):
-        raise ConfigError(f"an event budget needs t > 0 and event_budget > 0, "
-                          f"got t={t!r}, event_budget={budget!r}")
+    if not (t > 0.0 and 0.0 < budget < math.inf):
+        raise ConfigError(f"an event budget needs t > 0 and a finite "
+                          f"event_budget > 0, got t={t!r}, "
+                          f"event_budget={budget!r}")
     return law.gen_inverse_f(budget / t)
 
 

@@ -239,6 +239,30 @@ def test_invalid_blocks_raise_a_typed_error():
     assert issubclass(InvalidPartition, FragsimError)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "4", None, -3])
+def test_a_bad_label_count_raises_before_any_draw(n):
+    trivial(3)  # a cached n = 3 must not answer for n = 3.0
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(InvalidPartition):
+        paintbox(FEW, n, rng)
+    assert rng.random() == twin.random()
+    with pytest.raises(InvalidPartition):
+        trivial(n)
+
+
+def test_trivial_and_paintbox_share_one_ground_per_n():
+    rng = np.random.default_rng(5)
+    for n in (1, 1000, 7):
+        ground = trivial(n).ground
+        assert ground == tuple(range(1, n + 1))
+        assert trivial(n).ground is ground
+        p = paintbox(FEW, n, rng)
+        assert p.ground is ground
+        assert p == from_blocks(p.blocks, ground)
+    assert paintbox(FEW, 0, rng).ground == ()
+    assert trivial(np.int64(7)) == trivial(7)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_painted_partitions_are_canonical_by_construction(seed):
     def fixed(duration, rng):
@@ -263,12 +287,18 @@ def test_painted_partitions_are_canonical_by_construction(seed):
 
 
 FEW = from_masses([0.5, 0.3, 0.15])
+NEAR_WHOLE = from_masses([0.999, 0.001])
 PAINT_STATES = {
     "few": FEW,
     "tiny": from_masses([0.0019] * 500),
     "dust70": from_masses([0.2, 0.1], dust=0.7),
     "all-dust": from_masses([], dust=1.0),
     "nominal-above": from_masses([0.3, 0.2], dust=0.1, nominal=2.0),
+    # every label in the first fragment: the block stays whole
+    "whole": from_masses([1.0]),
+    "whole-nominal-above": from_masses([2.0], nominal=2.0),
+    # whole at some seeds, split at others, at n = 1000
+    "near-whole": NEAR_WHOLE,
 }
 # Ascending grounds: with 0, with negative labels, and with gaps, as the
 # blocks of a partition are.
@@ -281,9 +311,10 @@ PAINT_GROUNDS = {
 
 def assert_paints_like_the_dict(state, elements, seed):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert partitions._paint_over(state, elements, rng) == dict_paint_over(
-        state, elements, twin)
+    blocks = partitions._paint_over(state, elements, rng)
+    assert blocks == dict_paint_over(state, elements, twin)
     assert rng.random() == twin.random()
+    return blocks
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 1000, 10 ** 4])
@@ -292,6 +323,14 @@ def test_paint_over_matches_the_dict_grouping(state, n):
     for seed in range(3):
         assert_paints_like_the_dict(PAINT_STATES[state],
                                     tuple(range(1, n + 1)), seed)
+
+
+def test_near_whole_state_takes_both_paint_branches():
+    # 0.999 ** 1000 = 0.37: some seeds keep all 1000 labels whole
+    ground = tuple(range(1, 1001))
+    shapes = {len(assert_paints_like_the_dict(NEAR_WHOLE, ground, seed))
+              for seed in range(6)}
+    assert 1 in shapes and len(shapes) > 1
 
 
 @pytest.mark.parametrize("ground", sorted(PAINT_GROUNDS))

@@ -248,6 +248,8 @@ def test_run_stops_when_the_truncation_is_empty():
     (BinaryPowerLaw(0.5), 0.0, "requires eps > 0"),
     (SPLIT_64, -0.1, ">= 0"),
     (SPLIT_64, math.nan, ">= 0"),  # a NaN eps keeps no atom, so no path splits
+    (SPLIT_64, math.inf, "finite"),  # an infinite eps truncates every event
+    (BinaryPowerLaw(0.5), math.inf, "finite"),
 ))
 def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
     with pytest.raises(ConfigError, match=match):

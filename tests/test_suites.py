@@ -117,6 +117,8 @@ def test_correspondence_needs_a_label(n):
     ("frechet-k", {"t": 0.0}),
     ("frechet-k", {"event_budget": 0}),
     ("frechet-k", {"event_budget": -7.0}),
+    ("extreme", {"event_budget": math.inf}),
+    ("frechet-k", {"event_budget": math.inf}),
 ])
 def test_event_budget_suites_need_positive_t_and_budget(name, overrides,
                                                         monkeypatch):
@@ -124,7 +126,8 @@ def test_event_budget_suites_need_positive_t_and_budget(name, overrides,
         raise AssertionError("a replica ran")
 
     monkeypatch.setattr(suites, "run_replicas", no_replicas)
-    with pytest.raises(ConfigError):
+    # the message names the budget, whatever eps it would have given
+    with pytest.raises(ConfigError, match="event_budget"):
         run_suite(name, overrides, replicas=50)
 
 
@@ -141,8 +144,9 @@ _BAD_OVERRIDES = [
     ("erosion", {"c": _NAN}, ConfigError),
     ("extreme", {"mass_floor": _NAN}, ConfigError),
     *[(name, {"t": _NAN}, ConfigError) for name in suite_names()],
-    *[(name, {"eps": _NAN}, ConfigError)
-      for name in ("poisson-counts", "records", "sandwich")],
+    *[(name, {"eps": eps}, ConfigError)
+      for name in ("poisson-counts", "records", "sandwich")
+      for eps in (_NAN, math.inf)],
     ("subordinator", {"t": -1.0}, ConfigError),
     ("subordinator", {"t": math.inf}, ConfigError),
     ("subordinator", {"m_max": -3}, ConfigError),
