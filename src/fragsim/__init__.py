@@ -2,14 +2,12 @@
 
 from . import errors
 from .asymptotics import (
-    SubordinatorPath,
     SubordinatorSpec,
     extreme_cdf,
     frechet_k_cdf,
     normalize_lambda2,
     record_cdf,
     run_subordinator,
-    sample_subordinator_path,
 )
 from .config import load_config, parse_config_text
 from .measures import (
@@ -37,7 +35,7 @@ from .ranked_state import (
     prefix_mass,
     validate_fragments,
 )
-from .rng import master_rng, replica_rng
+from .rng import replica_rng
 from .simulator import (
     EventAtom,
     SimConfig,

@@ -40,50 +40,28 @@ class SubordinatorSpec:
             raise ConfigError("a positive jump_rate needs a jump_sampler")
 
 
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """One realized event set; evaluation at any time is then deterministic."""
+def run_subordinator(spec, t, rng):
+    """Value at time t and whether the path is still alive at t.
 
-    drift: float
-    jump_times: tuple
-    jump_sizes: tuple
-    kill_time: float
-
-    def value_at(self, t):
-        cut = min(t, self.kill_time)
-        total = self.drift * cut
-        for when, size in zip(self.jump_times, self.jump_sizes):
-            if when <= cut:
-                total += size
-        return total
-
-    def alive_at(self, t):
-        return self.kill_time > t
-
-
-def sample_subordinator_path(spec, horizon, rng):
-    """Draw the event set on [0, horizon]: killing time, jump times, sizes.
-
-    The sizes come last, one jump_sampler call each, so the kill time,
-    jump count and jump times do not depend on how sizes are drawn.
+    Draws the killing time, the jump count on [0, t], the sorted jump
+    times and then one jump_sampler call per jump, in that order, so the
+    kill time, jump count and jump times do not depend on how sizes are
+    drawn. A killed path reports its value at the killing time: the drift
+    up to min(t, kill) plus the jumps at or before it, added in time order.
     """
     if spec.killing_rate > 0.0:
         kill = rng.exponential(1.0 / spec.killing_rate)
     else:
         kill = math.inf
-    count = rng.poisson(spec.jump_rate * horizon) if spec.jump_rate > 0.0 else 0
-    times = np.sort(rng.random(count)) * horizon
-    sizes = tuple(spec.jump_sampler(rng) for _ in range(count))
-    return SubordinatorPath(spec.drift, tuple(float(t) for t in times), sizes, kill)
-
-
-def run_subordinator(spec, t, rng):
-    """Value at time t and whether the path is still alive.
-
-    A killed path reports its value at the killing time.
-    """
-    path = sample_subordinator_path(spec, t, rng)
-    return path.value_at(t), path.alive_at(t)
+    count = rng.poisson(spec.jump_rate * t) if spec.jump_rate > 0.0 else 0
+    times = np.sort(rng.random(count)) * t
+    sizes = [spec.jump_sampler(rng) for _ in range(count)]
+    cut = min(t, kill)
+    value = spec.drift * cut
+    for when, size in zip(times.tolist(), sizes):
+        if when <= cut:
+            value += size
+    return value, kill > t
 
 
 def record_cdf(law, t, x):
@@ -130,7 +108,10 @@ def frechet_k_cdf(k, a, x):
 
 
 def normalize_lambda2(law, t, value):
-    """Rescale a fragment size by the tail's generalized inverse at 1/t."""
+    """Rescale a fragment size by the tail's generalized inverse at 1/t,
+    for a finite t > 0."""
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"normalizing horizon t {t!r} must be finite and > 0")
     denom = law.gen_inverse_f(1.0 / t)
     if denom <= 0.0:
         raise DegenerateNormalizer(

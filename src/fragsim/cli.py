@@ -5,6 +5,7 @@ configuration or arguments were unusable.
 """
 
 import argparse
+import numbers
 import os
 import sys
 
@@ -55,10 +56,14 @@ def _cmd_simulate(args):
     seed = args.seed if args.seed is not None else values.get("seed", 0)
     replicas = (args.replicas if args.replicas is not None
                 else values.get("replicas", 1))
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed {seed!r} must be an int >= 0")
+    if replicas < 1:
+        raise ConfigError(f"replica count {replicas} must be >= 1")
     kwargs = {k: values[k] for k in _SIM_KEYS if k in values}
+    cfg = SimConfig(values["law"], values["t_end"], **kwargs)
     os.makedirs(args.out, exist_ok=True)
     for i in range(replicas):
-        cfg = SimConfig(values["law"], values["t_end"], seed=seed, **kwargs)
         traj = run(cfg, replica_rng(seed, i))
         with open(os.path.join(args.out, f"events_{i:04d}.csv"), "w",
                   encoding="utf-8") as fh:

@@ -1,17 +1,18 @@
 """Reproducible random streams.
 
-Every replica draws from its own generator derived from (seed, replica index)
-through numpy's SeedSequence spawning, so a replica's draws do not depend on
-which replicas ran before it.
+simulator.run draws a path from the Generator it is given. A replica's
+Generator is derived from (seed, replica index) through numpy's
+SeedSequence spawning, so its draws do not depend on which replicas ran
+before it.
 
 Deriving a replica stream is on the hot path of every suite, and numpy's
 SeedSequence spends most of that time in numpy calls on 4-word arrays. So
 replica_rng computes the PCG64 seed words of SeedSequence(seed,
-spawn_key=(index,)) with a port of its algorithm. The mixing of the seed
-alone is done once per seed in Python ints. The index word is then mixed
-in by one numpy pass over a block of 256 consecutive indices, which yields
-the states of the whole block; the read-only array for the last
-(seed, block) is kept, and each replica takes its row. NumPy's
+spawn_key=(index,)) itself. numpy mixes the seed: SeedSequence(seed) holds
+the pool that the index word meets, read once per seed. The port mixes only
+the index word, by one numpy pass over a block of 256 consecutive indices,
+which yields the states of the whole block; the read-only array for the
+last (seed, block) is kept, and each replica takes its row. NumPy's
 stream-compatibility policy (NEP 19) freezes that algorithm, and
 tests/test_rng.py pins the port against numpy bit for bit. Inputs outside
 the port's domain take numpy's own path.
@@ -50,37 +51,14 @@ _OUT_CONSTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 def _seed_prefix(seed):
     """SeedSequence's mixing of everything before the index word, which
     depends on the seed alone: the pool's words times MIX_MULT_L and the
-    four hash constant pairs the index word will use."""
-    words = []
-    while True:
-        words.append(seed & _MASK)
-        seed >>= 32
-        if not seed:
-            break
-    # a non-empty spawn key zero-pads short run entropy to the pool size
-    words += [0] * (_POOL_SIZE - len(words))
-    h = _INIT_A
-
-    def hashmix(v):
-        nonlocal h
-        v ^= h
-        h = (h * _MULT_A) & _MASK
-        v = (v * h) & _MASK
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
-        return r ^ (r >> 16)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for s in range(_POOL_SIZE):
-        for d in range(_POOL_SIZE):
-            if d != s:
-                pool[d] = mix(pool[d], hashmix(pool[s]))
-    for w in words[_POOL_SIZE:]:
-        for d in range(_POOL_SIZE):
-            pool[d] = mix(pool[d], hashmix(w))
+    four hash constant pairs the index word will use. SeedSequence(seed)
+    holds that pool; the hash constant has advanced once per hash: 4 + 12
+    to load and cross-mix the pool, plus 4 per seed word past the fourth."""
+    words = (seed.bit_length() + 31) // 32
+    hashes = 4 + 12 + _POOL_SIZE * max(0, words - _POOL_SIZE)
+    h = (_INIT_A * pow(_MULT_A, hashes, _MASK + 1)) & _MASK
     consts = _hash_constants(h, _MULT_A, _POOL_SIZE)
+    pool = SeedSequence(seed).pool.tolist()
     return (*(_MIX_MULT_L * p for p in pool), *(c for pair in consts for c in pair))
 
 
@@ -149,10 +127,6 @@ class _ReplicaSeed(ISpawnableSeedSequence):
 
     def spawn(self, n_children):
         return self._sequence().spawn(n_children)
-
-
-def master_rng(seed):
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def replica_rng(seed, index):

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from .ranked_state import MassState, dislocate
-from .rng import master_rng
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
@@ -42,7 +41,6 @@ class SimConfig:
     max_fragments: int = 10 ** 6
     mass_floor: float = 0.0
     initial_mass: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "obs_times", tuple(float(t) for t in self.obs_times))
@@ -228,16 +226,16 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
     return Trajectory(obs, tuple(snapshots), tuple(events)), state
 
 
-def run(config, rng=None):
-    """Simulate one path. Deterministic given config.seed (or the given rng).
+def run(config, rng):
+    """Simulate one path, drawing every random number from the Generator rng.
 
+    The path depends on config and rng's stream alone; the suites and
+    `fragsim simulate` give replica i of a seed replica_rng(seed, i).
     Snapshots are emitted cadlag: an event at exactly an observation time
     lands inside that snapshot. When a dislocation would push the fragment
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
     """
-    if rng is None:
-        rng = master_rng(config.seed)
     state = MassState((config.initial_mass,), 0.0, config.initial_mass)
     traj, _ = _evolve(state, config.law, config.alpha, config.eps,
                       config.law.truncated_mass(config.eps), config.t_end,

@@ -130,7 +130,8 @@ def _suite_erosion(law, c, t, replicas, seed):
     grid = tuple((i + 1) * t / 10.0 for i in range(10))
 
     # Pure erosion: a single fragment must follow the exponential exactly.
-    traj = run(SimConfig(FiniteAtomic([]), t, c=c, obs_times=grid, seed=seed))
+    traj = run(SimConfig(FiniteAtomic([]), t, c=c, obs_times=grid),
+               np.random.default_rng(seed))
     err = max(abs(_part(s, 1) - math.exp(-c * u))
               for s, u in zip(traj.snapshots, grid))
     stray = sum(len(s.parts) != 1 for s in traj.snapshots)
@@ -248,9 +249,9 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
         raise ConfigError(f"the subordinator suite needs a finite horizon "
                           f"t >= 0, got {t!r}")
     _require_count("subordinator", "m_max", m_max, 0)
-    if len(law.atoms) != 1:
-        raise ConfigError("the subordinator suite needs a single-atom law "
-                          "so jump counts can be read off the path value")
+    if not (isinstance(law, FiniteAtomic) and len(law.atoms) == 1):
+        raise ConfigError("the subordinator suite needs a one-atom atomic "
+                          "law so jump counts can be read off the path value")
     weight, atom = law.atoms[0]
     jump = -math.log(atom[0])
     spec = sub_levy_transform(law, 0.0, 0.0)
@@ -522,11 +523,13 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
             raise ConfigError(f"suite {name!r} does not take {key!r}")
         params[key] = value
     if seed is not None:
-        params["seed"] = int(seed)
+        params["seed"] = seed
     if replicas is not None:
         params["replicas"] = int(replicas)
     if params["replicas"] < 1:
         raise ConfigError(f"replica count {params['replicas']} must be >= 1")
+    _require_count(name, "seed", params["seed"], 0)
+    params["seed"] = int(params["seed"])
     checks, derived = suite(**params)
     return SuiteReport(name, claim, _echo(params, **derived), params["seed"],
                        tuple(checks))

@@ -9,7 +9,6 @@ from scipy import stats as sps
 from fragsim import (
     BinaryPowerLaw,
     FiniteAtomic,
-    SubordinatorPath,
     SubordinatorSpec,
     extreme_cdf,
     frechet_k_cdf,
@@ -17,10 +16,9 @@ from fragsim import (
     pooled_chi_square,
     record_cdf,
     run_subordinator,
-    sample_subordinator_path,
     sub_levy_transform,
 )
-from fragsim.errors import ConfigError
+from fragsim.errors import ConfigError, DegenerateNormalizer
 
 TAGGED_91 = sub_levy_transform(FiniteAtomic([(1.0, (0.9, 0.1))]), 0.0, 0.0)
 
@@ -73,36 +71,63 @@ def test_survival_probability():
     assert abs(alive / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
 
-def test_path_is_nondecreasing_and_stops_at_kill():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        path = sample_subordinator_path(TAGGED_91, 5.0, rng)
-        grid = np.linspace(0.0, 5.0, 41)
-        values = [path.value_at(t) for t in grid]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-        assert path.value_at(path.kill_time + 100.0) == path.value_at(path.kill_time)
+def test_value_stops_at_kill():
+    # no jumps: the value is the drift up to min(t, kill), and the kill
+    # time is the path's first draw
+    spec = SubordinatorSpec(0.3, 1.0, 0.0)
+    for seed in range(200):
+        t = 0.25 * (seed % 8)
+        kill = np.random.default_rng(seed).exponential(1.0)
+        value, alive = run_subordinator(spec, t, np.random.default_rng(seed))
+        assert value == 0.3 * min(t, kill)
+        assert alive == (kill > t)
 
 
-def test_value_at_counts_jumps_once():
-    path = SubordinatorPath(drift=2.0, jump_times=(0.5, 1.5),
-                            jump_sizes=(10.0, 100.0), kill_time=1.0)
-    assert path.value_at(0.25) == pytest.approx(0.5)
-    assert path.value_at(0.5) == pytest.approx(1.0 + 10.0)
-    # killed at 1.0: later jumps and drift no longer accrue
-    assert path.value_at(3.0) == pytest.approx(2.0 + 10.0)
-    assert path.alive_at(0.9)
-    assert not path.alive_at(1.0)
+class _StubRng:
+    """Kill time, jump count and jump-time uniforms fixed in advance."""
+
+    def __init__(self, kill, uniforms):
+        self.kill, self.uniforms = kill, uniforms
+
+    def exponential(self, scale):
+        return self.kill * scale
+
+    def poisson(self, lam):
+        return len(self.uniforms)
+
+    def random(self, n):
+        return np.array(self.uniforms[:n])
+
+
+def test_jumps_count_once_up_to_the_kill():
+    sizes = iter((10.0, 100.0, 10.0, 100.0))
+    spec = SubordinatorSpec(2.0, 1.0, 1.0, lambda rng: next(sizes))
+    # jumps at 1.5 and 0.5 (drawn unsorted); the kill at 1.5 keeps both,
+    # the jump exactly at the cut included, and stops the drift there
+    value, alive = run_subordinator(spec, 3.0, _StubRng(1.5, [0.5, 1 / 6]))
+    assert (value, alive) == (2.0 * 1.5 + 10.0 + 100.0, False)
+    # a kill at 1.0 drops the later jump
+    value, alive = run_subordinator(spec, 3.0, _StubRng(1.0, [0.5, 1 / 6]))
+    assert (value, alive) == (2.0 + 10.0, False)
 
 
 def test_jump_count_is_poisson():
+    # kill and jumps are independent, so on alive paths the value counts
+    # jumps of size -log 0.9 arriving at rate 0.9
     rng = np.random.default_rng(4)
-    n = 10 ** 4
-    t = 1.0
+    t = 2.0
+    jump = -math.log(0.9)
     counts = np.zeros(8, dtype=int)
-    for _ in range(n):
-        path = sample_subordinator_path(TAGGED_91, t, rng)
-        counts[min(len(path.jump_times), 7)] += 1
-    rate = TAGGED_91.jump_rate * t
+    for _ in range(10 ** 4):
+        value, alive = run_subordinator(TAGGED_91, t, rng)
+        if alive:
+            m = round(value / jump)
+            assert value == pytest.approx(m * jump, abs=1e-12)
+            counts[min(m, 7)] += 1
+    n = counts.sum()
+    assert n > 8000
+    rate = 0.9 * t
+    assert TAGGED_91.jump_rate == pytest.approx(0.9, abs=1e-15)
     expected = [n * sps.poisson(rate).pmf(m) for m in range(7)]
     expected.append(n * sps.poisson(rate).sf(6))
     assert pooled_chi_square(counts.tolist(), expected) > 0.01
@@ -169,3 +194,16 @@ def test_normalize_lambda2():
     assert normalize_lambda2(law, 0.01, 2.0 * scale) == pytest.approx(2.0, abs=1e-12)
     # the 1/t tail level at t = 0.01: f(100) ~ 9.7230e-5
     assert normalize_lambda2(law, 0.01, 1.9446e-4) == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_normalize_lambda2_needs_a_positive_finite_horizon(t):
+    with pytest.raises(ConfigError, match="horizon"):
+        normalize_lambda2(BinaryPowerLaw(0.5), t, 0.1)
+
+
+def test_normalize_lambda2_rejects_an_underflowed_inverse():
+    law = BinaryPowerLaw(0.5)
+    assert law.gen_inverse_f(1e200) == 0.0
+    with pytest.raises(DegenerateNormalizer):
+        normalize_lambda2(law, 1e-200, 0.1)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -48,6 +49,38 @@ def test_simulate_is_deterministic_in_seed(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+PIN_CFG = """
+measure = atomic; atoms = 1.0:0.6,0.4;0.5:0.5,0.3,0.2
+alpha = 1.0
+mass_floor = 1e-3
+t_end = 20.0
+obs_times = 1.0, 5.0, 20.0
+"""
+
+# sha256 of each trace file of `simulate --seed 5 --replicas 2` on PIN_CFG
+PIN_SHA256 = {
+    "events_0000.csv":
+        "a46971e4052694d1e40ee462d8cc12966cc476948e632fdcb074d36256b7131f",
+    "events_0001.csv":
+        "94c7fe86d024891a3c73210d8b7a57072c16b714cf60c88b848ce5c43a9abe18",
+    "snapshots_0000.csv":
+        "98abd3e1fded3fe79b77546b2476a5cb560303f49752a37debf55d3d9c0ab1f6",
+    "snapshots_0001.csv":
+        "c1d26a3b2d5158f4f76b398ad86842026df4791141f13720516eeeb96983a941",
+}
+
+
+def test_simulate_traces_are_pinned(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PIN_CFG)
+    out = tmp_path / "traces"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--seed", "5", "--replicas", "2"]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in PIN_SHA256}
+    assert got == PIN_SHA256
+
+
 def test_simulate_config_must_be_complete(tmp_path, capsys):
     no_t = write_cfg(tmp_path, "measure = binary_power; a = 0.5\neps = 0.1", "a.cfg")
     assert main(["simulate", "--config", no_t]) == 2
@@ -64,6 +97,34 @@ def test_simulate_reports_a_rate_overflow(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "mass_floor" in err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--seed", "-3"], ""),
+    ([], "seed = -3\n"),
+    (["--replicas", "-1"], ""),
+    (["--replicas", "0"], ""),
+])
+def test_simulate_rejects_a_bad_seed_or_replica_count(tmp_path, capsys, argv,
+                                                      extra):
+    cfg = write_cfg(tmp_path, PIN_CFG + extra)
+    out = tmp_path / "traces"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "wrote" not in captured.out
+    assert not out.exists()
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "erosion", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: suite 'erosion' needs "
+                                              "an int seed >= 0")
+
+
+def test_verify_subordinator_needs_a_single_atom_law(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "measure = binary_power; a = 0.5\n")
+    assert main(["verify", "subordinator", "--config", cfg]) == 2
+    assert "one-atom atomic law" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_end", ["-1", "nan", "inf"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragsim import master_rng, replica_rng
+from fragsim import replica_rng
 
 
 def numpy_replica(seed, index):
@@ -19,18 +19,13 @@ def assert_same_stream(rng, ref):
     assert rng.integers(0, 2 ** 63, 3).tolist() == ref.integers(0, 2 ** 63, 3).tolist()
 
 
-def test_master_rng_is_deterministic():
-    assert master_rng(7).random(5).tolist() == master_rng(7).random(5).tolist()
-    assert master_rng(7).random() != master_rng(8).random()
-
-
 def test_replica_streams_are_stable_and_distinct():
     a = replica_rng(3, 0).random(4)
     assert a.tolist() == replica_rng(3, 0).random(4).tolist()
     b = replica_rng(3, 1).random(4)
     assert not np.array_equal(a, b)
-    # replica 0 is not the master stream: spawning separates them
-    assert a.tolist() != master_rng(3).random(4).tolist()
+    # replica 0 is not the root stream of its seed: spawning separates them
+    assert a.tolist() != np.random.default_rng(3).random(4).tolist()
 
 
 def test_replica_index_does_not_collide_with_seed_shift():

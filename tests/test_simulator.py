@@ -69,13 +69,15 @@ def test_t_end_must_be_finite(t_end):
 ))
 def test_config_rejects_fields_that_are_not_finite(field, value, match):
     with pytest.raises(ConfigError, match=match):
-        run(SimConfig(SPLIT_64, 1.0, obs_times=(1.0,), **{field: value}))
+        run(SimConfig(SPLIT_64, 1.0, obs_times=(1.0,), **{field: value}),
+            np.random.default_rng(0))
 
 
 def test_rates_that_underflow_end_the_path():
     # 0.6 ** 2000 and 0.4 ** 2000 are 0.0: after the first split no rate is
     # left, so the path ends
-    traj = run(SimConfig(SPLIT_64, 10.0, alpha=2000.0, obs_times=(10.0,)))
+    traj = run(SimConfig(SPLIT_64, 10.0, alpha=2000.0, obs_times=(10.0,)),
+               np.random.default_rng(0))
     assert len(traj.events) == 1
     assert traj.snapshots[0] == MassState((0.6, 0.4), 0.0, 1.0)
     rng = np.random.default_rng(5)
@@ -158,10 +160,10 @@ def test_rate_overflow_at_negative_alpha_is_typed():
             next_event(MassState(parts, 0.0, 1.0), SPLIT_64, -1.0, 0.0, rng, TRUNC_64)
     # tiny fragments split ever faster until their rates overflow
     with pytest.raises(RateOverflow, match="mass_floor"):
-        run(SimConfig(SPLIT_64, 5.0, alpha=-1.0, seed=1))
+        run(SimConfig(SPLIT_64, 5.0, alpha=-1.0), np.random.default_rng(1))
     # a mass floor dusts them first, and the path ends with no fragment left
     traj = run(SimConfig(SPLIT_64, 5.0, alpha=-1.0, mass_floor=1e-3,
-                         obs_times=(5.0,), seed=1))
+                         obs_times=(5.0,)), np.random.default_rng(1))
     assert traj.snapshots[0].parts == ()
 
 
@@ -224,7 +226,7 @@ def test_run_computes_the_truncated_rate_once(law, eps):
     for t_end in (0.5, 20.0):
         type(law).calls = 0
         traj = run(SimConfig(law=law, t_end=t_end, eps=eps, alpha=1.0,
-                             max_fragments=200, seed=41))
+                             max_fragments=200), np.random.default_rng(41))
         assert type(law).calls == 1
     assert len(traj.events) > 3
     type(law).calls = 0
@@ -238,7 +240,8 @@ def test_run_computes_the_truncated_rate_once(law, eps):
 def test_run_stops_when_the_truncation_is_empty():
     # BinaryPowerLaw has zero rate above eps = 1/2
     law = BinaryPowerLaw(0.5)
-    traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)))
+    traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)),
+               np.random.default_rng(0))
     assert traj.events == () and traj.snapshots[0].parts == (1.0,)
     kernel = make_step_kernel(law, eps=0.6)
     assert kernel(5.0, np.random.default_rng(0)).parts == (1.0,)
@@ -364,7 +367,8 @@ def test_block_scan_on_int_and_simulated_parts():
     mixed = (1,) + tuple(sorted(rng.random(200) * 1e-3, reverse=True))
     dense = run(SimConfig(FiniteAtomic([(1.0, (0.6, 0.4)), (0.5, (0.5, 0.3, 0.2)),
                                         (0.25, (0.9, 0.05))]),
-                          300.0, alpha=1.0, obs_times=(300.0,), seed=3))
+                          300.0, alpha=1.0, obs_times=(300.0,)),
+                np.random.default_rng(3))
     parts = dense.snapshots[0].parts
     assert len(parts) > 600
     for state in (MassState(mixed, 0.0, 2.0), MassState(parts, 0.0, 1.0)):
@@ -384,7 +388,7 @@ def test_sum_adds_left_to_right():
 def test_run_pure_erosion_is_exact():
     cfg = SimConfig(law=FiniteAtomic([]), t_end=1.0, c=1.0,
                     obs_times=(0.0, 0.5, 1.0))
-    traj = run(cfg)
+    traj = run(cfg, np.random.default_rng(0))
     assert traj.events == ()
     for t, snap in zip(cfg.obs_times, traj.snapshots):
         assert len(snap.parts) == 1
@@ -393,8 +397,8 @@ def test_run_pure_erosion_is_exact():
 
 
 def test_run_snapshot_at_zero_is_initial_state():
-    cfg = SimConfig(law=SPLIT_64, t_end=1.0, obs_times=(0.0,), seed=5)
-    traj = run(cfg)
+    cfg = SimConfig(law=SPLIT_64, t_end=1.0, obs_times=(0.0,))
+    traj = run(cfg, np.random.default_rng(5))
     assert traj.snapshots[0].parts == (1.0,)
     assert traj.snapshots[0].dust == 0.0
 
@@ -408,7 +412,8 @@ def test_run_first_two_events_enumeration():
     hits = {1: 0, 2: 0}
     n_paths = 2000
     for i in range(n_paths):
-        traj = run(SimConfig(law=SPLIT_64, t_end=2.0, seed=1000 + i))
+        traj = run(SimConfig(law=SPLIT_64, t_end=2.0),
+                   np.random.default_rng(1000 + i))
         if len(traj.events) < 2:
             continue
         assert traj.events[0].target_rank == 1
@@ -428,18 +433,26 @@ def test_run_conserves_mass_at_snapshots():
     # exp(rate * t), so a deep cut would blow the loop up
     grids = (0.25, 0.5, 0.75, 1.0)
     for law, eps in ((SPLIT_64, 0.0), (BinaryPowerLaw(0.5), 0.1)):
-        cfg = SimConfig(law=law, t_end=1.0, eps=eps, obs_times=grids, seed=7)
-        traj = run(cfg)
+        cfg = SimConfig(law=law, t_end=1.0, eps=eps, obs_times=grids)
+        traj = run(cfg, np.random.default_rng(7))
         assert len(traj.snapshots) == len(grids)
         for snap in traj.snapshots:
             assert abs(sum(snap.parts) + snap.dust - 1.0) < 1e-9
 
 
+def test_run_needs_a_generator():
+    cfg = SimConfig(law=SPLIT_64, t_end=1.0)
+    with pytest.raises(TypeError):
+        run(cfg)
+    with pytest.raises(TypeError):
+        SimConfig(law=SPLIT_64, t_end=1.0, seed=3)
+
+
 def test_run_is_deterministic_in_seed():
-    cfg = SimConfig(law=SPLIT_64, t_end=2.0, seed=99)
-    a, b = run(cfg), run(cfg)
+    cfg = SimConfig(law=SPLIT_64, t_end=2.0)
+    a, b = run(cfg, np.random.default_rng(99)), run(cfg, np.random.default_rng(99))
     assert a.events == b.events
-    other = run(SimConfig(law=SPLIT_64, t_end=2.0, seed=100))
+    other = run(cfg, np.random.default_rng(100))
     assert other.events[0].time != a.events[0].time
 
 
@@ -447,8 +460,8 @@ def test_run_survival_frequency():
     # chance of no event by t = 0.1 under a unit-rate law
     n = 2000
     alive = sum(
-        not run(SimConfig(law=FiniteAtomic([(1.0, (0.9, 0.1))]), t_end=0.1,
-                          seed=3000 + i)).events
+        not run(SimConfig(law=FiniteAtomic([(1.0, (0.9, 0.1))]), t_end=0.1),
+                np.random.default_rng(3000 + i)).events
         for i in range(n))
     p = math.exp(-0.1)
     assert abs(alive / n - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -456,7 +469,8 @@ def test_run_survival_frequency():
 
 def test_run_traces():
     # both values are read off the event log alone
-    events = run(SimConfig(law=SPLIT_64, t_end=5.0, seed=21)).events
+    events = run(SimConfig(law=SPLIT_64, t_end=5.0),
+                 np.random.default_rng(21)).events
     assert len(events) > 5
     traj = Trajectory(obs_times=(), snapshots=(), events=events)
     assert record_value(traj, traj.events[0].time / 2) == 0.0
@@ -523,23 +537,23 @@ def test_event_atoms_are_immutable():
 
 def test_fragment_cap_trims_and_flags():
     law = FiniteAtomic([(1.0, (0.5, 0.3, 0.2))])
-    cfg = SimConfig(law=law, t_end=5.0, max_fragments=2, seed=13)
-    traj = run(cfg)
+    cfg = SimConfig(law=law, t_end=5.0, max_fragments=2)
+    traj = run(cfg, np.random.default_rng(13))
     assert traj.events
     assert traj.cap_hit
     assert any(ev.capped for ev in traj.events)
     # replay with the cap to confirm the budget survives trimming
-    obs = SimConfig(law=law, t_end=5.0, max_fragments=2, seed=13,
-                    obs_times=(5.0,))
-    snap = run(obs).snapshots[0]
+    obs = SimConfig(law=law, t_end=5.0, max_fragments=2, obs_times=(5.0,))
+    snap = run(obs, np.random.default_rng(13)).snapshots[0]
     assert len(snap.parts) <= 2
     assert abs(sum(snap.parts) + snap.dust - 1.0) < 1e-9
 
 
 def test_erosion_factorizes_over_the_jump_part():
-    plain = SimConfig(law=SPLIT_64, t_end=1.0, c=0.0, obs_times=(0.4, 1.0), seed=17)
-    eroded = SimConfig(law=SPLIT_64, t_end=1.0, c=0.8, obs_times=(0.4, 1.0), seed=17)
-    a, b = run(plain), run(eroded)
+    plain = SimConfig(law=SPLIT_64, t_end=1.0, c=0.0, obs_times=(0.4, 1.0))
+    eroded = SimConfig(law=SPLIT_64, t_end=1.0, c=0.8, obs_times=(0.4, 1.0))
+    a = run(plain, np.random.default_rng(17))
+    b = run(eroded, np.random.default_rng(17))
     assert a.events == b.events
     for t, sa, sb in zip(plain.obs_times, a.snapshots, b.snapshots):
         factor = math.exp(-0.8 * t)
@@ -630,10 +644,12 @@ def test_csv_writers_match_the_per_field_reference():
     laws = (SPLIT_64, FiniteAtomic([(1.0, (0.5, 0.3, 0.2)),
                                     (0.5, tuple([0.1] * 10))]))
     paths = [handmade,
-             run(SimConfig(FiniteAtomic([]), 1.0, obs_times=(0.0, 1.0))),
-             run(SimConfig(SPLIT_64, 3.0, initial_mass=1, obs_times=(0.0, 0.3, 3.0),
-                           seed=3))]
-    paths += [run(SimConfig(law, 4.0, alpha=1.0, obs_times=(1.0, 4.0), seed=5))
+             run(SimConfig(FiniteAtomic([]), 1.0, obs_times=(0.0, 1.0)),
+                 np.random.default_rng(0)),
+             run(SimConfig(SPLIT_64, 3.0, initial_mass=1, obs_times=(0.0, 0.3, 3.0)),
+                 np.random.default_rng(3))]
+    paths += [run(SimConfig(law, 4.0, alpha=1.0, obs_times=(1.0, 4.0)),
+                  np.random.default_rng(5))
               for law in laws]
     assert paths[1].events == () and paths[2].events[0].parent_mass == 1
     assert max(len(s.parts) for p in paths for s in p.snapshots) > 16

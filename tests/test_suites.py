@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fragsim import (
+    BinaryPowerLaw,
     CONFIG_EXIT,
     FAIL_EXIT,
     FiniteAtomic,
@@ -131,6 +132,15 @@ def test_event_budget_suites_need_positive_t_and_budget(name, overrides,
         run_suite(name, overrides, replicas=50)
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 40, 2.5, "7"])
+def test_seed_must_be_a_non_negative_int(seed):
+    # raised before any stream is derived, not numpy's bare ValueError
+    with pytest.raises(ConfigError, match="seed"):
+        run_suite("erosion", seed=seed, replicas=5)
+    with pytest.raises(ConfigError, match="seed"):
+        run_suite("erosion", {"seed": seed}, replicas=5)
+
+
 _NAN = float("nan")
 
 
@@ -152,6 +162,7 @@ _BAD_OVERRIDES = [
     ("subordinator", {"m_max": -3}, ConfigError),
     ("subordinator", {"m_max": 2.5}, ConfigError),
     ("correspondence", {"n": 10.5}, ConfigError),
+    ("subordinator", {"law": BinaryPowerLaw(0.5)}, ConfigError),
 ]
 
 
