@@ -7,9 +7,10 @@ inequality sum(parts) + dust <= nominal (within a small float tolerance)
 and keep the parts ranked.
 """
 
+import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidFragmentVector,
@@ -23,8 +24,7 @@ from .errors import (
 BUDGET_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MassState:
+class MassState(NamedTuple):
     parts: tuple   # non-increasing, strictly positive
     dust: float    # mass lost to unresolved fragments, erosion, and flooring
     nominal: float # initial total mass
@@ -54,14 +54,14 @@ def validate_fragments(fragments):
     Returns the vector with zero entries stripped; being non-increasing,
     its zeros form a suffix. NaN ratios are rejected.
     """
-    prev = None
+    prev = math.inf
     total = 0.0
     positive = 0
     for x in fragments:
-        if not x >= 0.0:
-            raise InvalidFragmentVector(f"fragment ratio {x} is not a "
-                                        f"non-negative number")
-        if prev is not None and x > prev:
+        if not prev >= x >= 0.0:
+            if not x >= 0.0:
+                raise InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                            f"non-negative number")
             raise InvalidFragmentVector("fragment vector is not non-increasing")
         prev = x
         total += x
@@ -77,6 +77,10 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     The dislocated mass m becomes m*x for each ratio x in fragments; the
     deficit m*(1 - sum(fragments)) joins the dust, as does any piece below
     mass_floor. Ties in the re-ranking keep earlier-created fragments first.
+
+    Every part ranked before the parent weighs at least as much as it, and
+    no piece outweighs the parent or the piece before it, so each insert
+    point is searched for from the last one on.
     """
     if not 1 <= rank <= len(state.parts):
         raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
@@ -87,13 +91,15 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     deficit = 1.0 - sum(fragments)
     if deficit > 0.0:
         dust += parent * deficit
+    lo = rank - 1
     for x in fragments:
         piece = parent * x
         if piece < mass_floor or piece == 0.0:
             dust += piece
         else:
             # after every equal part: pre-existing fragments precede new ones
-            parts.insert(bisect_right(parts, -piece, key=operator.neg), piece)
+            lo = bisect_right(parts, -piece, lo, key=operator.neg)
+            parts.insert(lo, piece)
     return MassState(tuple(parts), dust, state.nominal)
 
 

@@ -92,8 +92,7 @@ class EventAtom(NamedTuple):
     capped: bool = False  # set when the fragment cap trimmed this event's output
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulated path: snapshots and event log.
 
     snapshots[i] is the state at obs_times[i] with erosion applied. Every
@@ -187,11 +186,9 @@ def _observe(state, c, t):
 
 
 def _trim_to_cap(state, cap):
-    """Move the smallest parts to dust until at most cap parts remain."""
-    if len(state.parts) <= cap:
-        return state, False
+    """Move the smallest parts to dust so that cap parts remain."""
     spill = sum(state.parts[cap:])
-    return MassState(state.parts[:cap], state.dust + spill, state.nominal), True
+    return MassState(state.parts[:cap], state.dust + spill, state.nominal)
 
 
 def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
@@ -205,6 +202,7 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
     remaining snapshots and ends, even when horizon is infinite.
     """
     snapshots, events = [], []
+    n_obs = len(obs)
     obs_idx = 0
     t = 0.0
     while True:
@@ -213,14 +211,16 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
             t_next = t + wait
         except (DeadState, EmptyTruncation):
             t_next = math.inf
-        while obs_idx < len(obs) and obs[obs_idx] < t_next:
+        while obs_idx < n_obs and obs[obs_idx] < t_next:
             snapshots.append(_observe(state, c, obs[obs_idx]))
             obs_idx += 1
         if t_next > horizon or t_next == math.inf:
             break
         parent = state.parts[target - 1]
         state = dislocate(state, target, frags, mass_floor)
-        state, capped = _trim_to_cap(state, max_fragments)
+        capped = len(state.parts) > max_fragments
+        if capped:
+            state = _trim_to_cap(state, max_fragments)
         events.append(EventAtom(t_next, target, frags, parent, capped))
         t = t_next
     return Trajectory(obs, tuple(snapshots), tuple(events)), state
@@ -245,10 +245,18 @@ def run(config, rng):
 
 
 def record_value(traj, t):
-    """Largest second piece over rank-1 events with time <= t; 0 if none."""
-    return max((ev.fragments[1] if len(ev.fragments) > 1 else 0.0
-                for ev in traj.events if ev.target_rank == 1 and ev.time <= t),
-               default=0.0)
+    """Largest second piece over rank-1 events with time <= t; 0 if none.
+
+    Of equal candidates the first is kept, as max keeps it.
+    """
+    record = None
+    for ev in traj.events:
+        if ev.target_rank == 1 and ev.time <= t:
+            frags = ev.fragments
+            value = frags[1] if len(frags) > 1 else 0.0
+            if record is None or value > record:
+                record = value
+    return 0.0 if record is None else record
 
 
 def chi_value(traj, t):

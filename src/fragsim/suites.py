@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .asymptotics import (
 from .errors import ConfigError, UnknownSuite
 from .measures import BinaryPowerLaw, FiniteAtomic, sub_levy_transform
 from .partitions import frequencies, paintbox, partition_step, trivial
-from .ranked_state import dislocate, MassState, prefix_mass
+from .ranked_state import dislocate, MassState
 from .rng import replica_rng
 from .simulator import SimConfig, chi_value, make_step_kernel, record_value, run
 from .stats import (
@@ -161,21 +162,33 @@ def _suite_erosion(law, c, t, replicas, seed):
     return checks, {}
 
 
+def _prefix_masses(state):
+    """[prefix_mass(state, k) for k in 1..10], from one running sum.
+
+    accumulate adds left to right in C doubles, as sum does on CPython
+    3.11, so each entry equals prefix_mass's float bit for bit.
+    """
+    sums = list(accumulate(state.parts[:10]))
+    return sums + [sums[-1] if sums else 0.0] * (10 - len(sums))
+
+
 def _suite_conservation(law, t, replicas, seed):
     cfg = SimConfig(law, t)
 
     def worker(_i, rng):
         traj = run(cfg, rng)
         state = MassState((1.0,), 0.0, 1.0)
+        before = _prefix_masses(state)
         worst = 0.0
         violations = 0
         for ev in traj.events:
-            before = [prefix_mass(state, k) for k in range(1, 11)]
             state = dislocate(state, ev.target_rank, ev.fragments)
             worst = max(worst, abs(sum(state.parts) + state.dust - 1.0))
-            for k in range(1, 11):
-                if prefix_mass(state, k) > before[k - 1] + _SLACK:
+            after = _prefix_masses(state)
+            for now, was in zip(after, before):
+                if now > was + _SLACK:
                     violations += 1
+            before = after
         return worst, violations
 
     results = run_replicas(worker, replicas, seed)
@@ -525,10 +538,12 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
     if seed is not None:
         params["seed"] = seed
     if replicas is not None:
-        params["replicas"] = int(replicas)
-    if params["replicas"] < 1:
-        raise ConfigError(f"replica count {params['replicas']} must be >= 1")
+        params["replicas"] = replicas
+    replicas = params["replicas"]
+    if not (isinstance(replicas, numbers.Integral) and replicas >= 1):
+        raise ConfigError(f"replica count {replicas!r} must be an int >= 1")
     _require_count(name, "seed", params["seed"], 0)
+    params["replicas"] = int(params["replicas"])
     params["seed"] = int(params["seed"])
     checks, derived = suite(**params)
     return SuiteReport(name, claim, _echo(params, **derived), params["seed"],

@@ -18,6 +18,7 @@ from fragsim.errors import (
     NegativeMass,
     RankOutOfRange,
 )
+from fragsim.ranked_state import BUDGET_TOL
 
 
 def test_from_masses_sorts_and_strips_zeros():
@@ -170,6 +171,75 @@ def test_dislocate_matches_the_sort_reference():
             got = dislocate(state, rank, fragments, floor)
             want = _dislocate_by_sort(state, rank, fragments, floor)
             assert _bits(got) == _bits(want), (state, rank, fragments, floor)
+
+
+def _validate_by_loop(fragments):
+    """Reference validate_fragments: the two-test loop it replaced."""
+    prev = None
+    total = 0.0
+    positive = 0
+    for x in fragments:
+        if not x >= 0.0:
+            raise InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                        f"non-negative number")
+        if prev is not None and x > prev:
+            raise InvalidFragmentVector("fragment vector is not non-increasing")
+        prev = x
+        total += x
+        positive += x > 0.0
+    if total > 1.0 + BUDGET_TOL:
+        raise InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
+    return tuple(fragments[:positive])
+
+
+def _outcome(check, fragments):
+    try:
+        return "ok", [(type(x), repr(x)) for x in check(fragments)]
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+_ODD = (math.nan, -0.0, 0.0, math.inf, -math.inf, -0.25, -1e-300, 1.0,
+        0.5, 5e-324)
+
+
+def _random_vector(rng):
+    """A vector from one of: sorted uniforms with a zero suffix; odd values
+    spliced in; an increasing pair; or sums at and just past 1 + BUDGET_TOL."""
+    size = int(rng.integers(0, 6))
+    xs = sorted((rng.random(size) / max(size, 1)).tolist(), reverse=True)
+    xs += [0.0] * int(rng.integers(0, 3))
+    kind = int(rng.integers(0, 4))
+    if kind == 0 and xs:
+        xs[int(rng.integers(0, len(xs)))] = _ODD[int(rng.integers(0, len(_ODD)))]
+    elif kind == 1 and len(xs) > 1:
+        i = int(rng.integers(0, len(xs) - 1))
+        xs[i], xs[i + 1] = xs[i + 1], xs[i]
+    elif kind == 2:
+        top = 1.0 + BUDGET_TOL
+        over = top + math.ulp(top) * int(rng.integers(1, 4))
+        whole = [top, over, 1.0 + 2 * BUDGET_TOL][int(rng.integers(0, 3))]
+        xs = [whole / 2, whole / 2] if rng.random() < 0.5 else [whole]
+        xs += [0.0] * int(rng.integers(0, 2))
+    return tuple(xs) if rng.random() < 0.5 else xs
+
+
+def test_validate_fragments_matches_the_loop_reference():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(20000):
+        fragments = _random_vector(rng)
+        want = _outcome(_validate_by_loop, fragments)
+        assert _outcome(validate_fragments, fragments) == want, fragments
+        seen.add("ok" if want[0] == "ok" else
+                 "sum" if " sum to " in want[1] else want[1][:15])
+    # every path through the check is taken: kept vectors, bad ratios,
+    # order breaks and budget overruns
+    assert seen == {"ok", "fragment ratio ", "fragment vector", "sum"}, seen
+    for edge in ((math.inf,), (math.inf, math.inf), (-0.0, 0.0), (0.5, -0.0),
+                 (1.0 + BUDGET_TOL,), (math.nan,), (0.5, math.nan)):
+        assert _outcome(validate_fragments, edge) == \
+            _outcome(_validate_by_loop, edge)
 
 
 def test_prefix_mass():

@@ -24,7 +24,7 @@ from fragsim import (
     write_snapshot_csv,
 )
 from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
-from fragsim.simulator import _evolve
+from fragsim.simulator import _evolve, _observe
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 TRUNC_64 = SPLIT_64.truncated_mass(0.0)
@@ -703,3 +703,121 @@ def test_make_step_kernel():
 
     # zero duration: the unit fragment is returned whole
     assert kernel(0.0, rng).parts == (1.0,)
+
+
+def _replay(traj, start, mass_floor, cap, c):
+    """Rebuild a path's snapshots and end state from its event log alone.
+
+    Each event goes through dislocate; a capped one then moves the parts
+    beyond the cap to dust. Snapshots are cadlag: an event at an
+    observation time is inside that snapshot.
+    """
+    state, k, snaps = start, 0, []
+    events = traj.events
+    for u in traj.obs_times + (math.inf,):
+        while k < len(events) and events[k].time <= u:
+            ev = events[k]
+            assert ev.parent_mass == state.parts[ev.target_rank - 1]
+            state = dislocate(state, ev.target_rank, ev.fragments, mass_floor)
+            assert ev.capped == (len(state.parts) > cap)
+            if ev.capped:
+                state = MassState(state.parts[:cap],
+                                  state.dust + sum(state.parts[cap:]),
+                                  state.nominal)
+            k += 1
+        if u < math.inf:
+            snaps.append(_observe(state, c, u))
+    return snaps, state
+
+
+def _hex(state):
+    return ([m.hex() for m in state.parts], state.dust.hex(),
+            state.nominal.hex())
+
+
+THREE_ATOMS = HOISTED_LAWS[0][0]
+
+# (law, eps, alpha, c, mass_floor, max_fragments, t_end, paths)
+REPLAYS = [
+    *[(THREE_ATOMS, 0.0, alpha, 0.0, 0.0, 10 ** 6, 2.0, 12)
+      for alpha in (0.0, 0.5, 1.0)],
+    *[(BinaryPowerLaw(0.5), 0.1, alpha, 0.0, 0.05, 10 ** 6, 1.5, 12)
+      for alpha in (0.0, 0.5, 1.0)],
+    (BrennanDurrett(2.0, 3.0), 0.1, 0.0, 0.0, 0.0, 10 ** 6, 2.0, 2),
+    (BrennanDurrett(2.0, 3.0), 0.1, 1.0, 0.0, 0.05, 10 ** 6, 2.0, 2),
+    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.5, 0.0, 0.0, 3, 6.0, 8),
+    (SPLIT_64, 0.0, 0.0, 0.7, 0.0, 10 ** 6, 3.0, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "law, eps, alpha, c, floor, cap, t_end, paths", REPLAYS,
+    ids=[f"{type(r[0]).__name__}-a{r[2]}-c{r[3]}-floor{r[4]}-cap{r[5]}"
+         for r in REPLAYS])
+def test_event_log_replays_to_the_snapshots(law, eps, alpha, c, floor, cap,
+                                             t_end, paths):
+    obs = (0.0, t_end / 4, t_end / 2, t_end)
+    trunc = law.truncated_mass(eps)
+    events = cap_hits = 0
+    for seed in range(paths):
+        start = MassState((0.75,), 0.0, 0.75) if seed % 2 else \
+            MassState((1.0,), 0.0, 1.0)
+        traj, end = _evolve(start, law, alpha, eps, trunc, t_end, floor, cap,
+                            np.random.default_rng(seed), obs, c)
+        snaps, replayed = _replay(traj, start, floor, cap, c)
+        assert [_hex(s) for s in snaps] == [_hex(s) for s in traj.snapshots]
+        assert _hex(replayed) == _hex(end)
+        events += len(traj.events)
+        cap_hits += traj.cap_hit
+    assert events >= paths
+    assert (cap_hits > 0) == (cap == 3)
+
+
+def test_records_are_immutable_named_tuples():
+    state = MassState((0.6, 0.4), 0.0, 1.0)
+    traj = Trajectory((1.0,), (state,), ())
+    assert MassState._fields == ("parts", "dust", "nominal")
+    assert Trajectory._fields == ("obs_times", "snapshots", "events")
+    assert (state.parts, state.dust, state.nominal) == ((0.6, 0.4), 0.0, 1.0)
+    assert (traj.obs_times, traj.snapshots, traj.events) == ((1.0,), (state,),
+                                                             ())
+    for record, field in ((state, "parts"), (state, "dust"),
+                          (traj, "events"), (traj, "snapshots")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+    with pytest.raises(AttributeError):
+        state.extra = 1.0
+    assert not traj.cap_hit
+
+
+def record_by_max(traj, t):
+    """record_value as a max over a generator: the form it replaced."""
+    return max((ev.fragments[1] if len(ev.fragments) > 1 else 0.0
+                for ev in traj.events if ev.target_rank == 1 and ev.time <= t),
+               default=0.0)
+
+
+def test_record_value_keeps_max_semantics():
+    hand = [
+        (),                                          # no event at all
+        (_event(1.0, 2, (0.5, 0.5)),),               # no rank-1 event
+        (_event(1.0, 1, (0.7,)),),                   # one piece: 0.0
+        (_event(1.0, 1, (0.7, -0.0)),),              # -0.0 is the max
+        (_event(1.0, 1, (0.7, -0.0)), _event(1.5, 1, (0.8, 0.0))),
+        (_event(1.0, 1, (0.8, 0.0)), _event(1.5, 1, (0.7, -0.0))),
+        (_event(1.0, 1, (0.7,)), _event(1.5, 1, (0.6, -0.0))),
+        (_event(1.0, 1, (0.9, -0.0)), _event(1.2, 1, (0.6,))),
+        (_event(1.0, 1, (0.6, 1)), _event(1.5, 1, (0.6, 1.0))),  # tie: first
+        (_event(1.0, 1, (0.6, 1.0)), _event(1.5, 1, (0.6, 1))),
+        (_event(1.0, 1, (0.6, 0.3)), _event(2.0, 1, (0.5, 0.4)),
+         _event(3.0, 1, (0.5, 0.45))),               # later events after t
+        (_event(3.0, 1, (0.5, 0.45)), _event(1.0, 1, (0.6, 0.3))),  # unsorted
+        (_event(1.0, 3, (0.5, 0.5)), _event(2.0, 1, (0.5, 0.2, 0.2)),
+         _event(2.0, 2, (0.5, 0.45))),
+    ]
+    for events in hand:
+        traj = Trajectory((), (), events)
+        for t in (0.0, 1.0, 1.2, 1.7, 2.0, 2.5, 3.0, math.inf):
+            got, want = record_value(traj, t), record_by_max(traj, t)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (
+                events, t)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from fragsim import (
@@ -10,7 +11,9 @@ from fragsim import (
     CONFIG_EXIT,
     FAIL_EXIT,
     FiniteAtomic,
+    MassState,
     PASS_EXIT,
+    prefix_mass,
     replica_rng,
     run_replicas,
     run_suite,
@@ -77,6 +80,36 @@ def test_replica_count_must_be_positive(name, replicas):
         run_suite(name, replicas=replicas)
     with pytest.raises(ConfigError):
         run_suite(name, {"replicas": replicas})
+
+
+@pytest.mark.parametrize("replicas", [2.5, "7", 3.0, None])
+def test_replica_count_must_be_an_int(replicas, monkeypatch):
+    # refused before any replica runs, on the keyword and overrides paths
+    def no_replicas(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(suites, "run_replicas", no_replicas)
+    if replicas is not None:
+        with pytest.raises(ConfigError, match="replica count"):
+            run_suite("erosion", replicas=replicas)
+    with pytest.raises(ConfigError, match="replica count"):
+        run_suite("erosion", {"replicas": replicas})
+
+
+def test_replica_count_echoes_a_plain_int():
+    report = run_suite("erosion", replicas=np.int64(3))
+    assert ("replicas", "3") in report.config
+    assert report.to_text() == run_suite("erosion", replicas=3).to_text()
+
+
+def test_prefix_masses_match_prefix_mass():
+    # the conservation replay's running sums are prefix_mass's, bit for bit
+    rng = np.random.default_rng(3)
+    for n in [0, 1, 9, 10, 11] + [int(k) for k in rng.integers(0, 30, 200)]:
+        state = MassState(tuple(sorted(rng.random(n).tolist(), reverse=True)),
+                          0.0, 1.0)
+        want = [float(prefix_mass(state, k)).hex() for k in range(1, 11)]
+        assert [x.hex() for x in suites._prefix_masses(state)] == want
 
 
 def test_correspondence_needs_two_replicas(capsys):
