@@ -48,7 +48,11 @@ def run_subordinator(spec, t, rng):
     kill time, jump count and jump times do not depend on how sizes are
     drawn. A killed path reports its value at the killing time: the drift
     up to min(t, kill) plus the jumps at or before it, added in time order.
+    A horizon t that is not finite and >= 0 raises ConfigError before any
+    draw.
     """
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"subordinator horizon t {t!r} must be finite and >= 0")
     if spec.killing_rate > 0.0:
         kill = rng.exponential(1.0 / spec.killing_rate)
     else:

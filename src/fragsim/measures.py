@@ -227,18 +227,23 @@ class BrennanDurrett(DislocationLaw):
     """Unit-rate binary splits (max(V, 1-V), min(V, 1-V)) with V ~ Beta(p, q).
 
     The only law that needs scipy.stats and scipy.integrate; it imports them
-    itself, so the other laws run without loading them.
+    itself, so the other laws run without loading them. It draws through
+    scipy.special's betaincinv, which gives the frozen scipy.stats.beta's
+    ppf bit for bit and skips its argument handling.
     """
 
     def __init__(self, p, q):
         p, q = float(p), float(q)
         if p <= 0.0 or q <= 0.0:
             raise DivergentMeasure(f"Beta parameters must be positive, got ({p}, {q})")
-        from scipy import stats
+        from scipy import special, stats
 
         self.p = p
         self.q = q
         self._beta = stats.beta(p, q)
+        self._betainc = special.betainc
+        self._betaincinv = special.betaincinv
+        self._cdf_cache = None  # (eps, Beta(p, q) cdf at eps)
 
     def __repr__(self):
         return f"BrennanDurrett(p={self.p}, q={self.q})"
@@ -268,7 +273,13 @@ class BrennanDurrett(DislocationLaw):
             total = self.truncated_mass(eps)
         if total <= 0.0:
             raise EmptyTruncation(f"no splits with smaller piece >= {eps}")
-        v = float(self._beta.ppf(self._beta.cdf(eps) + rng.random() * total))
+        cache = self._cdf_cache
+        if cache is None or cache[0] != eps:
+            # the cdf is 0 below the support, where betainc is NaN
+            cache = (eps, self._betainc(self.p, self.q, max(eps, 0.0)))
+            self._cdf_cache = cache
+        v = float(self._betaincinv(self.p, self.q,
+                                   cache[1] + rng.random() * total))
         return (max(v, 1.0 - v), min(v, 1.0 - v))
 
     def jump_rate_truncated(self, eps):

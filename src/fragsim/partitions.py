@@ -9,7 +9,8 @@ n (an int, >= 1 for trivial and >= 0 for paintbox); they, partition_step
 and frequencies build their results in canonical form by construction,
 so each one is built once and never re-checked. trivial and paintbox
 share one ground tuple (1, ..., n), kept for the last n asked for, so a
-repeated n does not build its labels again.
+repeated n does not build its labels again; its numpy object column is
+kept with it.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
@@ -17,21 +18,23 @@ budget, and falls into dust with the remaining probability; dust labels
 are unique to their element, so each becomes a singleton. _paint_over
 groups the labels in numpy, by position, without a per-label loop, and
 skips the grouping when every label picks the first fragment: the block
-then stays whole, the common case over a short step.
+then stays whole, the common case over a short step. That test needs only
+the first share, a Python float, and compares no uniform when the share is
+1, as it is for a unit-mass kernel state that has not split. A split block
+gathers its labels from an object column: the cached one when the block
+is the shared ground tuple itself, a new one otherwise.
 
 partition_step makes homogeneous (alpha = 0) steps only, the one case in
 which the partition restricted to finitely many labels is Markov.
 """
 
-import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPartition, NotAPermutation
+from .errors import ConfigError, InvalidPartition, NegativeMass, NotAPermutation
 from .ranked_state import MassState
 
 
@@ -76,9 +79,7 @@ def from_labels(elements, labels):
 def _ground(n, least):
     """The ground tuple (1, ..., n) for an int n >= least.
 
-    A bad n raises InvalidPartition before the cache is consulted. The
-    cache keeps the last n only, keyed by n and its type, so every call
-    with that n gets the same tuple.
+    A bad n raises InvalidPartition before the cache is consulted.
     """
     if not (isinstance(n, numbers.Integral) and n >= least):
         raise InvalidPartition(f"a partition of {{1..n}} needs an int "
@@ -86,9 +87,25 @@ def _ground(n, least):
     return _labels(n)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+# The last ground tuple handed out: (n's type and value, the tuple, its
+# numpy object column).
+_last_ground = (None, (), np.empty(0, dtype=object))
+
+
 def _labels(n):
-    return tuple(range(1, n + 1))
+    """The ground tuple (1, ..., n) for an int n >= 0.
+
+    The cache keeps the last n only, keyed by n and its type, so every call
+    with that n gets the same tuple. The tuple's object column is built
+    with it, for _paint_over to gather from.
+    """
+    global _last_ground
+    key = (type(n), n)
+    if _last_ground[0] != key:
+        ground = tuple(range(1, n + 1))
+        _last_ground = (key, ground,
+                        np.fromiter(ground, dtype=object, count=len(ground)))
+    return _last_ground[1]
 
 
 def trivial(n):
@@ -105,22 +122,34 @@ def _paint_over(state, elements, rng):
     A stable argsort of the fragment indices lists the positions fragment
     by fragment, each run ascending; the run is cut where the index
     changes and at every dust position, so each dust element is its own
-    singleton. The labels are gathered by position, never converted to a
-    numeric array, so blocks hold the caller's own labels. elements must be
-    ascending: a block's first position then holds its least element, and
-    ordering the blocks by it needs no sort of the labels or check.
+    singleton. The labels are gathered by position from an object column,
+    never converted to a numeric array, so blocks hold the caller's own
+    labels; the column is the cached one when elements is the shared ground
+    tuple itself. elements must be ascending: a block's first position then
+    holds its least element, and ordering the blocks by it needs no sort of
+    the labels or check.
 
     When every uniform falls below the first share, every element picks
     the first fragment and the block stays whole: the grouping would
     return (tuple(elements),), so that is returned at once, after the
     same single draw, which leaves the stream where the grouping would.
+    A first share of 1 or more holds every uniform, so none is compared.
+
+    A nominal budget that is not finite and > 0 raises NegativeMass before
+    the draw.
     """
+    nominal = state.nominal
+    if not 0.0 < nominal < math.inf:
+        raise NegativeMass(f"nominal budget {nominal} must be finite and > 0")
     n = len(elements)
     uniforms = rng.random(n)
-    shares = np.asarray(state.parts, dtype=float) / state.nominal
+    parts = state.parts
+    if n and parts:
+        first = parts[0] / nominal
+        if first >= 1.0 or uniforms.max() < first:
+            return (tuple(elements),)
+    shares = np.asarray(parts, dtype=float) / nominal
     dust = len(shares)
-    if n and dust and uniforms.max() < shares[0]:
-        return (tuple(elements),)
     # Narrowed to the smallest unsigned type that holds the dust index,
     # the indices take numpy's radix sort (used for up to 16 bits).
     idx = np.searchsorted(np.cumsum(shares), uniforms,
@@ -132,9 +161,10 @@ def _paint_over(state, elements, rng):
     np.logical_or(run[1:] != run[:-1], run[1:] == dust, out=edge[1:n])
     cuts = np.flatnonzero(edge)
     by_least = np.argsort(order[cuts[:-1]])
-    # itemgetter returns a bare label, not a tuple, for a single position.
-    labels = (operator.itemgetter(*order.tolist())(elements) if n > 1
-              else tuple(elements))
+    _, ground, column = _last_ground
+    if elements is not ground:
+        column = np.fromiter(elements, dtype=object, count=n)
+    labels = tuple(column[order].tolist())
     return tuple(labels[a:b] for a, b in zip(cuts[by_least].tolist(),
                                             cuts[by_least + 1].tolist()))
 
@@ -150,7 +180,8 @@ def paintbox(s, n, rng):
 
 def frequencies(p):
     """Ranked block frequencies |B|/n as a mass state (no dust at finite n)."""
-    return MassState(tuple(sorted((len(b) / p.n for b in p.blocks),
+    n = len(p.ground)
+    return MassState(tuple(sorted((len(b) / n for b in p.blocks),
                                   reverse=True)), 0.0, 1.0)
 
 

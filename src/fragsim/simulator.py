@@ -115,7 +115,9 @@ def next_event(state, law, alpha, eps, rng, trunc):
 
     Each fragment carries an exponential clock of rate mass**alpha times
     the truncated total mass; the winner is the target. Draw order is
-    fixed (wait, target, fragments) so that paths are reproducible. At
+    fixed (wait, target, fragments) so that paths are reproducible. The
+    wait is scale * standard_exponential(), the very product numpy's
+    exponential(scale) returns for a scalar, without its check of scale. At
     alpha = 0 a single fragment is the target without a draw; numpy draws
     nothing for a one-value range, so the stream is the same either way.
 
@@ -142,7 +144,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
-        wait = rng.exponential(1.0 / (n * trunc))
+        wait = 1.0 / (n * trunc) * rng.standard_exponential()
         target = int(rng.integers(1, n + 1)) if n > 1 else 1
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
@@ -158,7 +160,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
         rate = total * trunc
         if not rate > 0.0:
             raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
-        wait = rng.exponential(1.0 / rate)
+        wait = 1.0 / rate * rng.standard_exponential()
         u = rng.random() * total
         acc, lo = 0.0, 0
         while lo + _SCAN_BLOCK < n:
@@ -192,14 +194,16 @@ def _trim_to_cap(state, cap):
 
 
 def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
-            rng, obs=(), c=0.0):
+            rng, obs=(), c=0.0, log=True):
     """The event loop behind run and make_step_kernel.
 
     Evolves state from time 0 to horizon, taking a snapshot eroded at rate
     c at each time in obs. Returns (Trajectory, final state); the final
     state carries no erosion factor. A path with no fragments left, with
     an empty truncation, or with rates that underflow to 0 takes its
-    remaining snapshots and ends, even when horizon is infinite.
+    remaining snapshots and ends, even when horizon is infinite. With log
+    false no event is logged and the trajectory's event log is empty, for
+    a caller that keeps only the final state.
     """
     snapshots, events = [], []
     n_obs = len(obs)
@@ -216,12 +220,14 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
             obs_idx += 1
         if t_next > horizon or t_next == math.inf:
             break
-        parent = state.parts[target - 1]
-        state = dislocate(state, target, frags, mass_floor)
-        capped = len(state.parts) > max_fragments
+        after = dislocate(state, target, frags, mass_floor)
+        capped = len(after.parts) > max_fragments
         if capped:
-            state = _trim_to_cap(state, max_fragments)
-        events.append(EventAtom(t_next, target, frags, parent, capped))
+            after = _trim_to_cap(after, max_fragments)
+        if log:
+            events.append(EventAtom(t_next, target, frags,
+                                    state.parts[target - 1], capped))
+        state = after
         t = t_next
     return Trajectory(obs, tuple(snapshots), tuple(events)), state
 
@@ -310,7 +316,7 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
         if not 0.0 <= duration < math.inf:
             raise ConfigError(f"step duration {duration} must be finite and >= 0")
         _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, 0.0, eps, trunc,
-                           duration, mass_floor, max_fragments, rng)
+                           duration, mass_floor, max_fragments, rng, log=False)
         return state
 
     return kernel

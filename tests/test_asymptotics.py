@@ -62,6 +62,16 @@ def test_zero_horizon():
     assert alive
 
 
+@pytest.mark.parametrize("t", (-1.0, math.nan, math.inf))
+@pytest.mark.parametrize("jump_rate", (0.0, 0.9))
+def test_run_subordinator_needs_a_finite_horizon(t, jump_rate):
+    spec = SubordinatorSpec(0.3, 0.1, jump_rate, TAGGED_91.jump_sampler)
+    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+    with pytest.raises(ConfigError, match="horizon"):
+        run_subordinator(spec, t, rng)
+    assert rng.random() == twin.random()
+
+
 def test_survival_probability():
     # killing rate 0.1: alive at t = 1 with probability exp(-0.1)
     rng = np.random.default_rng(2)

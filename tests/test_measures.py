@@ -270,6 +270,25 @@ def test_brennan_durrett_sampling():
         law.sample_dislocation(0.5, rng)
 
 
+def test_brennan_durrett_draws_as_the_frozen_beta_did():
+    # sample_dislocation inverts through scipy.special.betaincinv from a
+    # cached betainc(p, q, eps); the frozen scipy.stats.beta's ppf and cdf
+    # gave the same floats, so the stream is unchanged
+    uniforms = np.random.default_rng(0).random(2000)
+    for p in (0.5, 1.0, 2.0, 3.0, 7.5):
+        for q in (0.5, 1.0, 3.0, 4.0):
+            law, frozen = BrennanDurrett(p, q), sps.beta(p, q)
+            for eps in (0.0, 1e-3, 0.1):
+                total = law.truncated_mass(eps)
+                lo = float(frozen.cdf(eps))
+                want = frozen.ppf(lo + uniforms * total).tolist()
+                rng = np.random.default_rng(0)
+                got = [law.sample_dislocation(eps, rng, total=total)
+                       for _ in uniforms]
+                assert got == [(max(v, 1.0 - v), min(v, 1.0 - v))
+                               for v in want]
+
+
 def test_parse_measure_grammar():
     law = parse_measure("measure = binary_power; a = 0.5")
     assert isinstance(law, BinaryPowerLaw) and law.a == 0.5

@@ -9,6 +9,7 @@ import pytest
 from fragsim import (
     FiniteAtomic,
     FinitePartition,
+    MassState,
     apply_permutation,
     frequencies,
     from_blocks,
@@ -21,7 +22,7 @@ from fragsim import (
 )
 from fragsim import partitions
 from fragsim.errors import (ConfigError, FragsimError, InvalidPartition,
-                            NotAPermutation)
+                            NegativeMass, NotAPermutation)
 
 
 # A fixed state with dust share 0.3: each label lands in dust often enough
@@ -299,6 +300,10 @@ PAINT_STATES = {
     "whole-nominal-above": from_masses([2.0], nominal=2.0),
     # whole at some seeds, split at others, at n = 1000
     "near-whole": NEAR_WHOLE,
+    # a first share of exactly 1 with more parts within the budget slack
+    "whole-and-more": from_masses([1.0, 1e-10]),
+    "whole-and-more-nominal-above": from_masses([2.0, 1e-10, 1e-10],
+                                                nominal=2.0),
 }
 # Ascending grounds: with 0, with negative labels, and with gaps, as the
 # blocks of a partition are.
@@ -366,3 +371,47 @@ def test_frequencies_match_the_validating_route():
                for n in (1, 7, 300)]
     for p in painted + [trivial(1), trivial(9), paintbox(FEW, 0, rng)]:
         assert frequencies(p) == from_masses([len(b) / p.n for b in p.blocks])
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_paint_over_the_shared_ground_matches_the_dict_grouping(n):
+    ground = trivial(n).ground
+    for state in PAINT_STATES.values():
+        for seed in range(3):
+            # the cached column, an equal tuple that is not the ground, and
+            # sub-blocks of the ground
+            for elements in (ground, tuple(range(1, n + 1)), ground[::2],
+                             ground[n // 3:]):
+                assert_paints_like_the_dict(state, elements, seed)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = paintbox(state, n, rng)
+            assert p.ground is ground
+            assert p.blocks == dict_paint_over(state, ground, twin)
+            assert rng.random() == twin.random()
+
+
+def test_paint_over_a_ground_the_cache_has_dropped():
+    old = trivial(500).ground
+    new = trivial(40).ground
+    assert trivial(40).ground is new
+    for state in (FEW, DUSTY, NEAR_WHOLE):
+        for seed in range(3):
+            for elements in (old, new, old[:40]):
+                assert_paints_like_the_dict(state, elements, seed)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    assert paintbox(FEW, 500, rng).blocks == dict_paint_over(FEW, old, twin)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("nominal", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_bad_budget_raises_before_any_draw(nominal):
+    rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+    with pytest.raises(NegativeMass):
+        paintbox(MassState((0.5,), 0.0, nominal), 5, rng)
+
+    def bad(duration, rng):
+        return MassState((0.5, 0.2), 0.0, nominal)
+
+    with pytest.raises(NegativeMass):
+        partition_step(trivial(5), 1.0, bad, rng)
+    assert rng.random() == twin.random()

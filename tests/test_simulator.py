@@ -127,6 +127,32 @@ def test_lone_fragment_target_keeps_the_stream():
     assert skip.bit_generator.state == draw.bit_generator.state
 
 
+@pytest.mark.parametrize("scale", (1e-12, 1.0 / 3.0, 1.0, 2.5, 7e5))
+def test_scaled_standard_exponential_is_numpy_exponential(scale):
+    # next_event draws each wait as scale * standard_exponential()
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(10 ** 4):
+        assert scale * rng.standard_exponential() == twin.exponential(scale)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1.0, 2.0))
+def test_next_event_waits_are_numpy_exponentials(alpha):
+    state = MassState((0.5, 0.3, 0.15), 0.05, 1.0)
+    rates = [m ** alpha for m in state.parts]
+    scale = 1.0 / (sum(rates) * TRUNC_64)
+    rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+    for _ in range(500):
+        wait, _, _ = next_event(state, SPLIT_64, alpha, 0.0, rng, TRUNC_64)
+        assert wait == twin.exponential(scale)
+        if alpha == 0.0:
+            twin.integers(1, 4)
+        else:
+            twin.random()
+        SPLIT_64.sample_dislocation(0.0, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_next_event_mass_biased_target():
     rng = np.random.default_rng(1)
     state = MassState((0.6, 0.4), 0.0, 1.0)
@@ -281,8 +307,8 @@ class StubRng:
     def __init__(self, u):
         self.u = u
 
-    def exponential(self, scale):
-        return scale
+    def standard_exponential(self):
+        return 1.0
 
     def random(self):
         return self.u
@@ -687,6 +713,30 @@ def test_step_kernel_rejects_a_bad_duration(duration, law, floor):
     kernel = make_step_kernel(law, mass_floor=floor, max_fragments=1000)
     with pytest.raises(ConfigError, match="duration"):
         kernel(duration, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("law, eps, floor, cap, duration", [
+    (SPLIT_64, 0.0, 0.0, 10 ** 6, 3.0),
+    (BinaryPowerLaw(0.5), 0.05, 1e-12, 10 ** 6, 1.0),
+    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 2, 3.0),
+])
+def test_evolve_without_a_log_keeps_the_path(law, eps, floor, cap, duration):
+    trunc = law.truncated_mass(eps)
+    start = MassState((1.0,), 0.0, 1.0)
+    obs = (duration / 2.0, duration)
+    events = 0
+    for seed in range(8):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        logged, end = _evolve(start, law, 0.0, eps, trunc, duration, floor,
+                              cap, rng, obs)
+        quiet, quiet_end = _evolve(start, law, 0.0, eps, trunc, duration,
+                                   floor, cap, twin, obs, log=False)
+        events += len(logged.events)
+        assert quiet_end == end
+        assert quiet.snapshots == logged.snapshots
+        assert quiet.events == ()
+        assert rng.random() == twin.random()
+    assert events > 8
 
 
 def test_make_step_kernel():
