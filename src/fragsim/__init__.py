@@ -49,9 +49,7 @@ from .simulator import (
     write_snapshot_csv,
 )
 from .stats import (
-    ecdf,
     ks_stat,
-    ks_threshold,
     ks_two_sample,
     poisson_pmf_test,
     pooled_chi_square,

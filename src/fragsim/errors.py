@@ -53,10 +53,6 @@ class EmptySample(FragsimError):
     """Empirical distribution requested for an empty sample."""
 
 
-class TooFewSamples(FragsimError):
-    """Sample too small for the asymptotic threshold to apply."""
-
-
 class InsufficientData(FragsimError):
     """Not enough observations or categories for the goodness-of-fit test."""
 

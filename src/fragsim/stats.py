@@ -15,10 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, EmptySample, InsufficientData, TooFewSamples
+from .errors import ConfigError, EmptySample, InsufficientData
 
-# Asymptotic Kolmogorov quantiles: c = sqrt(-ln(alpha/2)/2).
-_MIN_KS_SAMPLES = 50
 _MIN_CHI_TOTAL = 500
 _MIN_EXPECTED = 5.0
 
@@ -32,18 +30,6 @@ def _eval_cdf(cdf, xs):
     except (TypeError, ValueError):
         pass
     return np.array([float(cdf(x)) for x in xs])
-
-
-def ecdf(samples):
-    """Right-continuous empirical CDF as a callable."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    if xs.size == 0:
-        raise EmptySample("ecdf of an empty sample")
-
-    def F(x):
-        return np.searchsorted(xs, x, side="right") / xs.size
-
-    return F
 
 
 def ks_stat(samples, cdf, x_min=None):
@@ -77,13 +63,6 @@ def ks_stat(samples, cdf, x_min=None):
     at_cut = abs(np.count_nonzero(xs <= x_min) / n
                  - float(_eval_cdf(cdf, np.array([float(x_min)]))[0]))
     return float(max(dev[mask].max(), at_cut)) if mask.any() else float(at_cut)
-
-
-def ks_threshold(n, alpha):
-    """Asymptotic one-sample KS rejection threshold c(alpha)/sqrt(n)."""
-    if n < _MIN_KS_SAMPLES:
-        raise TooFewSamples(f"KS threshold needs n >= {_MIN_KS_SAMPLES}, got {n}")
-    return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
 
 
 def ks_two_sample(a, b):

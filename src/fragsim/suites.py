@@ -6,9 +6,11 @@ and the echoed parameters, into the one SuiteReport. Reports are
 byte-stable: identical seed and config give identical text.
 
 Replicas draw their streams from (seed, replica_index) and aggregation
-is a fold in replica-index order. Suites testing a shrinking-horizon
-limit run a second leg at a 10x larger horizon and assert the fit
-degrades, so convergence is evidenced directionally rather than assumed.
+is a fold in replica-index order. _leg runs every leg that draws one
+ranked path per replica; run_suite refuses a _KS_SUITES run below
+_MIN_KS_SAMPLES replicas. Suites testing a shrinking-horizon limit run
+a second leg at a 10x larger horizon and assert the fit degrades, so
+convergence is evidenced directionally rather than assumed.
 """
 
 import math
@@ -26,14 +28,13 @@ from .asymptotics import (
     record_cdf,
     run_subordinator,
 )
-from .errors import ConfigError, UnknownSuite
+from .errors import ConfigError, RateOverflow, UnknownSuite
 from .measures import BinaryPowerLaw, FiniteAtomic, sub_levy_transform
 from .partitions import frequencies, paintbox, partition_step, trivial
 from .ranked_state import dislocate, MassState
 from .rng import replica_rng
 from .simulator import SimConfig, chi_value, make_step_kernel, record_value, run
 from .stats import (
-    _MIN_KS_SAMPLES,
     ks_two_sample,
     ks_stat,
     poisson_pmf_test,
@@ -45,6 +46,7 @@ FAIL_EXIT = 1
 CONFIG_EXIT = 2
 
 _SLACK = 1e-12
+_MIN_KS_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,12 @@ def run_replicas(worker, n, seed):
     return [worker(i, replica_rng(seed, i)) for i in range(n)]
 
 
+def _leg(cfg, read, replicas, seed):
+    """read(run(cfg, rng), rng) per replica; read draws on rng after run."""
+    return run_replicas(lambda _i, rng: read(run(cfg, rng), rng),
+                        replicas, seed)
+
+
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
 
 
@@ -108,12 +116,6 @@ def _echo(params, **extra):
 
 def _part(state, k):
     return state.parts[k - 1] if len(state.parts) >= k else 0.0
-
-
-def _require_ks_sample(name, replicas):
-    if replicas < _MIN_KS_SAMPLES:
-        raise ConfigError(f"suite {name!r} needs >= {_MIN_KS_SAMPLES} "
-                          f"replicas for its KS checks, got {replicas}")
 
 
 def _require_count(name, key, value, least):
@@ -173,10 +175,7 @@ def _prefix_masses(state):
 
 
 def _suite_conservation(law, t, replicas, seed):
-    cfg = SimConfig(law, t)
-
-    def worker(_i, rng):
-        traj = run(cfg, rng)
+    def replay(traj, _rng):
         state = MassState((1.0,), 0.0, 1.0)
         before = _prefix_masses(state)
         worst = 0.0
@@ -191,7 +190,7 @@ def _suite_conservation(law, t, replicas, seed):
             before = after
         return worst, violations
 
-    results = run_replicas(worker, replicas, seed)
+    results = _leg(SimConfig(law, t), replay, replicas, seed)
     return [
         _check("mass_balance_error", max(r[0] for r in results), 1e-9, "<",
                replicas),
@@ -202,51 +201,44 @@ def _suite_conservation(law, t, replicas, seed):
 
 def _suite_poisson_counts(law, t, eps, replicas, seed):
     rate = law.truncated_mass(eps) * t
-    cfg = SimConfig(law, t, eps=eps)
 
-    def worker(_i, rng):
-        traj = run(cfg, rng)
+    def rank_one_events(traj, _rng):
         return sum(ev.target_rank == 1 for ev in traj.events)
 
-    counts = np.array(run_replicas(worker, replicas, seed))
+    counts = np.array(_leg(SimConfig(law, t, eps=eps), rank_one_events,
+                           replicas, seed))
     p = poisson_pmf_test(np.bincount(counts), rate)
     checks = [_check("count_chi_square_p", p, 0.01, ">", replicas)]
 
     # Same content read through the pmf: frequency of n events vs the
-    # Poisson mass, worst z-score over n = 0..3.
+    # Poisson mass, worst z-score over n = 0..3 (a zero SE scores 0 or inf).
     worst_z = 0.0
     for m in range(4):
         pm = math.exp(-rate) * rate ** m / math.factorial(m)
         freq = float(np.mean(counts == m))
         se = math.sqrt(pm * (1.0 - pm) / replicas)
-        worst_z = max(worst_z, abs(freq - pm) / se)
+        z = abs(freq - pm) / se if se > 0.0 else (
+            0.0 if freq == pm else math.inf)
+        worst_z = max(worst_z, z)
     checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", replicas))
     return checks, dict(rate=rate)
 
 
 def _suite_records(law, t, eps, replicas, seed):
-    _require_ks_sample("records", replicas)
-    cfg = SimConfig(law, t, eps=eps)
-
-    def worker(_i, rng):
-        traj = run(cfg, rng)
-        return record_value(traj, t)
-
-    values = run_replicas(worker, replicas, seed)
+    values = _leg(SimConfig(law, t, eps=eps),
+                  lambda traj, _rng: record_value(traj, t), replicas, seed)
     stat = ks_stat(values, lambda x: record_cdf(law, t, x), x_min=eps)
     return [_check("record_ks", stat, 0.02, "<", replicas)], {}
 
 
 def _suite_sandwich(law, t, eps, replicas, seed):
-    cfg = SimConfig(law, t, eps=eps, obs_times=(t,))
-
-    def worker(_i, rng):
-        traj = run(cfg, rng)
+    def read(traj, _rng):
         snap = traj.snapshots[0]
         return (_part(snap, 1), _part(snap, 2),
                 record_value(traj, t), chi_value(traj, t))
 
-    rows = run_replicas(worker, replicas, seed)
+    rows = _leg(SimConfig(law, t, eps=eps, obs_times=(t,)), read, replicas,
+                seed)
     conditioned = [r for r in rows if r[0] >= 0.5]
     violations = sum(1 for _l1, l2, rec, chi in conditioned
                      if chi * rec > l2 + _SLACK or l2 > rec + _SLACK)
@@ -324,18 +316,16 @@ def _normalized_parts(law, t, eps, floor, ranks, n_rep, seed):
     observed ranks is unchanged while the fragment population stays
     linear in the event budget instead of exponential.
     """
-    cfg = SimConfig(law, t, eps=eps, obs_times=(t,), mass_floor=floor)
-
-    def worker(_i, rng):
-        snap = run(cfg, rng).snapshots[0]
+    def read(traj, _rng):
+        snap = traj.snapshots[0]
         return tuple(normalize_lambda2(law, t, _part(snap, k)) for k in ranks)
 
-    return run_replicas(worker, n_rep, seed)
+    cfg = SimConfig(law, t, eps=eps, obs_times=(t,), mass_floor=floor)
+    return _leg(cfg, read, n_rep, seed)
 
 
 def _suite_extreme(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("extreme", law)
-    _require_ks_sample("extreme", replicas)
     t_coarse = 10.0 * t
     eps_fine = _eps_for_budget(law, t, event_budget)
     eps_coarse = _eps_for_budget(law, t_coarse, event_budget)
@@ -358,7 +348,6 @@ def _suite_extreme(law, t, event_budget, mass_floor, replicas, seed):
 
 def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
     a = _require_binary_power("frechet-k", law)
-    _require_ks_sample("frechet-k", replicas)
     eps = _eps_for_budget(law, t, event_budget)
 
     # The k-th extreme law governs the k-th largest logged second piece,
@@ -375,17 +364,13 @@ def _suite_frechet_k(law, t, event_budget, mass_floor, replicas, seed):
 
 
 def _suite_correspondence(law, t, n, replicas, seed):
-    _require_ks_sample("correspondence", replicas)
     _require_count("correspondence", "n", n, 1)
     kernel = make_step_kernel(law)
 
     # Ranked side, observed through the same finite-n paintbox channel the
     # partition side is forced through; raw top mass kept for the mean
     # cross-check, where the channel noise cancels in expectation.
-    ranked_cfg = SimConfig(law, t, obs_times=(t,))
-
-    def ranked_worker(_i, rng):
-        traj = run(ranked_cfg, rng)
+    def paint(traj, rng):
         snap = traj.snapshots[0]
         top = frequencies(paintbox(snap, n, rng)).parts[0]
         return _part(snap, 1), top
@@ -399,7 +384,7 @@ def _suite_correspondence(law, t, n, replicas, seed):
         p = partition_step(p, t / 2.0, kernel, rng)
         return frequencies(p).parts[0]
 
-    ranked = run_replicas(ranked_worker, replicas, seed)
+    ranked = _leg(SimConfig(law, t, obs_times=(t,)), paint, replicas, seed)
     one_step = run_replicas(partition_worker, replicas, seed + 1)
     chain = run_replicas(chain_worker, replicas, seed + 2)
 
@@ -420,25 +405,19 @@ def _suite_correspondence(law, t, n, replicas, seed):
 
 
 def _suite_scaling(law, alpha, r, t, replicas, seed):
-    _require_ks_sample("scaling", replicas)
+    def top(traj, _rng):
+        return _part(traj.snapshots[0], 1)
 
     small_cfg = SimConfig(law, t, alpha=alpha, initial_mass=r, obs_times=(t,))
-
-    def small_worker(_i, rng):
-        return _part(run(small_cfg, rng).snapshots[0], 1)
-
-    small = run_replicas(small_worker, replicas, seed)
-    # Built after the small leg: at a mass whose rates overflow, that leg
-    # raises RateOverflow, where r ** alpha would overflow a bare float.
-    u = r ** alpha * t
+    small = _leg(small_cfg, top, replicas, seed)
+    # Built after the small leg, so rates that overflow raise there first.
+    try:
+        u = r ** alpha * t
+    except OverflowError:
+        raise RateOverflow("r ** alpha overflows a float") from None
     unit_cfg = SimConfig(law, u, alpha=alpha, obs_times=(u,))
-
-    def unit_worker(_i, rng):
-        return r * _part(run(unit_cfg, rng).snapshots[0], 1)
-
-    # Independent streams for the second sample: a two-sample test needs
-    # the sides unpaired.
-    unit = run_replicas(unit_worker, replicas, seed + replicas)
+    # Unpaired streams for the unit leg, as a two-sample test needs.
+    unit = [r * x for x in _leg(unit_cfg, top, replicas, seed + replicas)]
     stat = ks_two_sample(small, unit)
     return [_check("scaling_ks", stat, 0.03, "<", replicas)], {}
 
@@ -516,6 +495,9 @@ _SUITES = {
         dict(law=_split_64, alpha=1.0, r=0.5, t=0.4, replicas=5000, seed=43)),
 }
 
+# Suites with a *_ks check; they need _MIN_KS_SAMPLES replicas.
+_KS_SUITES = {"records", "extreme", "frechet-k", "correspondence", "scaling"}
+
 _TRANSLATE = {"t_end": "t"}
 
 
@@ -542,6 +524,9 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
     replicas = params["replicas"]
     if not (isinstance(replicas, numbers.Integral) and replicas >= 1):
         raise ConfigError(f"replica count {replicas!r} must be an int >= 1")
+    if name in _KS_SUITES and replicas < _MIN_KS_SAMPLES:
+        raise ConfigError(f"suite {name!r} needs >= {_MIN_KS_SAMPLES} "
+                          f"replicas for its KS checks, got {replicas}")
     _require_count(name, "seed", params["seed"], 0)
     params["replicas"] = int(params["replicas"])
     params["seed"] = int(params["seed"])

@@ -8,28 +8,19 @@ from scipy import stats as sps
 
 import fragsim.stats
 from fragsim import (
-    ecdf,
     ks_stat,
-    ks_threshold,
     ks_two_sample,
     poisson_pmf_test,
     pooled_chi_square,
 )
-from fragsim.errors import ConfigError, EmptySample, InsufficientData, TooFewSamples
-
-
-def test_ecdf():
-    F = ecdf([1.0, 2.0, 3.0])
-    assert F(2.0) == pytest.approx(2.0 / 3.0)
-    assert F(0.5) == 0.0
-    assert F(3.0) == 1.0
-    assert F(9.0) == 1.0
-    assert ecdf([1.0, 1.0, 1.0])(1.0) == 1.0
-    with pytest.raises(EmptySample):
-        ecdf([])
+from fragsim.errors import ConfigError, EmptySample, InsufficientData
 
 
 def test_ks_stat_against_own_ecdf_vanishes():
+    def ecdf(samples):  # right-continuous reference
+        xs = np.sort(np.asarray(samples, dtype=float))
+        return lambda x: np.searchsorted(xs, x, side="right") / xs.size
+
     rng = np.random.default_rng(0)
     xs = rng.normal(size=200)
     assert ks_stat(xs, ecdf(xs)) == pytest.approx(0.0, abs=1e-12)
@@ -42,7 +33,8 @@ def test_ks_stat_calibration():
     n = 10 ** 4
     xs = rng.random(n)
     stat = ks_stat(xs, lambda x: np.clip(x, 0.0, 1.0))
-    assert stat < ks_threshold(n, 0.01)
+    # the asymptotic KS quantile at alpha = 0.01
+    assert stat < math.sqrt(-0.5 * math.log(0.005)) / math.sqrt(n)
     # against the wrong law the statistic saturates
     assert ks_stat(xs, lambda x: np.clip(x / 10.0, 0.0, 1.0)) > 0.5
 
@@ -68,15 +60,6 @@ def test_ks_stat_restricted():
     # when the sample is censored *through* the cut the at-cut term fires
     ys = rng.random(n) * 0.5
     assert ks_stat(ys, uniform, x_min=0.6) == pytest.approx(0.4, abs=0.03)
-
-
-def test_ks_threshold_constants():
-    assert ks_threshold(10 ** 4, 0.05) == pytest.approx(0.01358, abs=1e-5)
-    assert ks_threshold(10 ** 4, 0.01) == pytest.approx(0.01628, abs=1e-5)
-    assert ks_threshold(100, 0.05) > ks_threshold(400, 0.05)
-    assert ks_threshold(50, 0.05) > 0.0
-    with pytest.raises(TooFewSamples):
-        ks_threshold(49, 0.05)
 
 
 def test_ks_two_sample():

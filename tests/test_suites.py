@@ -15,6 +15,7 @@ from fragsim import (
     PASS_EXIT,
     prefix_mass,
     replica_rng,
+    run,
     run_replicas,
     run_suite,
     suite_names,
@@ -120,16 +121,24 @@ def test_correspondence_needs_two_replicas(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "name", ["records", "extreme", "frechet-k", "correspondence", "scaling"])
+class _ReachedReplicas(Exception):
+    pass
+
+
+_KS_SUITES = {"records", "extreme", "frechet-k", "correspondence", "scaling"}
+
+
+@pytest.mark.parametrize("name", suite_names())
 @pytest.mark.parametrize("replicas", [1, 49])
 def test_ks_suites_need_fifty_replicas(name, replicas, monkeypatch):
-    # the floor ks_threshold enforces; checked before any replica runs
+    # the asymptotic KS law's sample floor, refused before any replica
+    # runs in exactly the suites with a *_ks check; the rest get through
     def no_replicas(*args):
-        raise AssertionError("a replica ran")
+        raise _ReachedReplicas
 
     monkeypatch.setattr(suites, "run_replicas", no_replicas)
-    with pytest.raises(ConfigError):
+    expected = ConfigError if name in _KS_SUITES else _ReachedReplicas
+    with pytest.raises(expected):
         run_suite(name, replicas=replicas)
 
 
@@ -196,6 +205,8 @@ _BAD_OVERRIDES = [
     ("subordinator", {"m_max": 2.5}, ConfigError),
     ("correspondence", {"n": 10.5}, ConfigError),
     ("subordinator", {"law": BinaryPowerLaw(0.5)}, ConfigError),
+    # no event on the small leg, so only r ** alpha can overflow
+    ("scaling", {"law": FiniteAtomic([]), "alpha": -1100.0}, RateOverflow),
 ]
 
 
@@ -218,6 +229,17 @@ def test_correspondence_with_constant_sides():
                        replicas=50)
     mean_z = {c.name: c for c in report.checks}["mean_z"]
     assert mean_z.statistic == math.inf and not mean_z.passed
+
+
+def test_poisson_counts_with_underflowed_masses():
+    # at rate 800 the masses of 0..3 events are 0.0 and so are their SEs;
+    # frequencies that match them exactly score z = 0, not a bare error
+    law = FiniteAtomic([(800.0, (0.9,))])
+    report = run_suite("poisson-counts", {"law": law, "t": 1.0},
+                       replicas=500)
+    worst_z = {c.name: c for c in report.checks}["pmf_worst_z"]
+    assert worst_z.statistic == 0.0
+    assert report.passed
 
 
 def test_records_at_time_zero():
@@ -268,6 +290,27 @@ def test_each_replica_derives_one_stream(name, monkeypatch):
     # the Poisson count test needs 500 observations
     run_suite(name, replicas=600 if name == "poisson-counts" else 50)
     assert len(streams) == sum(replicas) >= 50
+
+
+# Paths each suite runs through suites.run, the name the benchmark's
+# tracer wraps, as a function of the replica count R.
+_PATHS = {"subordinator": lambda R: 0, "erosion": lambda R: 1 + 2 * R,
+          "scaling": lambda R: 2 * R, "extreme": lambda R: 2 * R}
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_paths_per_suite(name, monkeypatch):
+    calls = []
+
+    def counted(cfg, rng):
+        calls.append(cfg)
+        return run(cfg, rng)
+
+    monkeypatch.setattr(suites, "run", counted)
+    # the chi-square suites need 500 observations, the KS suites 50
+    R = 500 if name in ("poisson-counts", "subordinator") else 50
+    run_suite(name, replicas=R)
+    assert len(calls) == _PATHS.get(name, lambda R: R)(R)
 
 
 def test_report_echoes_the_scenario():
