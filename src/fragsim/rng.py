@@ -16,7 +16,23 @@ last (seed, block) is kept, and each replica takes its row. NumPy's
 stream-compatibility policy (NEP 19) freezes that algorithm, and
 tests/test_rng.py pins the port against numpy bit for bit. Inputs outside
 the port's domain take numpy's own path.
+
+An alpha = 0 event draws its target rank uniform on 1..n, and
+Generator.integers spends most of such a scalar draw on argument handling.
+uniform_rank(rng, n) returns int(rng.integers(1, n + 1)) for 2 <= n < 2**32
+by numpy's own step for that range (buffered_bounded_lemire_uint32 in
+numpy/random/src/distributions/distributions.c): m = next_uint32() * n,
+redrawn while its low word is below (2**32 - n) % n, gives m >> 32. It
+calls the bit generator's next_uint32 through the bitgen_t that
+BitGenerator.capsule exposes (numpy's documented random C-API), with the
+interpreter lock held and under the bit generator's own lock, as integers
+does, so a buffered 32-bit half (PCG64's has_uint32) is used as numpy would
+use it. NEP 19 freezes that algorithm too, and tests/test_rng.py pins
+uniform_rank against integers bit for bit, bit generator state included,
+for PCG64, PCG64DXSM, MT19937, Philox and SFC64. Any other n takes integers.
 """
+
+import ctypes
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -138,3 +154,57 @@ def replica_rng(seed, index):
             and 0 <= index <= _MASK):
         return Generator(PCG64(_ReplicaSeed(seed, index)))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's bitgen_t, from numpy/random/bitgen.h."""
+
+    _fields_ = [("state", ctypes.c_void_p),
+                ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p),
+                ("next_double", ctypes.c_void_p),
+                ("next_raw", ctypes.c_void_p)]
+
+
+# A private prototype: ctypes.pythonapi.PyCapsule_GetPointer is shared by
+# the whole process, so its argtypes and restype are left as they are.
+# PYFUNCTYPE keeps the interpreter lock held, as numpy's scalar path does.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                     ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+# (bit generator, its next_uint32, its state pointer, its lock); the entry
+# holds the bit generator, so the state pointer stays valid while cached
+_draw_cache = (None,)
+
+
+def _draw_entry(bit_generator):
+    bitgen = _BitGen.from_address(
+        _capsule_pointer(bit_generator.capsule, b"BitGenerator"))
+    return (bit_generator, _NEXT_UINT32(bitgen.next_uint32), bitgen.state,
+            bit_generator.lock)
+
+
+def uniform_rank(rng, n):
+    """A rank uniform on 1..n: int(rng.integers(1, n + 1)), bit for bit.
+
+    For 2 <= n < 2**32 this runs numpy's Lemire step on rng's bit
+    generator (see the module docstring) and leaves it in the state
+    integers would; the last bit generator used is kept with its draw
+    function. Any other n calls rng.integers.
+    """
+    global _draw_cache
+    if not 2 <= n <= _MASK:
+        return int(rng.integers(1, n + 1))
+    bit_generator = rng.bit_generator
+    entry = _draw_cache
+    if entry[0] is not bit_generator:
+        entry = _draw_cache = _draw_entry(bit_generator)
+    _, draw, state, lock = entry
+    with lock:
+        m = draw(state) * n
+        if m & _MASK < n:  # n bounds the threshold, as in numpy
+            threshold = (_MASK + 1 - n) % n
+            while m & _MASK < threshold:
+                m = draw(state) * n
+    return (m >> 32) + 1

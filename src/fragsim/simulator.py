@@ -10,11 +10,13 @@ where jump rates do not depend on fragment masses.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from .ranked_state import MassState, dislocate
+from .rng import uniform_rank
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
@@ -57,16 +59,14 @@ class SimConfig:
                 "erosion with a nonzero self-similarity index is not supported; "
                 "set alpha = 0 or c = 0")
         _check_eps(self.law, self.eps)
-        if self.max_fragments < 1:
-            raise ConfigError(f"max_fragments {self.max_fragments} must be >= 1")
-        if not 0.0 <= self.mass_floor < math.inf:
-            raise ConfigError(f"mass_floor {self.mass_floor} must be finite and >= 0")
+        _check_limits(self.mass_floor, self.max_fragments)
         prev = 0.0
         for t in self.obs_times:
-            if t < prev:
-                raise ConfigError("obs_times must be non-decreasing and >= 0")
-            if t > self.t_end:
-                raise ConfigError(f"observation time {t} exceeds t_end {self.t_end}")
+            # NaN fails both bounds, so a NaN time is rejected here too
+            if not prev <= t <= self.t_end:
+                raise ConfigError(
+                    f"observation time {t} outside [{prev}, {self.t_end}]: "
+                    f"obs_times must be non-decreasing in [0, t_end]")
             prev = t
 
 
@@ -80,6 +80,19 @@ def _check_eps(law, eps):
         raise ConfigError(f"eps {eps} must be finite and >= 0")
     if eps == 0.0 and getattr(law, "infinite_activity", False):
         raise ConfigError("an infinite-activity law requires eps > 0")
+
+
+def _check_limits(mass_floor, max_fragments):
+    """Reject a mass floor or fragment cap the event loop cannot honour.
+
+    A cap below 1 or an infinite floor would dust the whole mass, a NaN
+    floor would dust nothing, and a cap that is not an int cannot slice
+    the parts.
+    """
+    if not (isinstance(max_fragments, numbers.Integral) and max_fragments >= 1):
+        raise ConfigError(f"max_fragments {max_fragments!r} must be an int >= 1")
+    if not (isinstance(mass_floor, numbers.Real) and 0.0 <= mass_floor < math.inf):
+        raise ConfigError(f"mass_floor {mass_floor!r} must be finite and >= 0")
 
 
 class EventAtom(NamedTuple):
@@ -118,8 +131,11 @@ def next_event(state, law, alpha, eps, rng, trunc):
     fixed (wait, target, fragments) so that paths are reproducible. The
     wait is scale * standard_exponential(), the very product numpy's
     exponential(scale) returns for a scalar, without its check of scale. At
-    alpha = 0 a single fragment is the target without a draw; numpy draws
-    nothing for a one-value range, so the stream is the same either way.
+    alpha = 0 the target is uniform_rank(rng, n), which draws as
+    int(rng.integers(1, n + 1)) does, bit for bit, by numpy's own Lemire
+    step on the bit generator (pinned in tests/test_rng.py). A single
+    fragment is the target without a draw; numpy draws nothing for a
+    one-value range, so the stream is the same either way.
 
     For alpha != 0 the target is the first rank whose running sum of
     rates exceeds u * total. The scan first walks blocks of _SCAN_BLOCK
@@ -145,7 +161,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
         wait = 1.0 / (n * trunc) * rng.standard_exponential()
-        target = int(rng.integers(1, n + 1)) if n > 1 else 1
+        target = uniform_rank(rng, n) if n > 1 else 1
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
         try:
@@ -307,9 +323,11 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     Returns kernel(duration, rng) -> MassState of relative masses, the end
     state of a unit-mass path run at alpha = 0 to time duration. A duration
     that is not finite and >= 0 raises ConfigError. eps follows SimConfig's
-    rule: finite and >= 0, and > 0 for an infinite-activity law.
+    rule: finite and >= 0, and > 0 for an infinite-activity law, and
+    mass_floor and max_fragments follow its checks too.
     """
     _check_eps(law, eps)
+    _check_limits(mass_floor, max_fragments)
     trunc = law.truncated_mass(eps)
 
     def kernel(duration, rng):

@@ -99,6 +99,19 @@ def test_simulate_reports_a_rate_overflow(tmp_path, capsys):
     assert err.startswith("error:") and "mass_floor" in err
 
 
+def test_simulate_rejects_a_nan_observation_time(tmp_path, capsys):
+    # a NaN time fails both bounds of a plain range check, and the
+    # snapshots from it on would go missing while simulate exits 0
+    cfg = write_cfg(tmp_path, SIM_CFG.replace("t_end = 1.0", "t_end = 2.0")
+                    .replace("obs_times = 0.5, 1.0",
+                             "obs_times = 0.5, nan, 1.0, 2.0"))
+    out = tmp_path / "traces"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "observation time nan" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, extra", [
     (["--seed", "-3"], ""),
     ([], "seed = -3\n"),

@@ -1,11 +1,18 @@
-"""Stream derivation: replicas depend on (seed, index) and nothing else."""
+"""Stream derivation: replicas depend on (seed, index) and nothing else,
+and the target-rank draw is numpy's integers, bit for bit."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Generator, Philox
 
 from fragsim import replica_rng
+from fragsim.rng import uniform_rank
 
 
 def numpy_replica(seed, index):
@@ -109,3 +116,95 @@ def test_seed_sequence_behaves_like_numpys():
         for n_words, dtype in ((8, np.uint32), (4, np.uint64), (3, "u8")):
             assert np.array_equal(ours_seq.generate_state(n_words, dtype),
                                   ref_seq.generate_state(n_words, dtype))
+
+
+def plain_state(state):
+    """A bit generator's state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {k: plain_state(v) for k, v in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+BIT_GENERATORS = (PCG64, PCG64DXSM, MT19937, Philox, SFC64)
+# 2**k - 1, 2**k and 2**k + 1 up to 2**32 - 1, two n whose reject threshold
+# (2**32 - n) % n is large (2**31 - 1 and 2**30 - 1), and n = 2**32, which
+# takes integers
+EDGE_RANKS = sorted({2 ** k + d for k in range(1, 33) for d in (-1, 0, 1)
+                     if 2 <= 2 ** k + d <= 2 ** 32}
+                    | {2 ** 31 + 1, 3 * 2 ** 30 + 1})
+DRAW = st.one_of(
+    st.tuples(st.just("rank"), st.integers(2, 300)),
+    st.tuples(st.just("rank"), st.sampled_from(EDGE_RANKS)),
+    st.tuples(st.just("rank"), st.integers(2, 2 ** 32 - 1)),
+    st.tuples(st.sampled_from(("random", "exponential")), st.none()),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(BIT_GENERATORS),
+       st.integers(0, 2 ** 64), st.lists(DRAW, min_size=1, max_size=40))
+def test_uniform_rank_is_numpys_integers(bit_generator, seed, draws):
+    rng, twin = Generator(bit_generator(seed)), Generator(bit_generator(seed))
+    for kind, n in draws:
+        if kind == "rank":
+            assert uniform_rank(rng, n) == int(twin.integers(1, n + 1))
+        elif kind == "random":
+            assert rng.random() == twin.random()
+        else:
+            assert rng.standard_exponential() == twin.standard_exponential()
+        # has_uint32 and uinteger, the buffered 32-bit half, included
+        assert (plain_state(rng.bit_generator.state)
+                == plain_state(twin.bit_generator.state))
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_uniform_rank_at_every_small_and_edge_rank(bit_generator):
+    # n = 2..300 and the edge ranks in turn, each draw followed by a
+    # random(), so a 32-bit half buffered by one draw meets the next; the
+    # ranks past 2**32 - 1 take integers
+    rng, twin = Generator(bit_generator(7)), Generator(bit_generator(7))
+    for n in (*range(2, 301), *EDGE_RANKS, 2 ** 40 + 3):
+        for _ in range(3):
+            assert uniform_rank(rng, n) == int(twin.integers(1, n + 1))
+            assert rng.random() == twin.random()
+    assert (plain_state(rng.bit_generator.state)
+            == plain_state(twin.bit_generator.state))
+
+
+def test_uniform_rank_threads_keep_their_own_streams():
+    # four threads share uniform_rank's one-entry cache, each drawing from
+    # its own generator; a cache entry read across a switch would draw from
+    # another thread's generator and break the twin's sequence. sleep(0)
+    # hands the interpreter lock on after each draw, so the entry is rebuilt
+    # at almost every draw, and the short switch interval lets a switch
+    # fall inside one
+    ns = [(2 + i % 300, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32 - 1,
+           2 + i * 2654435761 % (2 ** 32 - 2))[i % 5] for i in range(2000)]
+    seeds = range(4)
+    got = {}
+    start = threading.Barrier(len(seeds))
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        start.wait(timeout=60)
+        out = got[seed] = []
+        for n in ns:
+            out.append(uniform_rank(rng, n))
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in seeds:
+        twin = np.random.default_rng(seed)
+        assert got[seed] == [int(twin.integers(1, n + 1)) for n in ns]

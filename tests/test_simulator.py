@@ -44,6 +44,10 @@ def test_config_validation():
         dict(t_end=1.0, mass_floor=-1e-9),
         dict(t_end=1.0, obs_times=(0.5, 0.2)),
         dict(t_end=1.0, obs_times=(1.5,)),
+        dict(t_end=1.0, obs_times=(-0.5, 1.0)),
+        # NaN fails both t < prev and t > t_end
+        dict(t_end=2.0, obs_times=(0.5, math.nan, 1.0, 2.0)),
+        dict(t_end=1.0, obs_times=(0.5, 1.0, math.nan)),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):
@@ -285,6 +289,23 @@ def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
         SimConfig(law, 1.0, eps=eps)
     with pytest.raises(ConfigError, match=match):
         make_step_kernel(law, eps=eps)
+
+
+@pytest.mark.parametrize("field, value", (
+    ("max_fragments", 0),
+    ("max_fragments", -3),
+    ("max_fragments", 2.5),  # slicing the parts needs an int
+    ("max_fragments", "3"),
+    ("mass_floor", math.inf),  # would dust the whole mass
+    ("mass_floor", math.nan),  # would dust nothing
+    ("mass_floor", -1e-9),
+    ("mass_floor", "0.1"),
+))
+def test_step_kernel_follows_the_config_limits(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(SPLIT_64, 1.0, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        make_step_kernel(SPLIT_64, **{field: value})
 
 
 @pytest.mark.parametrize("law, floor, events", (
