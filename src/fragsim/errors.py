@@ -63,3 +63,18 @@ class UnknownSuite(FragsimError):
 
 class ConfigError(FragsimError):
     """Malformed configuration file, key, or value."""
+
+
+def check_range(value, test, message):
+    """Raise ConfigError(message.format(value)) unless test(value) holds.
+
+    A value that cannot be compared as a number, such as a str, None or an
+    array of several numbers, fails the test where comparing it would raise
+    a bare TypeError or ValueError.
+    """
+    try:
+        if test(value):
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(message.format(value))

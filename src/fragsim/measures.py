@@ -179,6 +179,7 @@ class BinaryPowerLaw(DislocationLaw):
                 f"exponent a={a}: lost-mass integral is finite only for 0 < a < 1")
         self.a = a
         self._two_a = 2.0 ** a
+        self._neg_inv_a = -1.0 / a
         self._mass_cache = None  # (eps, truncated_mass(eps))
 
     def __repr__(self):
@@ -210,11 +211,11 @@ class BinaryPowerLaw(DislocationLaw):
             total = self.truncated_mass(eps)
         if total <= 0.0:
             raise EmptyTruncation(f"no dislocations with second piece >= {eps}")
-        s2 = (rng.random() * total + self._two_a) ** (-1.0 / self.a)
+        s2 = (rng.random() * total + self._two_a) ** self._neg_inv_a
         return (1.0 - s2, s2)
 
     def gen_inverse_f(self, y):
-        return (y + self._two_a) ** (-1.0 / self.a)
+        return (y + self._two_a) ** self._neg_inv_a
 
     def jump_rate_truncated(self, eps):
         # integral of (1 - x) a x^(-a-1) over [eps, 1/2]

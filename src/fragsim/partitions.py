@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPartition, NegativeMass, NotAPermutation
+from .errors import InvalidPartition, NegativeMass, NotAPermutation, check_range
 from .ranked_state import MassState
 
 
@@ -212,8 +212,8 @@ def partition_step(p, duration, kernel, rng):
     partition p.ground and need only one sort by least element. A duration
     that is not finite and >= 0 raises ConfigError.
     """
-    if not 0.0 <= duration < math.inf:
-        raise ConfigError(f"step duration {duration} must be finite and >= 0")
+    check_range(duration, lambda d: 0.0 <= d < math.inf,
+                "step duration {!r} must be finite and >= 0")
     if duration == 0.0:
         return p
     blocks = []

@@ -100,7 +100,9 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
             # after every equal part: pre-existing fragments precede new ones
             lo = bisect_right(parts, -piece, lo, key=operator.neg)
             parts.insert(lo, piece)
-    return MassState(tuple(parts), dust, state.nominal)
+    # tuple.__new__ builds the MassState that MassState(...) would, without
+    # the generated __new__'s Python frame
+    return tuple.__new__(MassState, (tuple(parts), dust, state.nominal))
 
 
 def prefix_mass(state, k):

@@ -17,19 +17,27 @@ stream-compatibility policy (NEP 19) freezes that algorithm, and
 tests/test_rng.py pins the port against numpy bit for bit. Inputs outside
 the port's domain take numpy's own path.
 
-An alpha = 0 event draws its target rank uniform on 1..n, and
-Generator.integers spends most of such a scalar draw on argument handling.
-uniform_rank(rng, n) returns int(rng.integers(1, n + 1)) for 2 <= n < 2**32
-by numpy's own step for that range (buffered_bounded_lemire_uint32 in
+An alpha = 0 event draws an exponential wait and then a target rank
+uniform on 1..n, and each of Generator's scalar draws spends most of its
+time around the draw: argument handling, the bit generator's lock and a
+release of the interpreter lock. So
+exponential_and_rank(rng, n) returns (rng.standard_exponential(),
+int(rng.integers(1, n + 1))) for 2 <= n < 2**32 from one call, bit for bit,
+bit generator state included, under one hold of the bit generator's lock.
+It reaches the bit generator's bitgen_t through BitGenerator.capsule
+(numpy's documented random C-API). The wait is numpy's own ziggurat,
+random_standard_exponential(bitgen_t *), resolved on first use with ctypes
+from the library numpy.random._generator.__file__ names, the one numpy's
+random/_examples/cffi/extending.py dlopens. The rank is numpy's step for
+that range (buffered_bounded_lemire_uint32 in
 numpy/random/src/distributions/distributions.c): m = next_uint32() * n,
-redrawn while its low word is below (2**32 - n) % n, gives m >> 32. It
-calls the bit generator's next_uint32 through the bitgen_t that
-BitGenerator.capsule exposes (numpy's documented random C-API), with the
-interpreter lock held and under the bit generator's own lock, as integers
-does, so a buffered 32-bit half (PCG64's has_uint32) is used as numpy would
-use it. NEP 19 freezes that algorithm too, and tests/test_rng.py pins
-uniform_rank against integers bit for bit, bit generator state included,
-for PCG64, PCG64DXSM, MT19937, Philox and SFC64. Any other n takes integers.
+redrawn while its low word is below (2**32 - n) % n, gives m >> 32. Both
+run with the interpreter lock held, so a buffered 32-bit half (PCG64's
+has_uint32) is used as numpy would use it. NEP 19 freezes both
+algorithms, and tests/test_rng.py pins exponential_and_rank against the
+two numpy calls bit for bit, bit generator state included, for PCG64,
+PCG64DXSM, MT19937, Philox and SFC64. Any other n takes the two numpy
+calls.
 """
 
 import ctypes
@@ -173,38 +181,50 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                      ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 _NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
-# (bit generator, its next_uint32, its state pointer, its lock); the entry
-# holds the bit generator, so the state pointer stays valid while cached
+_standard_exponential = None  # numpy's ziggurat, resolved on first use
+# (bit generator, its bitgen_t pointer, its next_uint32, its state pointer,
+# its lock); the entry holds the bit generator, so both pointers stay valid
+# while cached
 _draw_cache = (None,)
 
 
 def _draw_entry(bit_generator):
-    bitgen = _BitGen.from_address(
-        _capsule_pointer(bit_generator.capsule, b"BitGenerator"))
-    return (bit_generator, _NEXT_UINT32(bitgen.next_uint32), bitgen.state,
-            bit_generator.lock)
+    global _standard_exponential
+    if _standard_exponential is None:
+        from numpy.random import _generator
+
+        _standard_exponential = ctypes.PYFUNCTYPE(
+            ctypes.c_double, ctypes.c_void_p)(
+            ("random_standard_exponential", ctypes.CDLL(_generator.__file__)))
+    address = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+    bitgen = _BitGen.from_address(address)
+    return (bit_generator, address, _NEXT_UINT32(bitgen.next_uint32),
+            bitgen.state, bit_generator.lock)
 
 
-def uniform_rank(rng, n):
-    """A rank uniform on 1..n: int(rng.integers(1, n + 1)), bit for bit.
+def exponential_and_rank(rng, n):
+    """An Exp(1) wait and a rank uniform on 1..n, drawn in that order:
+    (rng.standard_exponential(), int(rng.integers(1, n + 1))), bit for bit.
 
-    For 2 <= n < 2**32 this runs numpy's Lemire step on rng's bit
-    generator (see the module docstring) and leaves it in the state
-    integers would; the last bit generator used is kept with its draw
-    function. Any other n calls rng.integers.
+    For 2 <= n < 2**32 both are drawn by numpy's own C steps on rng's bit
+    generator under one hold of its lock (see the module docstring), which
+    is left in the state the two calls would leave it in; the last bit
+    generator used is kept with its draw functions. Any other n makes the
+    two calls.
     """
     global _draw_cache
     if not 2 <= n <= _MASK:
-        return int(rng.integers(1, n + 1))
+        return rng.standard_exponential(), int(rng.integers(1, n + 1))
     bit_generator = rng.bit_generator
     entry = _draw_cache
     if entry[0] is not bit_generator:
         entry = _draw_cache = _draw_entry(bit_generator)
-    _, draw, state, lock = entry
+    _, bitgen, draw, state, lock = entry
     with lock:
+        wait = _standard_exponential(bitgen)
         m = draw(state) * n
         if m & _MASK < n:  # n bounds the threshold, as in numpy
             threshold = (_MASK + 1 - n) % n
             while m & _MASK < threshold:
                 m = draw(state) * n
-    return (m >> 32) + 1
+    return wait, (m >> 32) + 1

@@ -14,9 +14,15 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
+from .errors import (
+    ConfigError,
+    DeadState,
+    EmptyTruncation,
+    RateOverflow,
+    check_range,
+)
 from .ranked_state import MassState, dislocate
-from .rng import uniform_rank
+from .rng import exponential_and_rank
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
@@ -45,15 +51,20 @@ class SimConfig:
     initial_mass: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_times", tuple(float(t) for t in self.obs_times))
-        if not 0.0 <= self.t_end < math.inf:
-            raise ConfigError(f"t_end {self.t_end} must be finite and >= 0")
-        if not 0.0 < self.initial_mass <= 1.0:
-            raise ConfigError(f"initial_mass {self.initial_mass} outside (0, 1]")
-        if not 0.0 <= self.c < math.inf:
-            raise ConfigError(f"erosion rate {self.c} must be finite and >= 0")
-        if not -math.inf < self.alpha < math.inf:
-            raise ConfigError(f"alpha {self.alpha} must be finite")
+        try:
+            obs_times = tuple(float(t) for t in self.obs_times)
+        except (TypeError, ValueError):
+            raise ConfigError(f"obs_times {self.obs_times!r} must be a "
+                              f"sequence of numbers") from None
+        object.__setattr__(self, "obs_times", obs_times)
+        check_range(self.t_end, lambda t: 0.0 <= t < math.inf,
+                    "t_end {!r} must be finite and >= 0")
+        check_range(self.initial_mass, lambda m: 0.0 < m <= 1.0,
+                    "initial_mass {!r} outside (0, 1]")
+        check_range(self.c, lambda c: 0.0 <= c < math.inf,
+                    "erosion rate {!r} must be finite and >= 0")
+        check_range(self.alpha, lambda a: -math.inf < a < math.inf,
+                    "alpha {!r} must be finite")
         if self.c > 0.0 and self.alpha != 0.0:
             raise ConfigError(
                 "erosion with a nonzero self-similarity index is not supported; "
@@ -76,8 +87,8 @@ def _check_eps(law, eps):
     An infinite eps would truncate every dislocation away, so a path
     would run with no event at all.
     """
-    if not 0.0 <= eps < math.inf:
-        raise ConfigError(f"eps {eps} must be finite and >= 0")
+    check_range(eps, lambda e: 0.0 <= e < math.inf,
+                "eps {!r} must be finite and >= 0")
     if eps == 0.0 and getattr(law, "infinite_activity", False):
         raise ConfigError("an infinite-activity law requires eps > 0")
 
@@ -131,11 +142,13 @@ def next_event(state, law, alpha, eps, rng, trunc):
     fixed (wait, target, fragments) so that paths are reproducible. The
     wait is scale * standard_exponential(), the very product numpy's
     exponential(scale) returns for a scalar, without its check of scale. At
-    alpha = 0 the target is uniform_rank(rng, n), which draws as
-    int(rng.integers(1, n + 1)) does, bit for bit, by numpy's own Lemire
-    step on the bit generator (pinned in tests/test_rng.py). A single
-    fragment is the target without a draw; numpy draws nothing for a
-    one-value range, so the stream is the same either way.
+    alpha = 0 the wait's exponential and the target come from one call,
+    exponential_and_rank(rng, n), which draws them as standard_exponential()
+    and int(rng.integers(1, n + 1)) do, bit for bit, by numpy's own
+    ziggurat and Lemire step on the bit generator under one hold of its
+    lock (pinned in tests/test_rng.py). A single fragment is the target
+    without a draw; numpy draws nothing for a one-value range, so the
+    stream is the same either way.
 
     For alpha != 0 the target is the first rank whose running sum of
     rates exceeds u * total. The scan first walks blocks of _SCAN_BLOCK
@@ -160,8 +173,11 @@ def next_event(state, law, alpha, eps, rng, trunc):
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
-        wait = 1.0 / (n * trunc) * rng.standard_exponential()
-        target = uniform_rank(rng, n) if n > 1 else 1
+        if n > 1:
+            e, target = exponential_and_rank(rng, n)
+        else:
+            e, target = rng.standard_exponential(), 1
+        wait = 1.0 / (n * trunc) * e
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
         try:
@@ -190,7 +206,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
             if u < acc:
                 target = i
                 break
-    return wait, target, law.sample_dislocation(eps, rng, total=trunc)
+    return wait, target, law.sample_dislocation(eps, rng, trunc)
 
 
 def _observe(state, c, t):
@@ -241,11 +257,14 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
         if capped:
             after = _trim_to_cap(after, max_fragments)
         if log:
-            events.append(EventAtom(t_next, target, frags,
-                                    state.parts[target - 1], capped))
+            # tuple.__new__ builds the very record EventAtom(...) would,
+            # without the generated __new__'s Python frame, as below
+            events.append(tuple.__new__(EventAtom, (
+                t_next, target, frags, state.parts[target - 1], capped)))
         state = after
         t = t_next
-    return Trajectory(obs, tuple(snapshots), tuple(events)), state
+    return (tuple.__new__(Trajectory, (obs, tuple(snapshots), tuple(events))),
+            state)
 
 
 def run(config, rng):
@@ -258,7 +277,8 @@ def run(config, rng):
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
     """
-    state = MassState((config.initial_mass,), 0.0, config.initial_mass)
+    state = tuple.__new__(MassState, ((config.initial_mass,), 0.0,
+                                      config.initial_mass))
     traj, _ = _evolve(state, config.law, config.alpha, config.eps,
                       config.law.truncated_mass(config.eps), config.t_end,
                       config.mass_floor, config.max_fragments, rng,
@@ -331,8 +351,8 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     trunc = law.truncated_mass(eps)
 
     def kernel(duration, rng):
-        if not 0.0 <= duration < math.inf:
-            raise ConfigError(f"step duration {duration} must be finite and >= 0")
+        check_range(duration, lambda d: 0.0 <= d < math.inf,
+                    "step duration {!r} must be finite and >= 0")
         _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, 0.0, eps, trunc,
                            duration, mass_floor, max_fragments, rng, log=False)
         return state

@@ -191,6 +191,14 @@ def test_partition_step_rejects_a_bad_duration(duration):
         partition_step(p, duration, unreachable, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("duration", ("1", None))
+def test_partition_step_rejects_a_duration_that_is_not_a_number(duration):
+    kernel = make_step_kernel(FiniteAtomic([(1.0, (0.6, 0.4))]))
+    p = from_blocks([[1, 2], [3]], (1, 2, 3))
+    with pytest.raises(ConfigError, match="duration"):
+        partition_step(p, duration, kernel, np.random.default_rng(0))
+
+
 def test_partition_step_refines():
     rng = np.random.default_rng(5)
     p = from_blocks([[1, 2, 3, 4], [5, 6]])

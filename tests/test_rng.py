@@ -1,5 +1,6 @@
 """Stream derivation: replicas depend on (seed, index) and nothing else,
-and the target-rank draw is numpy's integers, bit for bit."""
+and the merged wait-and-target draw is numpy's standard_exponential and
+integers, bit for bit."""
 
 import sys
 import threading
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Generator, Philox
 
 from fragsim import replica_rng
-from fragsim.rng import uniform_rank
+from fragsim import rng as fragsim_rng
+from fragsim.rng import exponential_and_rank
 
 
 def numpy_replica(seed, index):
@@ -130,7 +132,7 @@ def plain_state(state):
 BIT_GENERATORS = (PCG64, PCG64DXSM, MT19937, Philox, SFC64)
 # 2**k - 1, 2**k and 2**k + 1 up to 2**32 - 1, two n whose reject threshold
 # (2**32 - n) % n is large (2**31 - 1 and 2**30 - 1), and n = 2**32, which
-# takes integers
+# takes numpy's two calls
 EDGE_RANKS = sorted({2 ** k + d for k in range(1, 33) for d in (-1, 0, 1)
                      if 2 <= 2 ** k + d <= 2 ** 32}
                     | {2 ** 31 + 1, 3 * 2 ** 30 + 1})
@@ -142,44 +144,85 @@ DRAW = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.sampled_from(BIT_GENERATORS),
-       st.integers(0, 2 ** 64), st.lists(DRAW, min_size=1, max_size=40))
-def test_uniform_rank_is_numpys_integers(bit_generator, seed, draws):
-    rng, twin = Generator(bit_generator(seed)), Generator(bit_generator(seed))
-    for kind, n in draws:
-        if kind == "rank":
-            assert uniform_rank(rng, n) == int(twin.integers(1, n + 1))
-        elif kind == "random":
-            assert rng.random() == twin.random()
-        else:
-            assert rng.standard_exponential() == twin.standard_exponential()
-        # has_uint32 and uinteger, the buffered 32-bit half, included
-        assert (plain_state(rng.bit_generator.state)
-                == plain_state(twin.bit_generator.state))
+def numpy_draws(twin, n):
+    """What exponential_and_rank(rng, n) must equal: numpy's two calls."""
+    return twin.standard_exponential(), int(twin.integers(1, n + 1))
 
 
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-def test_uniform_rank_at_every_small_and_edge_rank(bit_generator):
-    # n = 2..300 and the edge ranks in turn, each draw followed by a
-    # random(), so a 32-bit half buffered by one draw meets the next; the
-    # ranks past 2**32 - 1 take integers
-    rng, twin = Generator(bit_generator(7)), Generator(bit_generator(7))
-    for n in (*range(2, 301), *EDGE_RANKS, 2 ** 40 + 3):
-        for _ in range(3):
-            assert uniform_rank(rng, n) == int(twin.integers(1, n + 1))
-            assert rng.random() == twin.random()
+def assert_same_state(rng, twin):
+    # has_uint32 and uinteger, the buffered 32-bit half, included
     assert (plain_state(rng.bit_generator.state)
             == plain_state(twin.bit_generator.state))
 
 
-def test_uniform_rank_threads_keep_their_own_streams():
-    # four threads share uniform_rank's one-entry cache, each drawing from
-    # its own generator; a cache entry read across a switch would draw from
-    # another thread's generator and break the twin's sequence. sleep(0)
-    # hands the interpreter lock on after each draw, so the entry is rebuilt
-    # at almost every draw, and the short switch interval lets a switch
-    # fall inside one
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(BIT_GENERATORS),
+       st.integers(0, 2 ** 64), st.lists(DRAW, min_size=1, max_size=40))
+def test_exponential_and_rank_is_numpys_draws(bit_generator, seed, draws):
+    rng, twin = Generator(bit_generator(seed)), Generator(bit_generator(seed))
+    for kind, n in draws:
+        if kind == "rank":
+            assert exponential_and_rank(rng, n) == numpy_draws(twin, n)
+        elif kind == "random":
+            assert rng.random() == twin.random()
+        else:
+            assert rng.standard_exponential() == twin.standard_exponential()
+        assert_same_state(rng, twin)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_uniform_rank_at_every_small_and_edge_rank(bit_generator):
+    # exponential_and_rank's rank and the wait before it, at n = 2..300 and
+    # the edge ranks in turn, each draw followed by a random(), so a 32-bit
+    # half buffered by one draw meets the next; the ranks past 2**32 - 1
+    # and n = 1 take numpy's two calls
+    rng, twin = Generator(bit_generator(7)), Generator(bit_generator(7))
+    for n in (*range(2, 301), *EDGE_RANKS, 2 ** 40 + 3, 1):
+        for _ in range(3):
+            wait, rank = exponential_and_rank(rng, n)
+            assert (wait, rank) == numpy_draws(twin, n)
+            assert type(wait) is float and type(rank) is int
+            assert_same_state(rng, twin)
+            assert rng.random() == twin.random()
+            assert_same_state(rng, twin)
+
+
+def test_alternating_generators_rebuild_the_draw_cache():
+    # one thread, three generators of different bit generator types, drawn
+    # in turn: each call finds another generator's entry in the one-entry
+    # cache and rebuilds it. A PCG64 rank draw buffers the upper 32-bit half
+    # of its 64-bit output, and PCG64's next rank draw must use that half
+    rngs = [Generator(bg(11)) for bg in (PCG64, MT19937, SFC64)]
+    twins = [Generator(bg(11)) for bg in (PCG64, MT19937, SFC64)]
+    ns = [(2 + i % 300, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32 - 1,
+           2 + i * 2654435761 % (2 ** 32 - 2))[i % 5] for i in range(600)]
+    got = [[] for _ in rngs]
+    buffered_ranks = 0
+    for i, n in enumerate(ns):
+        k = i % len(rngs)
+        rng = rngs[k]
+        assert fragsim_rng._draw_cache[0] is not rng.bit_generator
+        if k == 0:
+            buffered_ranks += rng.bit_generator.state["has_uint32"]
+        got[k].append(exponential_and_rank(rng, n))
+        assert fragsim_rng._draw_cache[0] is rng.bit_generator
+    assert buffered_ranks > 50
+    for k, (rng, twin) in enumerate(zip(rngs, twins)):
+        assert got[k] == [numpy_draws(twin, n) for n in ns[k::len(rngs)]]
+        assert_same_state(rng, twin)
+
+
+def test_exponential_and_rank_threads_keep_their_own_streams():
+    # four threads share exponential_and_rank's one-entry cache, each
+    # drawing from its own generator; a cache entry read across a switch
+    # would draw from another thread's generator and break the twin's
+    # sequence. sleep(0) hands the interpreter lock on after each draw, so
+    # the entry is rebuilt at almost every draw, and the short switch
+    # interval lets a switch fall inside one. Its limit: on a 2-core
+    # machine the interpreter lock changes hands only a few times in a run,
+    # so a switch inside one call is rare and a cache updated in two steps
+    # can pass here; test_alternating_generators_rebuild_the_draw_cache
+    # covers every rebuild in one thread without relying on a switch
     ns = [(2 + i % 300, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32 - 1,
            2 + i * 2654435761 % (2 ** 32 - 2))[i % 5] for i in range(2000)]
     seeds = range(4)
@@ -191,7 +234,7 @@ def test_uniform_rank_threads_keep_their_own_streams():
         start.wait(timeout=60)
         out = got[seed] = []
         for n in ns:
-            out.append(uniform_rank(rng, n))
+            out.append(exponential_and_rank(rng, n))
             time.sleep(0)
 
     interval = sys.getswitchinterval()
@@ -207,4 +250,4 @@ def test_uniform_rank_threads_keep_their_own_streams():
         sys.setswitchinterval(interval)
     for seed in seeds:
         twin = np.random.default_rng(seed)
-        assert got[seed] == [int(twin.integers(1, n + 1)) for n in ns]
+        assert got[seed] == [numpy_draws(twin, n) for n in ns]

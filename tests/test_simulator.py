@@ -131,6 +131,25 @@ def test_lone_fragment_target_keeps_the_stream():
     assert skip.bit_generator.state == draw.bit_generator.state
 
 
+@pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.PCG64DXSM))
+def test_alpha_zero_events_draw_as_numpys_calls(bit_generator):
+    # one event at n parts is numpy's standard_exponential, integers and
+    # the law's draw in that order; n = 1 draws no rank, and n >= 2 takes
+    # the merged draw. The law's random() between events meets PCG64's
+    # buffered 32-bit half, and the state is compared after every event
+    law = BinaryPowerLaw(0.5)
+    trunc = law.truncated_mass(0.01)
+    rng = np.random.Generator(bit_generator(17))
+    twin = np.random.Generator(bit_generator(17))
+    for n in (1, 2, 1, 3, 33, 1, 2, 300) * 5:
+        state = MassState((1.0 / n,) * n, 0.0, 1.0)
+        wait, target, frags = next_event(state, law, 0.0, 0.01, rng, trunc)
+        assert wait == 1.0 / (n * trunc) * twin.standard_exponential()
+        assert target == int(twin.integers(1, n + 1))
+        assert frags == law.sample_dislocation(0.01, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 @pytest.mark.parametrize("scale", (1e-12, 1.0 / 3.0, 1.0, 2.5, 7e5))
 def test_scaled_standard_exponential_is_numpy_exponential(scale):
     # next_event draws each wait as scale * standard_exponential()
@@ -283,6 +302,7 @@ def test_run_stops_when_the_truncation_is_empty():
     (SPLIT_64, math.nan, ">= 0"),  # a NaN eps keeps no atom, so no path splits
     (SPLIT_64, math.inf, "finite"),  # an infinite eps truncates every event
     (BinaryPowerLaw(0.5), math.inf, "finite"),
+    (SPLIT_64, "0.1", "finite"),  # not a number
 ))
 def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
     with pytest.raises(ConfigError, match=match):
@@ -306,6 +326,37 @@ def test_step_kernel_follows_the_config_limits(field, value):
         SimConfig(SPLIT_64, 1.0, **{field: value})
     with pytest.raises(ConfigError, match=field):
         make_step_kernel(SPLIT_64, **{field: value})
+
+
+@pytest.mark.parametrize("kwargs, match", (
+    (dict(t_end="1"), "t_end"),
+    (dict(t_end=None), "t_end"),
+    (dict(t_end=1.0, alpha="1"), "alpha"),
+    (dict(t_end=1.0, c="0.1"), "erosion rate"),
+    (dict(t_end=1.0, eps="0.1"), "eps"),
+    (dict(t_end=1.0, initial_mass="1"), "initial_mass"),
+    (dict(t_end=np.array([1.0, 2.0])), "t_end"),  # no single truth value
+    (dict(t_end=1.0, obs_times=("x",)), "obs_times"),
+    (dict(t_end=1.0, obs_times=(None,)), "obs_times"),
+    (dict(t_end=1.0, obs_times=1.0), "obs_times"),  # not a sequence
+))
+def test_config_rejects_fields_that_are_not_numbers(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        SimConfig(SPLIT_64, **kwargs)
+
+
+def test_config_still_takes_what_compares_as_a_number():
+    cfg = SimConfig(SPLIT_64, np.float64(1.0), alpha=0, c=np.float32(0.5),
+                    eps=False, initial_mass=1, obs_times=("0.5", np.int64(1)))
+    assert cfg.obs_times == (0.5, 1.0)
+    assert run(cfg, np.random.default_rng(0)).snapshots[1].parts
+
+
+@pytest.mark.parametrize("duration", ("1", None, [1.0]))
+def test_step_kernel_rejects_a_duration_that_is_not_a_number(duration):
+    kernel = make_step_kernel(SPLIT_64)
+    with pytest.raises(ConfigError, match="duration"):
+        kernel(duration, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("law, floor, events", (
