@@ -20,21 +20,12 @@ from .measures import (
 )
 from .partitions import (
     FinitePartition,
-    apply_permutation,
     frequencies,
-    from_blocks,
-    from_labels,
     paintbox,
     partition_step,
     trivial,
 )
-from .ranked_state import (
-    MassState,
-    dislocate,
-    from_masses,
-    prefix_mass,
-    validate_fragments,
-)
+from .ranked_state import MassState, dislocate, validate_fragments
 from .rng import replica_rng
 from .simulator import (
     EventAtom,

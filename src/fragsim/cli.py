@@ -88,7 +88,10 @@ def _cmd_tail(args):
     if not text.startswith("measure"):
         text = "measure = " + text
     law = parse_measure(text)
-    grid = [float(v) for v in args.x.split(",") if v.strip()]
+    try:
+        grid = [float(v) for v in args.x.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--x: {exc}") from exc
     if not grid:
         raise ConfigError("--x needs at least one grid point")
     print("x,tail_nu2,gen_inverse_f")

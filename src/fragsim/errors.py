@@ -9,10 +9,6 @@ class NegativeMass(FragsimError):
     """A fragment mass, dust value, or mass budget was negative."""
 
 
-class MassBudgetExceeded(FragsimError):
-    """Sum of parts plus dust exceeds the nominal budget beyond tolerance."""
-
-
 class RankOutOfRange(FragsimError):
     """Requested fragment rank does not exist in the state."""
 
@@ -23,10 +19,6 @@ class InvalidFragmentVector(FragsimError):
 
 class InvalidPartition(FragsimError, ValueError):
     """Partition blocks are empty, overlap, or do not cover the ground set."""
-
-
-class NotAPermutation(FragsimError):
-    """Relabeling map is not a bijection of the ground set."""
 
 
 class DivergentMeasure(FragsimError):

@@ -215,6 +215,9 @@ class BinaryPowerLaw(DislocationLaw):
         return (1.0 - s2, s2)
 
     def gen_inverse_f(self, y):
+        # below 0 no x has tail_nu2(x) <= y; 1/2 is the bisection's answer
+        if y < 0.0:
+            return 0.5
         return (y + self._two_a) ** self._neg_inv_a
 
     def jump_rate_truncated(self, eps):

@@ -2,15 +2,12 @@
 
 Partitions are stored canonically: each block ascending, blocks ordered by
 least element, over an explicit ground set (a sorted tuple of integer
-labels). The validating constructors from_blocks and from_labels own that
-form: they are where outside input enters, and they reject empty,
-overlapping or non-covering blocks. trivial and paintbox check only their
-n (an int, >= 1 for trivial and >= 0 for paintbox); they, partition_step
-and frequencies build their results in canonical form by construction,
-so each one is built once and never re-checked. trivial and paintbox
-share one ground tuple (1, ..., n), kept for the last n asked for, so a
-repeated n does not build its labels again; its numpy object column is
-kept with it.
+labels). trivial and paintbox check only their n (an int, >= 1 for
+trivial and >= 0 for paintbox); they, partition_step and frequencies
+build their results in canonical form by construction, so each one is
+built once and never re-checked. trivial and paintbox share one ground
+tuple (1, ..., n), kept for the last n asked for, so a repeated n does
+not build its labels again; its numpy object column is kept with it.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, NegativeMass, NotAPermutation, check_range
+from .errors import InvalidPartition, NegativeMass, check_range
 from .ranked_state import MassState
 
 
@@ -42,38 +39,6 @@ from .ranked_state import MassState
 class FinitePartition:
     ground: tuple  # sorted distinct integer labels
     blocks: tuple  # disjoint tuples covering ground, ordered by least element
-
-    @property
-    def n(self):
-        return len(self.ground)
-
-
-def from_blocks(blocks, ground=None):
-    """Validating constructor; canonicalizes block and element order."""
-    cleaned = [tuple(sorted(b)) for b in blocks]
-    if any(not b for b in cleaned):
-        raise InvalidPartition("empty block")
-    cleaned.sort(key=lambda b: b[0])
-    seen = set()
-    for b in cleaned:
-        if seen.intersection(b):
-            raise InvalidPartition("blocks are not disjoint")
-        seen.update(b)
-    if ground is None:
-        ground = tuple(sorted(seen))
-    else:
-        ground = tuple(sorted(ground))
-        if set(ground) != seen:
-            raise InvalidPartition("blocks do not cover the ground set")
-    return FinitePartition(ground, tuple(cleaned))
-
-
-def from_labels(elements, labels):
-    """Partition grouping elements by equal labels."""
-    groups = {}
-    for e, lab in zip(elements, labels):
-        groups.setdefault(lab, []).append(e)
-    return from_blocks(groups.values(), elements)
 
 
 def _ground(n, least):
@@ -185,19 +150,6 @@ def frequencies(p):
                                   reverse=True)), 0.0, 1.0)
 
 
-def apply_permutation(p, sigma):
-    """Partition whose element pairs relate iff their sigma images relate in p.
-
-    sigma is positional over the ground set: sigma[k] is the image of
-    p.ground[k]. Blocks of the result are sigma-preimages of blocks of p.
-    """
-    sigma = tuple(sigma)
-    if len(sigma) != p.n or set(sigma) != set(p.ground):
-        raise NotAPermutation(f"{sigma} is not a bijection of {p.ground}")
-    inverse = {image: source for source, image in zip(p.ground, sigma)}
-    return from_blocks([[inverse[e] for e in b] for b in p.blocks], p.ground)
-
-
 def partition_step(p, duration, kernel, rng):
     """One homogeneous fragmentation transition applied blockwise to p.
 
@@ -208,9 +160,9 @@ def partition_step(p, duration, kernel, rng):
     alpha != 0 a block's rate depends on its asymptotic frequency, which
     the finite block does not carry. Blocks consume the rng stream in
     canonical order, which makes the draw reproducible. p is trusted to be
-    canonical, as from the validating constructors; the painted blocks then
-    partition p.ground and need only one sort by least element. A duration
-    that is not finite and >= 0 raises ConfigError.
+    canonical, as trivial, paintbox and partition_step build it; the painted
+    blocks then partition p.ground and need only one sort by least element.
+    A duration that is not finite and >= 0 raises ConfigError.
     """
     check_range(duration, lambda d: 0.0 <= d < math.inf,
                 "step duration {!r} must be finite and >= 0")

@@ -12,12 +12,7 @@ import operator
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import (
-    InvalidFragmentVector,
-    MassBudgetExceeded,
-    NegativeMass,
-    RankOutOfRange,
-)
+from .errors import InvalidFragmentVector, RankOutOfRange
 
 # Absolute slack for budget checks; conservation itself is exact float
 # arithmetic and stays far inside this.
@@ -28,24 +23,6 @@ class MassState(NamedTuple):
     parts: tuple   # non-increasing, strictly positive
     dust: float    # mass lost to unresolved fragments, erosion, and flooring
     nominal: float # initial total mass
-
-
-def from_masses(masses, dust=0.0, nominal=1.0):
-    """Validating constructor. Zero masses are stripped, ties keep input order."""
-    masses = [float(m) for m in masses]
-    for m in masses:
-        if m < 0.0:
-            raise NegativeMass(f"fragment mass {m} is negative")
-    if dust < 0.0:
-        raise NegativeMass(f"dust {dust} is negative")
-    if nominal <= 0.0:
-        raise NegativeMass(f"nominal budget {nominal} must be positive")
-    if sum(masses) + dust > nominal + BUDGET_TOL:
-        raise MassBudgetExceeded(
-            f"parts+dust = {sum(masses) + dust} exceeds nominal {nominal}")
-    kept = [m for m in masses if m > 0.0]
-    kept.sort(reverse=True)  # stable: equal masses keep input order
-    return MassState(tuple(kept), float(dust), float(nominal))
 
 
 def validate_fragments(fragments):
@@ -103,10 +80,3 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     # tuple.__new__ builds the MassState that MassState(...) would, without
     # the generated __new__'s Python frame
     return tuple.__new__(MassState, (tuple(parts), dust, state.nominal))
-
-
-def prefix_mass(state, k):
-    """Sum of the k largest parts (all parts when fewer than k exist)."""
-    if k < 1:
-        raise RankOutOfRange(f"prefix length {k} must be >= 1")
-    return sum(state.parts[:k])

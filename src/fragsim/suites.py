@@ -29,7 +29,8 @@ from .asymptotics import (
     run_subordinator,
 )
 from .errors import ConfigError, RateOverflow, UnknownSuite
-from .measures import BinaryPowerLaw, FiniteAtomic, sub_levy_transform
+from .measures import (BinaryPowerLaw, DislocationLaw, FiniteAtomic,
+                       sub_levy_transform)
 from .partitions import frequencies, paintbox, partition_step, trivial
 from .ranked_state import dislocate, MassState
 from .rng import replica_rng
@@ -165,10 +166,10 @@ def _suite_erosion(law, c, t, replicas, seed):
 
 
 def _prefix_masses(state):
-    """[prefix_mass(state, k) for k in 1..10], from one running sum.
+    """[sum(state.parts[:k]) for k in 1..10], from one running sum.
 
     accumulate adds left to right in C doubles, as sum does on CPython
-    3.11, so each entry equals prefix_mass's float bit for bit.
+    3.11, so each entry equals that sum's float bit for bit.
     """
     sums = list(accumulate(state.parts[:10]))
     return sums + [sums[-1] if sums else 0.0] * (10 - len(sums))
@@ -516,6 +517,11 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
         key = _TRANSLATE.get(key, key)
         if key not in params:
             raise ConfigError(f"suite {name!r} does not take {key!r}")
+        kind = (DislocationLaw if key == "law" else
+                numbers.Real if isinstance(params[key], float) else object)
+        if not isinstance(value, kind):
+            raise ConfigError(f"suite {name!r} needs a {kind.__name__} "
+                              f"{key}, got {value!r}")
         params[key] = value
     if seed is not None:
         params["seed"] = seed

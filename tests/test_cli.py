@@ -198,7 +198,8 @@ def test_tail_grid(capsys):
 def test_tail_rejects_bad_input(capsys):
     assert main(["tail", "--measure", "binary_power", "--x", "0.25"]) == 2
     assert main(["tail", "--measure", "binary_power; a = 0.5", "--x", " "]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    assert main(["tail", "--measure", "binary_power; a = 0.5", "--x", "a"]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_argparse_usage_error():

@@ -10,6 +10,7 @@ from scipy import stats as sps
 from fragsim import (
     BinaryPowerLaw,
     BrennanDurrett,
+    DislocationLaw,
     FiniteAtomic,
     ks_stat,
     parse_measure,
@@ -97,6 +98,17 @@ def test_gen_inverse_binary():
     assert law.gen_inverse_f(0.0) == pytest.approx(0.5, abs=1e-12)
     for y in (0.0, 0.5, 3.0, 40.0, 1e4):
         assert abs(law.gen_inverse_f(y) - inverse_oracle(law, y)) < 1e-9
+
+
+def test_gen_inverse_binary_matches_the_bisection_below_zero():
+    # no x has tail_nu2(x) <= y < 0; the closed form divided by zero at
+    # y = -2^a, went complex below it and passed 1/2 above it
+    for a in (0.3, 0.5, 0.8):
+        law = BinaryPowerLaw(a)
+        for y in (-1e6, -2.0, -2.0 ** a, -0.5, -1e-12, 0.0, 0.5, 3.0, 40.0):
+            got = law.gen_inverse_f(y)
+            assert isinstance(got, float)
+            assert abs(got - DislocationLaw.gen_inverse_f(law, y)) < 1e-9
 
 
 def test_galois_inequalities_all_families():

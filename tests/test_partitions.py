@@ -10,11 +10,7 @@ from fragsim import (
     FiniteAtomic,
     FinitePartition,
     MassState,
-    apply_permutation,
     frequencies,
-    from_blocks,
-    from_labels,
-    from_masses,
     make_step_kernel,
     paintbox,
     partition_step,
@@ -22,16 +18,17 @@ from fragsim import (
 )
 from fragsim import partitions
 from fragsim.errors import (ConfigError, FragsimError, InvalidPartition,
-                            NegativeMass, NotAPermutation)
+                            NegativeMass)
+from reference import by_label, canonical, mass_state, pull_back
 
 
 # A fixed state with dust share 0.3: each label lands in dust often enough
 # that a dust key colliding with a fragment index would merge blocks.
-DUSTY = from_masses([0.35, 0.25, 0.1], dust=0.3)
+DUSTY = mass_state([0.35, 0.25, 0.1], dust=0.3)
 
 
 def painted_reference(state, blocks, uniforms):
-    """Blockwise paintbox through from_labels: element e of block i keys
+    """Blockwise paintbox through by_label: element e of block i keys
     (i, k) for the first fragment k whose cumulative share exceeds its
     uniform, and ("dust", e) past the last fragment."""
     cum = list(itertools.accumulate(m / state.nominal for m in state.parts))
@@ -41,7 +38,7 @@ def painted_reference(state, blocks, uniforms):
             k = next((k for k, c in enumerate(cum) if u < c), None)
             keys[e] = ("dust", e) if k is None else (i, k)
     ground = sorted(keys)
-    return from_labels(ground, [keys[e] for e in ground])
+    return by_label(ground, [keys[e] for e in ground])
 
 
 def dict_paint_over(state, elements, rng):
@@ -67,41 +64,24 @@ def paintbox_distribution(shares, n):
         prob = math.prod(p for _, p in combo)
         keys = [k if k is not None else -(pos + 1)
                 for pos, (k, _) in enumerate(combo)]
-        part = from_labels(tuple(range(1, n + 1)), keys)
+        part = by_label(tuple(range(1, n + 1)), keys)
         dist[part] = dist.get(part, 0.0) + prob
     return dist
 
 
-def test_from_blocks_canonical_form():
-    p = from_blocks([[4, 5], [2, 1, 3]])
-    assert p.ground == (1, 2, 3, 4, 5)
-    assert p.blocks == ((1, 2, 3), (4, 5))
-    assert p.n == 5
-    assert p == from_blocks([(1, 3, 2), (5, 4)])
-
-
-def test_from_blocks_validation():
-    with pytest.raises(ValueError):
-        from_blocks([[1, 2], []])
-    with pytest.raises(ValueError):
-        from_blocks([[1, 2], [2, 3]])
-    with pytest.raises(ValueError):
-        from_blocks([[1, 2]], ground=(1, 2, 3))
-
-
 def test_trivial_and_from_labels():
     for n in (1, 2, 3, 1000):
-        assert trivial(n) == from_blocks([range(1, n + 1)])
-    p = from_labels((1, 2, 3, 4), ("a", "b", "a", "c"))
+        assert trivial(n) == canonical([range(1, n + 1)])
+    p = by_label((1, 2, 3, 4), ("a", "b", "a", "c"))
     assert p.blocks == ((1, 3), (2,), (4,))
 
 
 def test_paintbox_degenerate_states():
     rng = np.random.default_rng(0)
-    full = from_masses([1.0])
+    full = mass_state([1.0])
     for _ in range(10):
         assert paintbox(full, 5, rng) == trivial(5)
-    empty = from_masses([], dust=1.0)
+    empty = mass_state([], dust=1.0)
     for _ in range(10):
         p = paintbox(empty, 4, rng)
         assert p.blocks == ((1,), (2,), (3,), (4,))
@@ -110,7 +90,7 @@ def test_paintbox_degenerate_states():
 def test_paintbox_single_block_probability():
     # P(one block) = 0.5^3 + 0.3^3 = 0.152 for shares (0.5, 0.3) on 3 labels
     rng = np.random.default_rng(1)
-    state = from_masses([0.5, 0.3])
+    state = mass_state([0.5, 0.3])
     n_rep = 20000
     hits = sum(paintbox(state, 3, rng) == trivial(3) for _ in range(n_rep))
     se = math.sqrt(0.152 * 0.848 / n_rep)
@@ -125,13 +105,13 @@ def test_paintbox_exact_law_is_exchangeable():
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         for sigma in itertools.permutations(range(1, n + 1)):
             for part, prob in dist.items():
-                assert dist[apply_permutation(part, sigma)] == pytest.approx(
+                assert dist[pull_back(part, sigma)] == pytest.approx(
                     prob, abs=1e-12)
 
 
 def test_paintbox_matches_enumerated_law():
     rng = np.random.default_rng(2)
-    state = from_masses([0.5, 0.3])
+    state = mass_state([0.5, 0.3])
     dist = paintbox_distribution((0.5, 0.3), 3)
     n_rep = 30000
     counts = {}
@@ -146,37 +126,19 @@ def test_paintbox_matches_enumerated_law():
 
 def test_frequencies():
     assert frequencies(trivial(4)).parts == (1.0,)
-    assert frequencies(from_blocks([[1, 2], [3, 4]])).parts == (0.5, 0.5)
-    p = from_blocks([[1, 2, 3], [4], [5]])
+    assert frequencies(canonical([[1, 2], [3, 4]])).parts == (0.5, 0.5)
+    p = canonical([[1, 2, 3], [4], [5]])
     assert frequencies(p).parts == (0.6, 0.2, 0.2)
     assert frequencies(p).dust == 0.0
 
 
-def test_apply_permutation():
-    p = from_blocks([[1, 2], [3]])
-    assert apply_permutation(p, (1, 2, 3)) == p
-    # swap 1 and 3: pairs related iff images related, so {1,2} pulls back
-    # to {3,2} and {3} to {1}
-    assert apply_permutation(p, (3, 2, 1)) == from_blocks([[1], [2, 3]])
-    rng = np.random.default_rng(3)
-    q = from_blocks([[1, 4], [2, 6], [3], [5]])
-    sizes = sorted(len(b) for b in q.blocks)
-    for _ in range(20):
-        sigma = tuple(rng.permutation(q.ground))
-        moved = apply_permutation(q, sigma)
-        assert sorted(len(b) for b in moved.blocks) == sizes
-    for bad in ((1, 1, 2), (1, 2), (1, 2, 5)):
-        with pytest.raises(NotAPermutation):
-            apply_permutation(p, bad)
-
-
 def test_partition_step_zero_duration_and_identity_kernel():
-    p = from_blocks([[1, 2], [3, 4, 5]])
+    p = canonical([[1, 2], [3, 4, 5]])
     rng = np.random.default_rng(4)
     assert partition_step(p, 0.0, None, rng) is p
 
     def keep_whole(duration, rng):
-        return from_masses([1.0])
+        return mass_state([1.0])
 
     assert partition_step(p, 1.0, keep_whole, rng) == p
 
@@ -186,7 +148,7 @@ def test_partition_step_rejects_a_bad_duration(duration):
     def unreachable(duration, rng):
         raise AssertionError("the kernel ran")
 
-    p = from_blocks([[1, 2], [3]], (1, 2, 3))
+    p = canonical([[1, 2], [3]], (1, 2, 3))
     with pytest.raises(ConfigError, match="duration"):
         partition_step(p, duration, unreachable, np.random.default_rng(0))
 
@@ -194,17 +156,17 @@ def test_partition_step_rejects_a_bad_duration(duration):
 @pytest.mark.parametrize("duration", ("1", None))
 def test_partition_step_rejects_a_duration_that_is_not_a_number(duration):
     kernel = make_step_kernel(FiniteAtomic([(1.0, (0.6, 0.4))]))
-    p = from_blocks([[1, 2], [3]], (1, 2, 3))
+    p = canonical([[1, 2], [3]], (1, 2, 3))
     with pytest.raises(ConfigError, match="duration"):
         partition_step(p, duration, kernel, np.random.default_rng(0))
 
 
 def test_partition_step_refines():
     rng = np.random.default_rng(5)
-    p = from_blocks([[1, 2, 3, 4], [5, 6]])
+    p = canonical([[1, 2, 3, 4], [5, 6]])
 
     def shatter(duration, rng):
-        return from_masses([0.5, 0.5])
+        return mass_state([0.5, 0.5])
 
     q = partition_step(p, 1.0, shatter, rng)
     assert q.ground == p.ground
@@ -216,21 +178,21 @@ def test_partition_step_calls_the_kernel_once_per_block_in_order():
     # the first call keeps its block whole, the second dusts every label;
     # only canonical order leaves the block holding 1 whole
     calls = []
-    outcomes = (from_masses([1.0]), from_masses([], dust=1.0))
+    outcomes = (mass_state([1.0]), mass_state([], dust=1.0))
 
     def recording(duration, rng):
         calls.append((duration, rng))
         return outcomes[len(calls) - 1]
 
     rng = np.random.default_rng(7)
-    q = partition_step(from_blocks([[5, 3, 4], [2, 1]]), 1.5, recording, rng)
+    q = partition_step(canonical([[5, 3, 4], [2, 1]]), 1.5, recording, rng)
     assert calls == [(1.5, rng)] * 2
     assert q.blocks == ((1, 2), (3,), (4,), (5,))
 
 
 def test_paintbox_frequencies_law_of_large_numbers():
     rng = np.random.default_rng(6)
-    state = from_masses([0.5, 0.5])
+    state = mass_state([0.5, 0.5])
     freq = frequencies(paintbox(state, 10 ** 4, rng))
     assert len(freq.parts) == 2
     for share in freq.parts:
@@ -238,10 +200,12 @@ def test_paintbox_frequencies_law_of_large_numbers():
 
 
 def test_invalid_blocks_raise_a_typed_error():
+    # the reference rejects what is not a partition, which the paint tests'
+    # p == canonical(p.blocks, p.ground) relies on
     for blocks, ground in (([[1, 2], []], None), ([[1, 2], [2, 3]], None),
-                           ([[1, 2]], (1, 2, 3))):
-        with pytest.raises(InvalidPartition):
-            from_blocks(blocks, ground)
+                           ([[1, 2]], (1, 2, 3)), ([[1, 1, 2]], None)):
+        with pytest.raises(ValueError):
+            canonical(blocks, ground)
     for n in (0, -3):
         with pytest.raises(InvalidPartition):
             trivial(n)
@@ -267,7 +231,7 @@ def test_trivial_and_paintbox_share_one_ground_per_n():
         assert trivial(n).ground is ground
         p = paintbox(FEW, n, rng)
         assert p.ground is ground
-        assert p == from_blocks(p.blocks, ground)
+        assert p == canonical(p.blocks, ground)
     assert paintbox(FEW, 0, rng).ground == ()
     assert trivial(np.int64(7)) == trivial(7)
 
@@ -278,39 +242,39 @@ def test_painted_partitions_are_canonical_by_construction(seed):
         return DUSTY
 
     for p in (trivial(12),
-              from_blocks([[0, 3, 5, 9], [1, 2], [4, 6, 7, 8]]),
-              from_blocks([[-2, 0, 1], [-5, 2, 3, 4], [6]])):
+              canonical([[0, 3, 5, 9], [1, 2], [4, 6, 7, 8]]),
+              canonical([[-2, 0, 1], [-5, 2, 3, 4], [6]])):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         q = partition_step(p, 1.0, fixed, rng)
         assert q == painted_reference(DUSTY, p.blocks, twin)
-        assert q == from_blocks(q.blocks, q.ground)
+        assert q == canonical(q.blocks, q.ground)
         # a second step paints the first one's blocks in canonical order
         r = partition_step(q, 1.0, fixed, rng)
         assert r == painted_reference(DUSTY, q.blocks, twin)
-        assert r == from_blocks(r.blocks, r.ground)
+        assert r == canonical(r.blocks, r.ground)
 
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     q = paintbox(DUSTY, 30, rng)
     assert q == painted_reference(DUSTY, [tuple(range(1, 31))], twin)
-    assert q == from_blocks(q.blocks, q.ground)
+    assert q == canonical(q.blocks, q.ground)
 
 
-FEW = from_masses([0.5, 0.3, 0.15])
-NEAR_WHOLE = from_masses([0.999, 0.001])
+FEW = mass_state([0.5, 0.3, 0.15])
+NEAR_WHOLE = mass_state([0.999, 0.001])
 PAINT_STATES = {
     "few": FEW,
-    "tiny": from_masses([0.0019] * 500),
-    "dust70": from_masses([0.2, 0.1], dust=0.7),
-    "all-dust": from_masses([], dust=1.0),
-    "nominal-above": from_masses([0.3, 0.2], dust=0.1, nominal=2.0),
+    "tiny": mass_state([0.0019] * 500),
+    "dust70": mass_state([0.2, 0.1], dust=0.7),
+    "all-dust": mass_state([], dust=1.0),
+    "nominal-above": mass_state([0.3, 0.2], dust=0.1, nominal=2.0),
     # every label in the first fragment: the block stays whole
-    "whole": from_masses([1.0]),
-    "whole-nominal-above": from_masses([2.0], nominal=2.0),
+    "whole": mass_state([1.0]),
+    "whole-nominal-above": mass_state([2.0], nominal=2.0),
     # whole at some seeds, split at others, at n = 1000
     "near-whole": NEAR_WHOLE,
     # a first share of exactly 1 with more parts within the budget slack
-    "whole-and-more": from_masses([1.0, 1e-10]),
-    "whole-and-more-nominal-above": from_masses([2.0, 1e-10, 1e-10],
+    "whole-and-more": mass_state([1.0, 1e-10]),
+    "whole-and-more-nominal-above": mass_state([2.0, 1e-10, 1e-10],
                                                 nominal=2.0),
 }
 # Ascending grounds: with 0, with negative labels, and with gaps, as the
@@ -357,7 +321,7 @@ def test_partition_steps_match_the_dict_grouping(monkeypatch):
     kernel = make_step_kernel(FiniteAtomic([(0.7, (0.6, 0.4)),
                                             (0.3, (0.5, 0.3, 0.1))]))
     starts = (trivial(200), paintbox(FEW, 200, np.random.default_rng(9)),
-              from_blocks([PAINT_GROUNDS["negative"]]))
+              canonical([PAINT_GROUNDS["negative"]]))
     refined = 0
     for seed in range(3):
         for p in starts:
@@ -378,7 +342,7 @@ def test_frequencies_match_the_validating_route():
     painted = [paintbox(state, n, rng) for state in PAINT_STATES.values()
                for n in (1, 7, 300)]
     for p in painted + [trivial(1), trivial(9), paintbox(FEW, 0, rng)]:
-        assert frequencies(p) == from_masses([len(b) / p.n for b in p.blocks])
+        assert frequencies(p) == mass_state([len(b) / len(p.ground) for b in p.blocks])
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000])

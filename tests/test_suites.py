@@ -13,7 +13,6 @@ from fragsim import (
     FiniteAtomic,
     MassState,
     PASS_EXIT,
-    prefix_mass,
     replica_rng,
     run,
     run_replicas,
@@ -64,6 +63,10 @@ def test_seed_and_replica_overrides_are_reflected():
     # t_end is accepted as an alias for the suite horizon
     other = run_suite("erosion", {"t_end": 0.5}, replicas=5)
     assert ("t", "0.5") in other.config
+    # any real number is taken where the pinned default is a float
+    for t in (1, np.int64(1), np.float64(1.0)):
+        other = run_suite("erosion", {"t": t}, replicas=5)
+        assert ("t", repr(t)) in other.config
 
 
 def test_report_text_is_byte_stable():
@@ -104,12 +107,12 @@ def test_replica_count_echoes_a_plain_int():
 
 
 def test_prefix_masses_match_prefix_mass():
-    # the conservation replay's running sums are prefix_mass's, bit for bit
+    # the conservation replay's running sums are the prefix sums, bit for bit
     rng = np.random.default_rng(3)
     for n in [0, 1, 9, 10, 11] + [int(k) for k in rng.integers(0, 30, 200)]:
         state = MassState(tuple(sorted(rng.random(n).tolist(), reverse=True)),
                           0.0, 1.0)
-        want = [float(prefix_mass(state, k)).hex() for k in range(1, 11)]
+        want = [float(sum(state.parts[:k])).hex() for k in range(1, 11)]
         assert [x.hex() for x in suites._prefix_masses(state)] == want
 
 
@@ -214,6 +217,26 @@ _BAD_OVERRIDES = [
                          ids=[f"{n}-{o}" for n, o, _ in _BAD_OVERRIDES])
 def test_bad_overrides_raise_a_typed_error(name, overrides, error):
     with pytest.raises(error):
+        run_suite(name, overrides, replicas=50)
+
+
+# A value of the wrong kind for its pinned default fails in run_suite's
+# override loop, before it reaches the suite and fails bare there.
+_WRONG_KINDS = [
+    *[(name, {"t": "x"}) for name in ("subordinator", "extreme", "erosion")],
+    ("poisson-counts", {"eps": None}),
+    ("frechet-k", {"event_budget": "x"}),
+    *[(name, {"law": "x"}) for name in ("records", "conservation",
+                                        "correspondence", "erosion", "scaling",
+                                        "poisson-counts", "sandwich")],
+]
+
+
+@pytest.mark.parametrize("name, overrides", _WRONG_KINDS,
+                         ids=[f"{n}-{o}" for n, o in _WRONG_KINDS])
+def test_overrides_of_the_wrong_kind_raise_config_error(name, overrides):
+    [key] = overrides
+    with pytest.raises(ConfigError, match=f"needs a \\w+ {key}, got"):
         run_suite(name, overrides, replicas=50)
 
 
