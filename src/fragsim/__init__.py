@@ -2,7 +2,6 @@
 
 from . import errors
 from .asymptotics import (
-    SubordinatorSpec,
     extreme_cdf,
     frechet_k_cdf,
     normalize_lambda2,
@@ -16,7 +15,6 @@ from .measures import (
     DislocationLaw,
     FiniteAtomic,
     parse_measure,
-    sub_levy_transform,
 )
 from .partitions import (
     FinitePartition,

@@ -1,70 +1,47 @@
 """Small-time limit laws and their reference objects.
 
 The size of the largest fragment, while it stays above half the total, is
-exp(-xi) for a killed subordinator xi. The second-largest fragment is
-squeezed between the running record of detached piece sizes and that record
-damped by the accumulated lead factors. Rescaled by the generalized inverse
-of the tail, small-time fragment sizes follow heavy-tail extreme laws.
+exp(-xi) for a killed subordinator xi. For a one-atom law every jump of xi
+has the one size -log s1; run_subordinator samples that case from three
+draws (the killing time, the jump count, the jump times) and none per
+jump. The second-largest fragment is squeezed between the running record
+of detached piece sizes and that record damped by the accumulated lead
+factors. Rescaled by the generalized inverse of the tail, small-time
+fragment sizes follow heavy-tail extreme laws.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNormalizer
+from .errors import ConfigError, DegenerateNormalizer, check_range
 
 
-@dataclass(frozen=True)
-class SubordinatorSpec:
-    """Killed compound-Poisson subordinator with drift.
-
-    Jumps arrive at jump_rate; jump_sampler(rng) draws one jump size. The
-    path is sent to a graveyard at killing_rate. The drift must be finite,
-    both rates finite and >= 0, and a sampler is required when jump_rate > 0.
-    """
-
-    drift: float
-    killing_rate: float
-    jump_rate: float
-    jump_sampler: object = None
-
-    def __post_init__(self):
-        if not -math.inf < self.drift < math.inf:
-            raise ConfigError(f"drift {self.drift} must be finite")
-        for name in ("killing_rate", "jump_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} {value} must be finite and >= 0")
-        if self.jump_rate > 0.0 and self.jump_sampler is None:
-            raise ConfigError("a positive jump_rate needs a jump_sampler")
-
-
-def run_subordinator(spec, t, rng):
+def run_subordinator(killing_rate, jump_rate, jump, t, rng):
     """Value at time t and whether the path is still alive at t.
 
-    Draws the killing time, the jump count on [0, t], the sorted jump
-    times and then one jump_sampler call per jump, in that order, so the
-    kill time, jump count and jump times do not depend on how sizes are
-    drawn. A killed path reports its value at the killing time: the drift
-    up to min(t, kill) plus the jumps at or before it, added in time order.
-    A horizon t that is not finite and >= 0 raises ConfigError before any
-    draw.
+    A killed compound Poisson process whose jumps all have size jump. It
+    draws the killing time, the jump count on [0, t] and the sorted jump
+    times, in that order, and nothing per jump. A killed path reports its
+    value at the killing time: the jumps at or before it, added one at a
+    time in time order. A horizon, rate or jump that is not finite and
+    >= 0 raises ConfigError before any draw.
     """
-    if not 0.0 <= t < math.inf:
-        raise ConfigError(f"subordinator horizon t {t!r} must be finite and >= 0")
-    if spec.killing_rate > 0.0:
-        kill = rng.exponential(1.0 / spec.killing_rate)
+    for name, value in (("horizon t", t), ("killing_rate", killing_rate),
+                        ("jump_rate", jump_rate), ("jump", jump)):
+        check_range(value, lambda v: 0.0 <= v < math.inf,
+                    f"subordinator {name} {{!r}} must be finite and >= 0")
+    if killing_rate > 0.0:
+        kill = rng.exponential(1.0 / killing_rate)
     else:
         kill = math.inf
-    count = rng.poisson(spec.jump_rate * t) if spec.jump_rate > 0.0 else 0
+    count = rng.poisson(jump_rate * t) if jump_rate > 0.0 else 0
     times = np.sort(rng.random(count)) * t
-    sizes = [spec.jump_sampler(rng) for _ in range(count)]
     cut = min(t, kill)
-    value = spec.drift * cut
-    for when, size in zip(times.tolist(), sizes):
+    value = 0.0
+    for when in times.tolist():
         if when <= cut:
-            value += size
+            value += jump
     return value, kill > t
 
 

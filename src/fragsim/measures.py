@@ -15,12 +15,10 @@ whose total rate is finite by the Markov bound x * tail_nu2(x) <= dust
 integral.
 """
 
-import math
 from bisect import bisect_right
 
 import numpy as np
 
-from .asymptotics import SubordinatorSpec
 from .errors import (
     ConfigError,
     DivergentMeasure,
@@ -91,11 +89,6 @@ class DislocationLaw:
                 lo = mid
         return hi
 
-    def jump_rate_truncated(self, eps):
-        """Integral of s1 over the truncated set, the total jump rate of the
-        size-of-tagged-fragment subordinator."""
-        raise NotImplementedError
-
 
 class FiniteAtomic(DislocationLaw):
     """Finitely many weighted fragment vectors. May be empty (no events)."""
@@ -134,17 +127,17 @@ class FiniteAtomic(DislocationLaw):
         return float(np.sum(self._w * (1.0 - self._s1)))
 
     def truncated_mass(self, eps):
-        return self._truncation(eps)[4]
+        return self._truncation(eps)[3]
 
     def _truncation(self, eps):
-        """The cache entry for eps, read once: (eps, kept atom indices,
-        their cumulative weights as a list, their fragment vectors, their
-        total weight)."""
+        """The cache entry for eps, read once: (eps, the kept atoms'
+        cumulative weights as a list, their fragment vectors, their total
+        weight)."""
         cache = self._trunc_cache
         if cache is None or cache[0] != eps:
             keep = np.flatnonzero((1.0 - self._s1) >= eps)
             w = self._w[keep]
-            cache = (eps, keep, np.cumsum(w).tolist(),
+            cache = (eps, np.cumsum(w).tolist(),
                      tuple(self.atoms[i][1] for i in keep), float(np.sum(w)))
             self._trunc_cache = cache
         return cache
@@ -152,15 +145,11 @@ class FiniteAtomic(DislocationLaw):
     def sample_dislocation(self, eps, rng, total=None):
         # draws against the cached cumulative weights; total is not needed.
         # bisect_right returns the index np.searchsorted(side="right") would.
-        _, _, cum, fragments, _ = self._truncation(eps)
+        _, cum, fragments, _ = self._truncation(eps)
         if not fragments:
             raise EmptyTruncation(f"no atoms with 1 - s1 >= {eps}")
         u = rng.random() * cum[-1]
         return fragments[min(bisect_right(cum, u), len(fragments) - 1)]
-
-    def jump_rate_truncated(self, eps):
-        keep = self._truncation(eps)[1]
-        return float(np.sum(self._w[keep] * self._s1[keep]))
 
 
 class BinaryPowerLaw(DislocationLaw):
@@ -219,12 +208,6 @@ class BinaryPowerLaw(DislocationLaw):
         if y < 0.0:
             return 0.5
         return (y + self._two_a) ** self._neg_inv_a
-
-    def jump_rate_truncated(self, eps):
-        # integral of (1 - x) a x^(-a-1) over [eps, 1/2]
-        a = self.a
-        return self.truncated_mass(eps) - a / (1.0 - a) * (
-            0.5 ** (1.0 - a) - eps ** (1.0 - a))
 
 
 class BrennanDurrett(DislocationLaw):
@@ -285,44 +268,6 @@ class BrennanDurrett(DislocationLaw):
         v = float(self._betaincinv(self.p, self.q,
                                    cache[1] + rng.random() * total))
         return (max(v, 1.0 - v), min(v, 1.0 - v))
-
-    def jump_rate_truncated(self, eps):
-        eps = max(eps, 0.0)
-        if eps >= 0.5:
-            return 0.0
-        from scipy import integrate
-
-        val, _ = integrate.quad(
-            lambda v: max(v, 1.0 - v) * self._beta.pdf(v),
-            eps, 1.0 - eps, points=[0.5])
-        return val
-
-
-def sub_levy_transform(law, c, eps):
-    """Subordinator of -log(tagged fragment size): drift c, jumps -log s1 at
-    rate s1 per dislocation in the eps-truncated law, killed at rate
-    integral (1 - s1), the rate at which the tagged point leaves the first
-    piece (positive even for a conservative law that makes no dust)."""
-    killing = law.dust_integral()
-    rate = law.jump_rate_truncated(eps)
-    total = law.truncated_mass(eps)
-
-    def sampler(rng):
-        # accept a truncated dislocation with probability s1 (>= 1/2 for the
-        # binary families), jump by -log s1; each dislocation's jump then
-        # has weight rate * s1, the integrand of jump_rate_truncated
-        while True:
-            s = law.sample_dislocation(eps, rng, total=total)
-            s1 = s[0] if s else 0.0
-            if s1 > 0.0 and rng.random() < s1:
-                return -math.log(s1)
-
-    return SubordinatorSpec(
-        drift=c,
-        killing_rate=killing,
-        jump_rate=rate,
-        jump_sampler=sampler,
-    )
 
 
 # --- measure specification grammar -----------------------------------------

@@ -29,8 +29,7 @@ from .asymptotics import (
     run_subordinator,
 )
 from .errors import ConfigError, RateOverflow, UnknownSuite
-from .measures import (BinaryPowerLaw, DislocationLaw, FiniteAtomic,
-                       sub_levy_transform)
+from .measures import BinaryPowerLaw, DislocationLaw, FiniteAtomic
 from .partitions import frequencies, paintbox, partition_step, trivial
 from .ranked_state import dislocate, MassState
 from .rng import replica_rng
@@ -255,15 +254,29 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
         raise ConfigError(f"the subordinator suite needs a finite horizon "
                           f"t >= 0, got {t!r}")
     _require_count("subordinator", "m_max", m_max, 0)
-    if not (isinstance(law, FiniteAtomic) and len(law.atoms) == 1):
+    if not (isinstance(law, FiniteAtomic) and len(law.atoms) == 1
+            and law.atoms[0][1]):
         raise ConfigError("the subordinator suite needs a one-atom atomic "
-                          "law so jump counts can be read off the path value")
+                          "law with a positive piece so jump counts can be "
+                          "read off the path value")
     weight, atom = law.atoms[0]
     jump = -math.log(atom[0])
-    spec = sub_levy_transform(law, 0.0, 0.0)
+    jump_rate = weight * atom[0]
+    kill = law.dust_integral()
+    try:
+        expected = np.array(
+            [replicas * math.exp(-kill * t)
+             * math.exp(-jump_rate * t) * (jump_rate * t) ** m
+             / math.factorial(m)
+             for m in range(m_max + 1)])
+    except OverflowError:
+        raise ConfigError(f"the subordinator suite's Poisson counts overflow "
+                          f"a float at m_max={m_max}, t={t!r}; lower m_max "
+                          f"or t") from None
+    expected = np.append(expected, replicas - expected.sum())
 
     def worker(_i, rng):
-        return run_subordinator(spec, t, rng)
+        return run_subordinator(kill, jump_rate, jump, t, rng)
 
     rows = run_replicas(worker, replicas, seed)
     observed = np.zeros(m_max + 2)
@@ -275,13 +288,6 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
             observed[m] += 1
         else:
             observed[m_max + 1] += 1
-    jump_rate = weight * atom[0]
-    kill = spec.killing_rate
-    expected = np.array(
-        [replicas * math.exp(-kill * t)
-         * math.exp(-jump_rate * t) * (jump_rate * t) ** m / math.factorial(m)
-         for m in range(m_max + 1)])
-    expected = np.append(expected, replicas - expected.sum())
     p = pooled_chi_square(observed, expected)
     checks = [_check("value_chi_square_p", p, 0.01, ">", replicas)]
 

@@ -9,55 +9,59 @@ from scipy import stats as sps
 from fragsim import (
     BinaryPowerLaw,
     FiniteAtomic,
-    SubordinatorSpec,
     extreme_cdf,
     frechet_k_cdf,
     normalize_lambda2,
     pooled_chi_square,
     record_cdf,
     run_subordinator,
-    sub_levy_transform,
 )
 from fragsim.errors import ConfigError, DegenerateNormalizer
 
-TAGGED_91 = sub_levy_transform(FiniteAtomic([(1.0, (0.9, 0.1))]), 0.0, 0.0)
+# the subordinator of the one-atom law (0.9, 0.1): killed at rate 0.1,
+# jumps of size -log 0.9 at rate 0.9
+TAGGED_91 = (0.1, 0.9, -math.log(0.9))
 
 
-def test_drift_only_path_is_linear():
-    spec = SubordinatorSpec(drift=0.3, killing_rate=0.0, jump_rate=0.0)
+def test_draws_are_the_kill_the_count_and_the_times():
+    # nothing is drawn per jump: the stream after a path is where a twin
+    # that drew only these three is
+    for seed in range(20):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        run_subordinator(*TAGGED_91, 2.0, rng)
+        twin.exponential(1.0 / 0.1)
+        twin.random(twin.poisson(0.9 * 2.0))
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.0, 1.0),
+    (-1.0, 0.0, 1.0),
+    (math.inf, 0.0, 1.0),
+    (0.0, math.nan, 1.0),
+    (0.0, -1.0, 1.0),
+    (0.0, math.inf, 1.0),
+    (0.0, 0.9, math.nan),
+    (0.0, 0.9, -1.0),
+    (0.0, 0.9, math.inf),
+], ids=["nan-kill", "negative-kill", "inf-kill", "nan-jump", "negative-jump",
+        "inf-jump", "nan-size", "negative-size", "inf-size"])
+def test_run_subordinator_rejects_bad_inputs(args):
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(ConfigError, match="must be finite and >= 0"):
+        run_subordinator(*args, 1.0, rng)
+    assert rng.random() == twin.random()
+
+
+def test_run_subordinator_accepts_zero_rates_and_jump():
     rng = np.random.default_rng(0)
-    for t in (0.0, 1.0, 7.5):
-        value, alive = run_subordinator(spec, t, rng)
-        assert value == pytest.approx(0.3 * t, abs=1e-15)
-        assert alive
-
-
-@pytest.mark.parametrize("fields", [
-    (0.0, 0.0, 1.0),
-    (0.0, math.nan, 0.0),
-    (0.0, -1.0, 0.0),
-    (0.0, math.inf, 0.0),
-    (0.0, 0.0, math.nan),
-    (0.0, 0.0, -1.0),
-    (0.0, 0.0, math.inf),
-    (math.nan, 0.0, 0.0),
-    (math.inf, 0.0, 0.0),
-    (-math.inf, 0.0, 0.0),
-], ids=["no-sampler", "nan-kill", "negative-kill", "inf-kill", "nan-jump",
-        "negative-jump", "inf-jump", "nan-drift", "inf-drift", "-inf-drift"])
-def test_subordinator_spec_rejects_bad_fields(fields):
-    with pytest.raises(ConfigError):
-        SubordinatorSpec(*fields)
-
-
-def test_subordinator_spec_accepts_jump_free_and_sampled_specs():
-    SubordinatorSpec(drift=-0.5, killing_rate=0.0, jump_rate=0.0)
-    SubordinatorSpec(0.0, 0.1, 2.0, jump_sampler=lambda rng: 1.0)
+    assert run_subordinator(0.0, 0.0, 1.0, 7.5, rng) == (0.0, True)
+    assert run_subordinator(0.0, 2.0, 0.0, 7.5, rng) == (0.0, True)
 
 
 def test_zero_horizon():
     rng = np.random.default_rng(1)
-    value, alive = run_subordinator(TAGGED_91, 0.0, rng)
+    value, alive = run_subordinator(*TAGGED_91, 0.0, rng)
     assert value == 0.0
     assert alive
 
@@ -65,10 +69,9 @@ def test_zero_horizon():
 @pytest.mark.parametrize("t", (-1.0, math.nan, math.inf))
 @pytest.mark.parametrize("jump_rate", (0.0, 0.9))
 def test_run_subordinator_needs_a_finite_horizon(t, jump_rate):
-    spec = SubordinatorSpec(0.3, 0.1, jump_rate, TAGGED_91.jump_sampler)
     rng, twin = np.random.default_rng(6), np.random.default_rng(6)
     with pytest.raises(ConfigError, match="horizon"):
-        run_subordinator(spec, t, rng)
+        run_subordinator(0.1, jump_rate, -math.log(0.9), t, rng)
     assert rng.random() == twin.random()
 
 
@@ -76,20 +79,22 @@ def test_survival_probability():
     # killing rate 0.1: alive at t = 1 with probability exp(-0.1)
     rng = np.random.default_rng(2)
     n = 20000
-    alive = sum(run_subordinator(TAGGED_91, 1.0, rng)[1] for _ in range(n))
+    alive = sum(run_subordinator(*TAGGED_91, 1.0, rng)[1] for _ in range(n))
     p = math.exp(-0.1)
     assert abs(alive / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
 
 def test_value_stops_at_kill():
-    # no jumps: the value is the drift up to min(t, kill), and the kill
-    # time is the path's first draw
-    spec = SubordinatorSpec(0.3, 1.0, 0.0)
+    # the kill time is the path's first draw, the count its second and the
+    # jump times its third; the value counts the jumps up to min(t, kill)
     for seed in range(200):
         t = 0.25 * (seed % 8)
-        kill = np.random.default_rng(seed).exponential(1.0)
-        value, alive = run_subordinator(spec, t, np.random.default_rng(seed))
-        assert value == 0.3 * min(t, kill)
+        twin = np.random.default_rng(seed)
+        kill = twin.exponential(1.0)
+        times = twin.random(twin.poisson(3.0 * t)) * t
+        value, alive = run_subordinator(1.0, 3.0, 0.5, t,
+                                        np.random.default_rng(seed))
+        assert value == 0.5 * int(np.sum(times <= min(t, kill)))
         assert alive == (kill > t)
 
 
@@ -110,15 +115,15 @@ class _StubRng:
 
 
 def test_jumps_count_once_up_to_the_kill():
-    sizes = iter((10.0, 100.0, 10.0, 100.0))
-    spec = SubordinatorSpec(2.0, 1.0, 1.0, lambda rng: next(sizes))
     # jumps at 1.5 and 0.5 (drawn unsorted); the kill at 1.5 keeps both,
-    # the jump exactly at the cut included, and stops the drift there
-    value, alive = run_subordinator(spec, 3.0, _StubRng(1.5, [0.5, 1 / 6]))
-    assert (value, alive) == (2.0 * 1.5 + 10.0 + 100.0, False)
+    # the jump exactly at the cut included
+    value, alive = run_subordinator(1.0, 1.0, 10.0, 3.0,
+                                    _StubRng(1.5, [0.5, 1 / 6]))
+    assert (value, alive) == (20.0, False)
     # a kill at 1.0 drops the later jump
-    value, alive = run_subordinator(spec, 3.0, _StubRng(1.0, [0.5, 1 / 6]))
-    assert (value, alive) == (2.0 + 10.0, False)
+    value, alive = run_subordinator(1.0, 1.0, 10.0, 3.0,
+                                    _StubRng(1.0, [0.5, 1 / 6]))
+    assert (value, alive) == (10.0, False)
 
 
 def test_jump_count_is_poisson():
@@ -129,7 +134,7 @@ def test_jump_count_is_poisson():
     jump = -math.log(0.9)
     counts = np.zeros(8, dtype=int)
     for _ in range(10 ** 4):
-        value, alive = run_subordinator(TAGGED_91, t, rng)
+        value, alive = run_subordinator(*TAGGED_91, t, rng)
         if alive:
             m = round(value / jump)
             assert value == pytest.approx(m * jump, abs=1e-12)
@@ -137,7 +142,6 @@ def test_jump_count_is_poisson():
     n = counts.sum()
     assert n > 8000
     rate = 0.9 * t
-    assert TAGGED_91.jump_rate == pytest.approx(0.9, abs=1e-15)
     expected = [n * sps.poisson(rate).pmf(m) for m in range(7)]
     expected.append(n * sps.poisson(rate).sf(6))
     assert pooled_chi_square(counts.tolist(), expected) > 0.01

@@ -14,8 +14,6 @@ from fragsim import (
     FiniteAtomic,
     ks_stat,
     parse_measure,
-    pooled_chi_square,
-    sub_levy_transform,
 )
 from fragsim.errors import (
     ConfigError,
@@ -319,42 +317,6 @@ def test_parse_measure_grammar():
             parse_measure(bad)
 
 
-def test_sub_levy_transform_atomic():
-    law = FiniteAtomic([(1.0, (0.9, 0.1))])
-    spec = sub_levy_transform(law, 0.7, 0.0)
-    assert spec.drift == 0.7
-    assert abs(spec.killing_rate - 0.1) < 1e-12
-    assert spec.jump_rate == 0.9
-    rng = np.random.default_rng(3)
-    assert all(spec.jump_sampler(rng) == -math.log(0.9) for _ in range(200))
-    assert sub_levy_transform(law, 0.0, 0.0).drift == 0.0
-
-
-def test_sub_levy_sampler_follows_the_kept_atoms():
-    # the 0.95 atom has 1 - s1 < eps and is cut; a kept atom jumps by
-    # -log s1 with probability proportional to w * s1 = (0.6, 2.1)
-    law = FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))])
-    spec = sub_levy_transform(law, 0.0, 0.1)
-    assert spec.jump_rate == pytest.approx(2.7, abs=1e-12)
-    rng = np.random.default_rng(8)
-    n = 20000
-    sizes = [spec.jump_sampler(rng) for _ in range(n)]
-    assert -math.log(0.95) not in sizes
-    counts = [sizes.count(-math.log(0.6)), sizes.count(-math.log(0.7))]
-    assert sum(counts) == n
-    assert pooled_chi_square(counts, [n * 0.6 / 2.7, n * 2.1 / 2.7]) > 0.01
-
-
-def test_sub_levy_transform_binary_sampler():
-    law = BinaryPowerLaw(0.5)
-    spec = sub_levy_transform(law, 0.0, 0.01)
-    rng = np.random.default_rng(4)
-    xs = [spec.jump_sampler(rng) for _ in range(2000)]
-    # jumps are -log s1 for s1 in [1/2, 1 - eps]
-    assert all(0.0 < x <= math.log(2.0) + 1e-12 for x in xs)
-    assert spec.jump_rate < law.truncated_mass(0.01)
-
-
 @pytest.mark.parametrize("law, eps", (
     (FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))]), 0.1),
     (BinaryPowerLaw(0.3), 0.01),
@@ -372,23 +334,6 @@ def test_sample_dislocation_with_precomputed_total(law, eps):
         law.sample_dislocation(0.6, given, total=law.truncated_mass(0.6))
 
 
-def test_sub_levy_sampler_reuses_the_truncated_mass():
-    calls = []
-
-    class Counting(BinaryPowerLaw):
-        def truncated_mass(self, eps):
-            calls.append(eps)
-            return super().truncated_mass(eps)
-
-    spec = sub_levy_transform(Counting(0.5), 0.0, 0.01)
-    plain = sub_levy_transform(BinaryPowerLaw(0.5), 0.0, 0.01)
-    built = len(calls)
-    a, b = np.random.default_rng(6), np.random.default_rng(6)
-    assert ([spec.jump_sampler(a) for _ in range(300)]
-            == [plain.jump_sampler(b) for _ in range(300)])
-    assert len(calls) == built
-
-
 def test_finite_atomic_truncation_cache_is_read_once():
     # another thread refilling the cache at a different eps between the
     # reads of one entry must not mix levels: every field a caller uses
@@ -397,7 +342,6 @@ def test_finite_atomic_truncation_cache_is_read_once():
     law = FiniteAtomic([(1.0, (0.6, 0.4)), (2.0, (0.7, 0.3)), (4.0, (0.95, 0.05))])
     entry = law._truncation(0.0)
     refill = law._truncation(0.2)
-    fresh = FiniteAtomic(law.atoms)
 
     class Entry(tuple):
         def __getitem__(self, i):
@@ -414,10 +358,8 @@ def test_finite_atomic_truncation_cache_is_read_once():
             return 0.99
 
     reads = (
-        (lambda: law._truncation(0.0)[1].tolist(), [0, 1, 2]),
-        (lambda: law._truncation(0.0)[2], [1.0, 3.0, 7.0]),
+        (lambda: law._truncation(0.0)[1], [1.0, 3.0, 7.0]),
         (lambda: law.truncated_mass(0.0), 7.0),
-        (lambda: law.jump_rate_truncated(0.0), fresh.jump_rate_truncated(0.0)),
         (lambda: law.sample_dislocation(0.0, TopRng()), (0.95, 0.05)),
     )
     for read, want in reads:

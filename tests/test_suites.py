@@ -208,6 +208,8 @@ _BAD_OVERRIDES = [
     ("subordinator", {"m_max": 2.5}, ConfigError),
     ("correspondence", {"n": 10.5}, ConfigError),
     ("subordinator", {"law": BinaryPowerLaw(0.5)}, ConfigError),
+    # a one-atom law that is all dust has no jump size -log s1
+    ("subordinator", {"law": FiniteAtomic([(1.0, ())])}, ConfigError),
     # no event on the small leg, so only r ** alpha can overflow
     ("scaling", {"law": FiniteAtomic([]), "alpha": -1100.0}, RateOverflow),
 ]
@@ -218,6 +220,14 @@ _BAD_OVERRIDES = [
 def test_bad_overrides_raise_a_typed_error(name, overrides, error):
     with pytest.raises(error):
         run_suite(name, overrides, replicas=50)
+
+
+# m_max! and (rate * t) ** m_max can each leave the float range
+@pytest.mark.parametrize("overrides", [{"m_max": 200}, {"t": 1e200, "m_max": 2}],
+                         ids=["factorial", "power"])
+def test_subordinator_counts_that_overflow_raise_config_error(overrides):
+    with pytest.raises(ConfigError, match=r"m_max=\d+, t="):
+        run_suite("subordinator", overrides, replicas=200)
 
 
 # A value of the wrong kind for its pinned default fails in run_suite's
