@@ -25,12 +25,16 @@ def run_subordinator(killing_rate, jump_rate, jump, t, rng):
     times, in that order, and nothing per jump. A killed path reports its
     value at the killing time: the jumps at or before it, added one at a
     time in time order. A horizon, rate or jump that is not finite and
-    >= 0 raises ConfigError before any draw.
+    >= 0, or a mean jump count jump_rate * t above 1e7 (80 MB of jump
+    times), raises ConfigError before any draw.
     """
     for name, value in (("horizon t", t), ("killing_rate", killing_rate),
                         ("jump_rate", jump_rate), ("jump", jump)):
         check_range(value, lambda v: 0.0 <= v < math.inf,
                     f"subordinator {name} {{!r}} must be finite and >= 0")
+    if jump_rate * t > 1e7:
+        raise ConfigError(f"subordinator mean jump count {jump_rate * t!r} "
+                          f"exceeds 1e7; lower jump_rate or t")
     if killing_rate > 0.0:
         kill = rng.exponential(1.0 / killing_rate)
     else:

@@ -48,4 +48,9 @@ def parse_config_text(text):
 
 def load_config(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: "
+                              f"{exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text)

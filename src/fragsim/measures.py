@@ -61,9 +61,12 @@ class DislocationLaw:
         """Total rate of dislocations with 1 - s1 >= eps."""
         raise NotImplementedError
 
-    def sample_dislocation(self, eps, rng, total=None):
+    def sample_dislocation(self, eps, rng, total=None, u=None):
         """One fragment vector from the law conditioned on 1 - s1 >= eps.
 
+        A law draws exactly one uniform, rng.random(), and draws none when
+        given u: u stands in for that uniform, so a caller that drew it
+        with other draws gets the very vector the law's own draw would give.
         total, when given, must be truncated_mass(eps); callers that draw
         many times at one eps compute it once and pass it in, which skips
         recomputing it per draw and leaves the draws unchanged.
@@ -142,14 +145,16 @@ class FiniteAtomic(DislocationLaw):
             self._trunc_cache = cache
         return cache
 
-    def sample_dislocation(self, eps, rng, total=None):
+    def sample_dislocation(self, eps, rng, total=None, u=None):
         # draws against the cached cumulative weights; total is not needed.
         # bisect_right returns the index np.searchsorted(side="right") would.
         _, cum, fragments, _ = self._truncation(eps)
         if not fragments:
             raise EmptyTruncation(f"no atoms with 1 - s1 >= {eps}")
-        u = rng.random() * cum[-1]
-        return fragments[min(bisect_right(cum, u), len(fragments) - 1)]
+        if u is None:
+            u = rng.random()
+        i = bisect_right(cum, u * cum[-1])
+        return fragments[min(i, len(fragments) - 1)]
 
 
 class BinaryPowerLaw(DislocationLaw):
@@ -195,12 +200,14 @@ class BinaryPowerLaw(DislocationLaw):
             self._mass_cache = cache
         return cache[1]
 
-    def sample_dislocation(self, eps, rng, total=None):
+    def sample_dislocation(self, eps, rng, total=None, u=None):
         if total is None:
             total = self.truncated_mass(eps)
         if total <= 0.0:
             raise EmptyTruncation(f"no dislocations with second piece >= {eps}")
-        s2 = (rng.random() * total + self._two_a) ** self._neg_inv_a
+        if u is None:
+            u = rng.random()
+        s2 = (u * total + self._two_a) ** self._neg_inv_a
         return (1.0 - s2, s2)
 
     def gen_inverse_f(self, y):
@@ -254,7 +261,7 @@ class BrennanDurrett(DislocationLaw):
     def truncated_mass(self, eps):
         return self.tail_nu2(eps)
 
-    def sample_dislocation(self, eps, rng, total=None):
+    def sample_dislocation(self, eps, rng, total=None, u=None):
         # total = cdf(1 - eps) - cdf(eps), the width of the kept V-interval
         if total is None:
             total = self.truncated_mass(eps)
@@ -265,8 +272,9 @@ class BrennanDurrett(DislocationLaw):
             # the cdf is 0 below the support, where betainc is NaN
             cache = (eps, self._betainc(self.p, self.q, max(eps, 0.0)))
             self._cdf_cache = cache
-        v = float(self._betaincinv(self.p, self.q,
-                                   cache[1] + rng.random() * total))
+        if u is None:
+            u = rng.random()
+        v = float(self._betaincinv(self.p, self.q, cache[1] + u * total))
         return (max(v, 1.0 - v), min(v, 1.0 - v))
 
 

@@ -22,7 +22,7 @@ from .errors import (
     check_range,
 )
 from .ranked_state import MassState, dislocate
-from .rng import exponential_and_rank
+from .rng import exponential_rank_and_uniform
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
@@ -139,16 +139,16 @@ def next_event(state, law, alpha, eps, rng, trunc):
 
     Each fragment carries an exponential clock of rate mass**alpha times
     the truncated total mass; the winner is the target. Draw order is
-    fixed (wait, target, fragments) so that paths are reproducible. The
-    wait is scale * standard_exponential(), the very product numpy's
-    exponential(scale) returns for a scalar, without its check of scale. At
-    alpha = 0 the wait's exponential and the target come from one call,
-    exponential_and_rank(rng, n), which draws them as standard_exponential()
-    and int(rng.integers(1, n + 1)) do, bit for bit, by numpy's own
-    ziggurat and Lemire step on the bit generator under one hold of its
-    lock (pinned in tests/test_rng.py). A single fragment is the target
-    without a draw; numpy draws nothing for a one-value range, so the
-    stream is the same either way.
+    fixed (wait, target, the law's one uniform) so that paths are
+    reproducible. The wait is scale * standard_exponential(), the very
+    product numpy's exponential(scale) returns for a scalar, without its
+    check of scale. At alpha = 0 with n > 1 parts all three come from one
+    call, exponential_rank_and_uniform(rng, n), bit for bit the draws of
+    standard_exponential(), int(rng.integers(1, n + 1)) and random()
+    (pinned in tests/test_rng.py); the law is given the uniform as u and
+    draws none. A single fragment is the target without a draw; numpy
+    draws nothing for a one-value range, so the stream is the same either
+    way, and the law draws its own uniform.
 
     For alpha != 0 the target is the first rank whose running sum of
     rates exceeds u * total. The scan first walks blocks of _SCAN_BLOCK
@@ -174,9 +174,9 @@ def next_event(state, law, alpha, eps, rng, trunc):
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
         if n > 1:
-            e, target = exponential_and_rank(rng, n)
+            e, target, v = exponential_rank_and_uniform(rng, n)
         else:
-            e, target = rng.standard_exponential(), 1
+            e, target, v = rng.standard_exponential(), 1, None
         wait = 1.0 / (n * trunc) * e
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
@@ -193,6 +193,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
         if not rate > 0.0:
             raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
         wait = 1.0 / rate * rng.standard_exponential()
+        v = None
         u = rng.random() * total
         acc, lo = 0.0, 0
         while lo + _SCAN_BLOCK < n:
@@ -206,7 +207,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
             if u < acc:
                 target = i
                 break
-    return wait, target, law.sample_dislocation(eps, rng, trunc)
+    return wait, target, law.sample_dislocation(eps, rng, trunc, v)
 
 
 def _observe(state, c, t):

@@ -15,6 +15,7 @@ from fragsim import (
     pooled_chi_square,
     record_cdf,
     run_subordinator,
+    run_suite,
 )
 from fragsim.errors import ConfigError, DegenerateNormalizer
 
@@ -73,6 +74,19 @@ def test_run_subordinator_needs_a_finite_horizon(t, jump_rate):
     with pytest.raises(ConfigError, match="horizon"):
         run_subordinator(0.1, jump_rate, -math.log(0.9), t, rng)
     assert rng.random() == twin.random()
+
+
+def test_run_subordinator_bounds_the_mean_jump_count():
+    # jump_rate * t above 1e7 raises before any draw: at t = 1e19 numpy
+    # cannot allocate the jump times, and at 1e9 they take gigabytes
+    for t in (1e19, 1e9, 1.2e7):
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.raises(ConfigError, match="mean jump count"):
+            run_subordinator(*TAGGED_91, t, rng)
+        assert rng.random() == twin.random()
+    # S6 at that horizon fails with the same typed error
+    with pytest.raises(ConfigError, match="mean jump count"):
+        run_suite("subordinator", {"t": 1e19, "m_max": 0}, replicas=50)
 
 
 def test_survival_probability():

@@ -147,6 +147,16 @@ def test_verify_subordinator_rejects_a_bad_horizon(tmp_path, capsys, t_end):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", (["verify", "erosion"], ["simulate"]))
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # the load fails before simulate makes its output directory
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"\xfft_end = 1.0\n")
+    assert main([*command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not UTF-8 text")
+
+
 def test_verify_pass(capsys):
     assert main(["verify", "erosion", "--replicas", "5"]) == 0
     out = capsys.readouterr().out

@@ -317,12 +317,16 @@ def test_parse_measure_grammar():
             parse_measure(bad)
 
 
-@pytest.mark.parametrize("law, eps", (
+# one or two laws per family, each at a truncation level where it has events
+SAMPLED_LAWS = (
     (FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3)), (0.5, (0.95, 0.05))]), 0.1),
     (BinaryPowerLaw(0.3), 0.01),
     (BrennanDurrett(2.0, 3.0), 0.0),
     (BrennanDurrett(0.7, 1.5), 0.2),
-))
+)
+
+
+@pytest.mark.parametrize("law, eps", SAMPLED_LAWS)
 def test_sample_dislocation_with_precomputed_total(law, eps):
     given, default = np.random.default_rng(5), np.random.default_rng(5)
     total = law.truncated_mass(eps)
@@ -332,6 +336,24 @@ def test_sample_dislocation_with_precomputed_total(law, eps):
     # every law above is empty at eps = 0.6, where its total is 0
     with pytest.raises(EmptyTruncation):
         law.sample_dislocation(0.6, given, total=law.truncated_mass(0.6))
+
+
+@pytest.mark.parametrize("law, eps", SAMPLED_LAWS)
+def test_sample_dislocation_given_the_uniform_draws_none(law, eps):
+    # given u, a law returns what its own draw of that uniform gives and
+    # leaves rng as it was; next_event hands it the uniform it drew with
+    # the wait and the target
+    rng, twin = np.random.default_rng(6), np.random.default_rng(7)
+    total = law.truncated_mass(eps)
+    before = rng.bit_generator.state
+    for _ in range(200):
+        state = twin.bit_generator.state
+        u = twin.random()
+        twin.bit_generator.state = state
+        assert (law.sample_dislocation(eps, rng, total, u)
+                == law.sample_dislocation(eps, twin, total))
+        assert twin.bit_generator.state != state
+    assert rng.bit_generator.state == before
 
 
 def test_finite_atomic_truncation_cache_is_read_once():

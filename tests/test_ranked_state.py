@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragsim import MassState, dislocate, validate_fragments
 from fragsim.errors import InvalidFragmentVector, RankOutOfRange
-from fragsim.ranked_state import BUDGET_TOL
+from fragsim.ranked_state import BUDGET_TOL, _checked
 from reference import mass_state
 
 
@@ -206,3 +208,51 @@ def test_validate_fragments_matches_the_loop_reference():
                  (1.0 + BUDGET_TOL,), (math.nan,), (0.5, math.nan)):
         assert _outcome(validate_fragments, edge) == \
             _outcome(_validate_by_loop, edge)
+
+
+def _sum_outcome(check, fragments):
+    """_outcome with the sum: dislocate's deficit is 1.0 minus this float,
+    compared by its bits. sum(()) is the int 0, which float() keeps."""
+    out = _outcome(check, fragments)
+    if out[0] == "ok":
+        out += (float(sum(check(fragments))).hex(),)
+    return out
+
+
+def _checked_outcome(fragments):
+    try:
+        vector, total = _checked(fragments)
+    except InvalidFragmentVector as exc:
+        return InvalidFragmentVector, str(exc)
+    return "ok", [(type(x), repr(x)) for x in vector], total.hex()
+
+
+_TOP = 1.0 + BUDGET_TOL
+# ratios in [0, 1], the odd values, and sums from just below the budget's
+# top to just above it, split in two equal halves or kept whole
+_RATIO = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_ODD))
+_NEAR_TOP = st.integers(-2, 4).map(lambda k: _TOP + k * math.ulp(_TOP))
+_VECTOR = st.one_of(
+    # non-increasing ratios that sum to at most 1, with a zero suffix
+    st.tuples(st.lists(st.floats(0.0, 1.0), max_size=6), st.integers(0, 3))
+    .map(lambda v: sorted((x / max(len(v[0]), 1) for x in v[0]), reverse=True)
+         + [0.0] * v[1]),
+    # any order, so increasing pairs, NaN, -0.0 and negatives anywhere
+    st.lists(_RATIO, max_size=6),
+    st.tuples(_NEAR_TOP, st.booleans(), st.integers(0, 2))
+    .map(lambda v: ([v[0] / 2, v[0] / 2] if v[1] else [v[0]]) + [0.0] * v[2]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(_VECTOR, st.booleans())
+def test_checked_is_validate_fragments_and_sum(fragments, as_tuple):
+    # dislocate takes its vector and deficit from _checked's one pass; it
+    # must keep validate_fragments' vector and errors and sum()'s float
+    if as_tuple:
+        fragments = tuple(fragments)
+    want = _sum_outcome(_validate_by_loop, fragments)
+    assert _checked_outcome(fragments) == want
+    assert _sum_outcome(validate_fragments, fragments) == want
+    if want[0] == "ok" and as_tuple and 0.0 not in fragments:
+        assert _checked(fragments)[0] is fragments

@@ -1,6 +1,6 @@
 """Stream derivation: replicas depend on (seed, index) and nothing else,
-and the merged wait-and-target draw is numpy's standard_exponential and
-integers, bit for bit."""
+and the merged wait, target and uniform draw is numpy's
+standard_exponential, integers and random, bit for bit."""
 
 import sys
 import threading
@@ -14,7 +14,7 @@ from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Generator, Philox
 
 from fragsim import replica_rng
 from fragsim import rng as fragsim_rng
-from fragsim.rng import exponential_and_rank
+from fragsim.rng import exponential_rank_and_uniform
 
 
 def numpy_replica(seed, index):
@@ -145,8 +145,10 @@ DRAW = st.one_of(
 
 
 def numpy_draws(twin, n):
-    """What exponential_and_rank(rng, n) must equal: numpy's two calls."""
-    return twin.standard_exponential(), int(twin.integers(1, n + 1))
+    """What exponential_rank_and_uniform(rng, n) must equal: numpy's three
+    calls."""
+    return (twin.standard_exponential(), int(twin.integers(1, n + 1)),
+            twin.random())
 
 
 def assert_same_state(rng, twin):
@@ -158,11 +160,12 @@ def assert_same_state(rng, twin):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.sampled_from(BIT_GENERATORS),
        st.integers(0, 2 ** 64), st.lists(DRAW, min_size=1, max_size=40))
-def test_exponential_and_rank_is_numpys_draws(bit_generator, seed, draws):
+def test_exponential_rank_and_uniform_is_numpys_draws(bit_generator, seed,
+                                                      draws):
     rng, twin = Generator(bit_generator(seed)), Generator(bit_generator(seed))
     for kind, n in draws:
         if kind == "rank":
-            assert exponential_and_rank(rng, n) == numpy_draws(twin, n)
+            assert exponential_rank_and_uniform(rng, n) == numpy_draws(twin, n)
         elif kind == "random":
             assert rng.random() == twin.random()
         else:
@@ -172,16 +175,17 @@ def test_exponential_and_rank_is_numpys_draws(bit_generator, seed, draws):
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_uniform_rank_at_every_small_and_edge_rank(bit_generator):
-    # exponential_and_rank's rank and the wait before it, at n = 2..300 and
-    # the edge ranks in turn, each draw followed by a random(), so a 32-bit
-    # half buffered by one draw meets the next; the ranks past 2**32 - 1
-    # and n = 1 take numpy's two calls
+    # exponential_rank_and_uniform's rank, the wait before it and the
+    # uniform after it, at n = 2..300 and the edge ranks in turn, each draw
+    # followed by a random(), so a 32-bit half buffered by one draw meets
+    # the next; the ranks past 2**32 - 1 and n = 1 take numpy's three calls
     rng, twin = Generator(bit_generator(7)), Generator(bit_generator(7))
     for n in (*range(2, 301), *EDGE_RANKS, 2 ** 40 + 3, 1):
         for _ in range(3):
-            wait, rank = exponential_and_rank(rng, n)
-            assert (wait, rank) == numpy_draws(twin, n)
+            wait, rank, u = exponential_rank_and_uniform(rng, n)
+            assert (wait, rank, u) == numpy_draws(twin, n)
             assert type(wait) is float and type(rank) is int
+            assert type(u) is float
             assert_same_state(rng, twin)
             assert rng.random() == twin.random()
             assert_same_state(rng, twin)
@@ -204,7 +208,7 @@ def test_alternating_generators_rebuild_the_draw_cache():
         assert fragsim_rng._draw_cache[0] is not rng.bit_generator
         if k == 0:
             buffered_ranks += rng.bit_generator.state["has_uint32"]
-        got[k].append(exponential_and_rank(rng, n))
+        got[k].append(exponential_rank_and_uniform(rng, n))
         assert fragsim_rng._draw_cache[0] is rng.bit_generator
     assert buffered_ranks > 50
     for k, (rng, twin) in enumerate(zip(rngs, twins)):
@@ -212,8 +216,8 @@ def test_alternating_generators_rebuild_the_draw_cache():
         assert_same_state(rng, twin)
 
 
-def test_exponential_and_rank_threads_keep_their_own_streams():
-    # four threads share exponential_and_rank's one-entry cache, each
+def test_exponential_rank_and_uniform_threads_keep_their_own_streams():
+    # four threads share exponential_rank_and_uniform's one-entry cache, each
     # drawing from its own generator; a cache entry read across a switch
     # would draw from another thread's generator and break the twin's
     # sequence. sleep(0) hands the interpreter lock on after each draw, so
@@ -234,7 +238,7 @@ def test_exponential_and_rank_threads_keep_their_own_streams():
         start.wait(timeout=60)
         out = got[seed] = []
         for n in ns:
-            out.append(exponential_and_rank(rng, n))
+            out.append(exponential_rank_and_uniform(rng, n))
             time.sleep(0)
 
     interval = sys.getswitchinterval()

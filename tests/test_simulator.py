@@ -246,8 +246,8 @@ def unhinted(law):
     base = type(law)
 
     class Unhinted(base):
-        def sample_dislocation(self, eps, rng, total=None):
-            return base.sample_dislocation(self, eps, rng)
+        def sample_dislocation(self, eps, rng, total=None, u=None):
+            return base.sample_dislocation(self, eps, rng, u=u)
 
     twin = Unhinted.__new__(Unhinted)
     twin.__dict__.update(law.__dict__)
