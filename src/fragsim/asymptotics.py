@@ -17,17 +17,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateNormalizer, check_range
 
 
-def run_subordinator(killing_rate, jump_rate, jump, t, rng):
-    """Value at time t and whether the path is still alive at t.
-
-    A killed compound Poisson process whose jumps all have size jump. It
-    draws the killing time, the jump count on [0, t] and the sorted jump
-    times, in that order, and nothing per jump. A killed path reports its
-    value at the killing time: the jumps at or before it, added one at a
-    time in time order. A horizon, rate or jump that is not finite and
-    >= 0, or a mean jump count jump_rate * t above 1e7 (80 MB of jump
-    times), raises ConfigError before any draw.
-    """
+def check_subordinator(killing_rate, jump_rate, jump, t):
+    """Raise ConfigError unless the horizon, rates and jump are finite and
+    >= 0 and the mean jump count is at most 1e7 (80 MB of jump times)."""
     for name, value in (("horizon t", t), ("killing_rate", killing_rate),
                         ("jump_rate", jump_rate), ("jump", jump)):
         check_range(value, lambda v: 0.0 <= v < math.inf,
@@ -35,6 +27,19 @@ def run_subordinator(killing_rate, jump_rate, jump, t, rng):
     if jump_rate * t > 1e7:
         raise ConfigError(f"subordinator mean jump count {jump_rate * t!r} "
                           f"exceeds 1e7; lower jump_rate or t")
+
+
+def run_subordinator(killing_rate, jump_rate, jump, t, rng):
+    """Value at time t and whether the path is still alive at t.
+
+    A killed compound Poisson process whose jumps all have size jump. It
+    draws the killing time, the jump count on [0, t] and the sorted jump
+    times, in that order, and nothing per jump. A killed path reports its
+    value at the killing time: the jumps at or before it, added one at a
+    time in time order. Inputs check_subordinator rejects raise
+    ConfigError before any draw.
+    """
+    check_subordinator(killing_rate, jump_rate, jump, t)
     if killing_rate > 0.0:
         kill = rng.exponential(1.0 / killing_rate)
     else:

@@ -61,16 +61,11 @@ class DislocationLaw:
         """Total rate of dislocations with 1 - s1 >= eps."""
         raise NotImplementedError
 
-    def sample_dislocation(self, eps, rng, total=None, u=None):
-        """One fragment vector from the law conditioned on 1 - s1 >= eps.
-
-        A law draws exactly one uniform, rng.random(), and draws none when
-        given u: u stands in for that uniform, so a caller that drew it
-        with other draws gets the very vector the law's own draw would give.
-        total, when given, must be truncated_mass(eps); callers that draw
-        many times at one eps compute it once and pass it in, which skips
-        recomputing it per draw and leaves the draws unchanged.
-        """
+    def sample_dislocation(self, eps, total, u):
+        """Map u, uniform on [0, 1), to a fragment vector of the law
+        conditioned on 1 - s1 >= eps; total must be truncated_mass(eps).
+        The law draws nothing (next_event draws u with the event's other
+        numbers), and a zero total raises EmptyTruncation."""
         raise NotImplementedError
 
     def gen_inverse_f(self, y):
@@ -107,6 +102,9 @@ class FiniteAtomic(DislocationLaw):
                 raise InvalidFragmentVector(
                     "atom equal to the whole mass vector is a no-op and is forbidden")
             cleaned.append((weight, fragments))
+        if not sum(w for w, _ in cleaned) < np.inf:
+            # an infinite rate would make every wait 0
+            raise DivergentMeasure("atom weights must have a finite sum")
         self.atoms = tuple(cleaned)
         self._w = np.array([w for w, _ in cleaned], dtype=float)
         self._s1 = np.array([f[0] if f else 0.0 for _, f in cleaned], dtype=float)
@@ -145,14 +143,12 @@ class FiniteAtomic(DislocationLaw):
             self._trunc_cache = cache
         return cache
 
-    def sample_dislocation(self, eps, rng, total=None, u=None):
-        # draws against the cached cumulative weights; total is not needed.
+    def sample_dislocation(self, eps, total, u):
+        # maps u against the cached cumulative weights; total is not needed.
         # bisect_right returns the index np.searchsorted(side="right") would.
         _, cum, fragments, _ = self._truncation(eps)
         if not fragments:
             raise EmptyTruncation(f"no atoms with 1 - s1 >= {eps}")
-        if u is None:
-            u = rng.random()
         i = bisect_right(cum, u * cum[-1])
         return fragments[min(i, len(fragments) - 1)]
 
@@ -200,13 +196,9 @@ class BinaryPowerLaw(DislocationLaw):
             self._mass_cache = cache
         return cache[1]
 
-    def sample_dislocation(self, eps, rng, total=None, u=None):
-        if total is None:
-            total = self.truncated_mass(eps)
+    def sample_dislocation(self, eps, total, u):
         if total <= 0.0:
             raise EmptyTruncation(f"no dislocations with second piece >= {eps}")
-        if u is None:
-            u = rng.random()
         s2 = (u * total + self._two_a) ** self._neg_inv_a
         return (1.0 - s2, s2)
 
@@ -228,8 +220,8 @@ class BrennanDurrett(DislocationLaw):
 
     def __init__(self, p, q):
         p, q = float(p), float(q)
-        if p <= 0.0 or q <= 0.0:
-            raise DivergentMeasure(f"Beta parameters must be positive, got ({p}, {q})")
+        if not (0.0 < p < np.inf and 0.0 < q < np.inf):
+            raise DivergentMeasure(f"Beta parameters ({p}, {q}) must be finite and > 0")
         from scipy import special, stats
 
         self.p = p
@@ -261,10 +253,8 @@ class BrennanDurrett(DislocationLaw):
     def truncated_mass(self, eps):
         return self.tail_nu2(eps)
 
-    def sample_dislocation(self, eps, rng, total=None, u=None):
+    def sample_dislocation(self, eps, total, u):
         # total = cdf(1 - eps) - cdf(eps), the width of the kept V-interval
-        if total is None:
-            total = self.truncated_mass(eps)
         if total <= 0.0:
             raise EmptyTruncation(f"no splits with smaller piece >= {eps}")
         cache = self._cdf_cache
@@ -272,8 +262,6 @@ class BrennanDurrett(DislocationLaw):
             # the cdf is 0 below the support, where betainc is NaN
             cache = (eps, self._betainc(self.p, self.q, max(eps, 0.0)))
             self._cdf_cache = cache
-        if u is None:
-            u = rng.random()
         v = float(self._betaincinv(self.p, self.q, cache[1] + u * total))
         return (max(v, 1.0 - v), min(v, 1.0 - v))
 

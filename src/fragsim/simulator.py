@@ -138,29 +138,24 @@ def next_event(state, law, alpha, eps, rng, trunc):
     """Draw (waiting time, target rank, relative fragment vector).
 
     Each fragment carries an exponential clock of rate mass**alpha times
-    the truncated total mass; the winner is the target. Draw order is
-    fixed (wait, target, the law's one uniform) so that paths are
-    reproducible. The wait is scale * standard_exponential(), the very
-    product numpy's exponential(scale) returns for a scalar, without its
-    check of scale. At alpha = 0 with n > 1 parts all three come from one
-    call, exponential_rank_and_uniform(rng, n), bit for bit the draws of
-    standard_exponential(), int(rng.integers(1, n + 1)) and random()
-    (pinned in tests/test_rng.py); the law is given the uniform as u and
-    draws none. A single fragment is the target without a draw; numpy
-    draws nothing for a one-value range, so the stream is the same either
-    way, and the law draws its own uniform.
+    trunc, law.truncated_mass(eps), which the caller computes once per
+    run; the winner is the target. This is the one place an event's
+    numbers are drawn, in a fixed order so that paths are reproducible:
+    the wait, the target, then the uniform v that
+    law.sample_dislocation(eps, trunc, v) maps to the fragment vector.
+    The wait is scale * standard_exponential(), the very product numpy's
+    exponential(scale) returns for a scalar, without its check of scale.
+    At alpha = 0 with n > 1 parts all three come from one call,
+    exponential_rank_and_uniform(rng, n), bit for bit numpy's three
+    calls (pinned in tests/test_rng.py). A lone fragment is the target
+    without a draw, as numpy draws nothing for a one-value range.
 
     For alpha != 0 the target is the first rank whose running sum of
-    rates exceeds u * total. The scan first walks blocks of _SCAN_BLOCK
-    rates with sum(block, acc) and then steps through the one block that
-    crosses u. This gives the element loop's target bit for bit: CPython
-    3.11's sum with a float start adds left to right in one C double, so
-    sum(block, acc) is the running sum at the block's end, and rates are
-    non-negative, so running sums never decrease.
-
-    trunc is law.truncated_mass(eps). It is fixed for a whole run, so the
-    caller computes it once; it is forwarded to law.sample_dislocation as
-    total.
+    rates exceeds u * total, for a uniform u drawn before v. The scan
+    walks blocks of _SCAN_BLOCK rates with sum(block, acc), then steps
+    through the block that crosses u: the element loop's target bit for
+    bit, as CPython 3.11's sum with a float start adds left to right in
+    one C double and the running sums of non-negative rates never fall.
 
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
@@ -176,7 +171,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
         if n > 1:
             e, target, v = exponential_rank_and_uniform(rng, n)
         else:
-            e, target, v = rng.standard_exponential(), 1, None
+            e, target, v = rng.standard_exponential(), 1, rng.random()
         wait = 1.0 / (n * trunc) * e
     else:
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
@@ -193,8 +188,8 @@ def next_event(state, law, alpha, eps, rng, trunc):
         if not rate > 0.0:
             raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
         wait = 1.0 / rate * rng.standard_exponential()
-        v = None
         u = rng.random() * total
+        v = rng.random()
         acc, lo = 0.0, 0
         while lo + _SCAN_BLOCK < n:
             end = sum(rates[lo:lo + _SCAN_BLOCK], acc)
@@ -207,7 +202,7 @@ def next_event(state, law, alpha, eps, rng, trunc):
             if u < acc:
                 target = i
                 break
-    return wait, target, law.sample_dislocation(eps, rng, trunc, v)
+    return wait, target, law.sample_dislocation(eps, trunc, v)
 
 
 def _observe(state, c, t):

@@ -77,12 +77,11 @@ def ks_two_sample(a, b):
     return float(np.abs(fa - fb).max())
 
 
-def pooled_chi_square(observed, expected):
-    """Chi-square p-value after pooling adjacent cells to expected >= 5.
-
-    Cells are accumulated left to right; a trailing remainder folds into
-    the last closed cell. degrees of freedom = pooled cells - 1.
-    """
+def pool_cells(observed, expected):
+    """Pool adjacent cells left to right until each expected count is >= 5,
+    folding a trailing remainder into the last closed cell, and return the
+    pooled observed and expected lists. Fewer than two cells raise
+    InsufficientData; which cells form depends on expected alone."""
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     pooled_obs, pooled_exp = [], []
@@ -99,6 +98,12 @@ def pooled_chi_square(observed, expected):
         pooled_exp[-1] += acc_e
     if len(pooled_exp) < 2:
         raise InsufficientData("fewer than two cells after pooling")
+    return pooled_obs, pooled_exp
+
+
+def pooled_chi_square(observed, expected):
+    """Chi-square p-value on pool_cells' cells, with cells - 1 degrees of freedom."""
+    pooled_obs, pooled_exp = pool_cells(observed, expected)
     chi2 = float(np.sum((np.array(pooled_obs) - np.array(pooled_exp)) ** 2
                         / np.array(pooled_exp)))
     from scipy.special import chdtrc

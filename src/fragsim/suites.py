@@ -22,6 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from .asymptotics import (
+    check_subordinator,
     extreme_cdf,
     frechet_k_cdf,
     normalize_lambda2,
@@ -37,6 +38,7 @@ from .simulator import SimConfig, chi_value, make_step_kernel, record_value, run
 from .stats import (
     ks_two_sample,
     ks_stat,
+    pool_cells,
     poisson_pmf_test,
     pooled_chi_square,
 )
@@ -274,6 +276,9 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
                           f"a float at m_max={m_max}, t={t!r}; lower m_max "
                           f"or t") from None
     expected = np.append(expected, replicas - expected.sum())
+    # inputs no path runs, or a test with too few cells, fail before any path
+    check_subordinator(kill, jump_rate, jump, t)
+    pool_cells(expected, expected)
 
     def worker(_i, rng):
         return run_subordinator(kill, jump_rate, jump, t, rng)

@@ -99,6 +99,15 @@ def test_simulate_reports_a_rate_overflow(tmp_path, capsys):
     assert err.startswith("error:") and "mass_floor" in err
 
 
+def test_simulate_rejects_an_infinite_atom_weight(tmp_path, capsys):
+    # an infinite rate makes every wait 0, so the path never reached t_end
+    cfg = write_cfg(tmp_path, SIM_CFG.replace("1.0:0.6,0.4", "inf:0.6,0.4"))
+    out = tmp_path / "traces"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite sum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_nan_observation_time(tmp_path, capsys):
     # a NaN time fails both bounds of a plain range check, and the
     # snapshots from it on would go missing while simulate exits 0
@@ -209,7 +218,11 @@ def test_tail_rejects_bad_input(capsys):
     assert main(["tail", "--measure", "binary_power", "--x", "0.25"]) == 2
     assert main(["tail", "--measure", "binary_power; a = 0.5", "--x", " "]) == 2
     assert main(["tail", "--measure", "binary_power; a = 0.5", "--x", "a"]) == 2
-    assert capsys.readouterr().err.count("error:") == 3
+    # a NaN Beta parameter printed NaN rows and exited 0
+    assert main(["tail", "--measure", "brennan_durrett; p = nan; q = 2",
+                 "--x", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 4 and captured.out == ""
 
 
 def test_argparse_usage_error():

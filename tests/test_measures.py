@@ -159,30 +159,27 @@ def test_finite_atomic_construction_errors():
         FiniteAtomic([(1.0, (0.4, 0.6))])
     with pytest.raises(InvalidFragmentVector):
         FiniteAtomic([(1.0, (0.8, 0.4))])
+    # an infinite rate would make every wait 0; RuntimeWarning is an error
+    # here, so a sum that overflows must raise without numpy's warning
+    for atoms in ([(math.inf, (0.6, 0.4))],
+                  [(1.0, (0.6, 0.4)), (math.inf, (0.7, 0.3))],
+                  [(1e308, (0.6, 0.4)), (1e308, (0.7, 0.3))]):
+        with pytest.raises(DivergentMeasure):
+            FiniteAtomic(atoms)
 
 
 def test_sample_dislocation_atomic():
     rng = np.random.default_rng(1)
     law = FiniteAtomic([(1.0, (0.6, 0.4))])
     for _ in range(20):
-        assert law.sample_dislocation(0.0, rng) == (0.6, 0.4)
+        assert law.sample_dislocation(0.0, 1.0, rng.random()) == (0.6, 0.4)
     with pytest.raises(EmptyTruncation):
-        law.sample_dislocation(0.9, rng)
+        law.sample_dislocation(0.9, law.truncated_mass(0.9), rng.random())
     # weighted choice: second atom drawn with frequency w2/(w1+w2)
     law = FiniteAtomic([(1.0, (0.6, 0.4)), (3.0, (0.7, 0.3))])
-    hits = sum(law.sample_dislocation(0.0, rng) == (0.7, 0.3)
-               for _ in range(20000))
+    hits = sum(law.sample_dislocation(0.0, 4.0, u) == (0.7, 0.3)
+               for u in rng.random(20000).tolist())
     assert abs(hits / 20000 - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 20000)
-
-
-class _FixedUniform:
-    """Stub generator whose random() returns a preset value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 @pytest.mark.parametrize("eps", (0.0, 0.1))
@@ -200,7 +197,7 @@ def test_atomic_sampler_on_cumulative_boundaries(eps):
     for r in grid:
         i = min(int(np.searchsorted(cum, r * total, side="right")),
                 len(keep) - 1)
-        assert law.sample_dislocation(eps, _FixedUniform(r)) == atoms[keep[i]][1]
+        assert law.sample_dislocation(eps, total, r) == atoms[keep[i]][1]
 
 
 def test_truncated_mass_cache_follows_eps():
@@ -210,12 +207,13 @@ def test_truncated_mass_cache_follows_eps():
     s1 = np.array([a[1][0] for a in atoms])
     rng = np.random.default_rng(3)
     for eps in (0.0, 0.2, 0.0, 0.45, 0.1, 0.1):
-        assert law.truncated_mass(eps) == float(np.sum(w[(1.0 - s1) >= eps]))
+        total = law.truncated_mass(eps)
+        assert total == float(np.sum(w[(1.0 - s1) >= eps]))
         if eps < 0.45:
-            assert 1.0 - law.sample_dislocation(eps, rng)[0] >= eps
+            assert 1.0 - law.sample_dislocation(eps, total, rng.random())[0] >= eps
         else:
             with pytest.raises(EmptyTruncation):
-                law.sample_dislocation(eps, rng)
+                law.sample_dislocation(eps, total, rng.random())
     binary = BinaryPowerLaw(0.5)
     for eps in (0.01, 0.1, 0.01, 0.6, 0.25):
         assert binary.truncated_mass(eps) == max(binary.tail_nu2(eps), 0.0)
@@ -241,7 +239,8 @@ def test_sample_dislocation_binary_inverse_cdf():
     rng = np.random.default_rng(2)
     eps = 0.01
     n = 10 ** 5
-    draws = [law.sample_dislocation(eps, rng) for _ in range(n)]
+    draws = [law.sample_dislocation(eps, law.truncated_mass(eps), u)
+             for u in rng.random(n).tolist()]
     for s1, s2 in draws[:1000]:
         assert s1 + s2 == 1.0
         assert eps <= s2 <= 0.5
@@ -264,7 +263,8 @@ def test_brennan_durrett_uniform_and_beta_oracles():
     dens = sps.beta(2.0, 2.0).pdf
     val, err = integrate.quad(dens, 0.1, 0.9)
     assert abs(bump.tail_nu2(0.1) - val) < 1e-8
-    for bad in ((0.0, 1.0), (1.0, -2.0)):
+    for bad in ((0.0, 1.0), (1.0, -2.0), (math.nan, 2.0), (2.0, math.nan),
+                (math.inf, 2.0), (2.0, math.inf)):
         with pytest.raises(DivergentMeasure):
             BrennanDurrett(*bad)
 
@@ -272,12 +272,12 @@ def test_brennan_durrett_uniform_and_beta_oracles():
 def test_brennan_durrett_sampling():
     law = BrennanDurrett(2.0, 2.0)
     rng = np.random.default_rng(3)
-    for _ in range(500):
-        s1, s2 = law.sample_dislocation(0.05, rng)
+    for u in rng.random(500).tolist():
+        s1, s2 = law.sample_dislocation(0.05, law.truncated_mass(0.05), u)
         assert s1 >= s2 >= 0.05
         assert abs(s1 + s2 - 1.0) < 1e-12
     with pytest.raises(EmptyTruncation):
-        law.sample_dislocation(0.5, rng)
+        law.sample_dislocation(0.5, law.truncated_mass(0.5), rng.random())
 
 
 def test_brennan_durrett_draws_as_the_frozen_beta_did():
@@ -292,9 +292,8 @@ def test_brennan_durrett_draws_as_the_frozen_beta_did():
                 total = law.truncated_mass(eps)
                 lo = float(frozen.cdf(eps))
                 want = frozen.ppf(lo + uniforms * total).tolist()
-                rng = np.random.default_rng(0)
-                got = [law.sample_dislocation(eps, rng, total=total)
-                       for _ in uniforms]
+                got = [law.sample_dislocation(eps, total, u)
+                       for u in uniforms.tolist()]
                 assert got == [(max(v, 1.0 - v), min(v, 1.0 - v))
                                for v in want]
 
@@ -312,7 +311,11 @@ def test_parse_measure_grammar():
                 "measure = binary_power; a = 2.0",
                 "measure = nonsense; a = 1",
                 "a = 0.5",
-                "measure = atomic; atoms = 1.0:0.6,0.4; atoms = 1.0:0.5,0.5"):
+                "measure = atomic; atoms = 1.0:0.6,0.4; atoms = 1.0:0.5,0.5",
+                "measure = atomic; atoms = inf:0.6,0.4",
+                "measure = atomic; atoms = 1e308:0.6,0.4;1e308:0.7,0.3",
+                "measure = brennan_durrett; p = nan; q = 2",
+                "measure = brennan_durrett; p = 2; q = inf"):
         with pytest.raises(ConfigError):
             parse_measure(bad)
 
@@ -326,34 +329,66 @@ SAMPLED_LAWS = (
 )
 
 
-@pytest.mark.parametrize("law, eps", SAMPLED_LAWS)
-def test_sample_dislocation_with_precomputed_total(law, eps):
-    given, default = np.random.default_rng(5), np.random.default_rng(5)
+U_GRID = (0.0, 2.0 ** -53, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.9, math.nextafter(1.0, 0.0))
+# SAMPLED_LAWS' vectors at U_GRID, s1 and s2 as float.hex, recorded when
+# each law computed its own total and drew u from its generator's random()
+RECORDED = (
+    (
+        "0x1.3333333333333p-1 0x1.999999999999ap-2",
+        "0x1.3333333333333p-1 0x1.999999999999ap-2",
+        "0x1.3333333333333p-1 0x1.999999999999ap-2",
+        "0x1.6666666666666p-1 0x1.3333333333333p-2",
+        "0x1.6666666666666p-1 0x1.3333333333333p-2",
+        "0x1.6666666666666p-1 0x1.3333333333333p-2",
+        "0x1.6666666666666p-1 0x1.3333333333333p-2",
+        "0x1.6666666666666p-1 0x1.3333333333333p-2",
+    ),
+    (
+        "0x1.0000000000000p-1 0x1.fffffffffffffp-2",
+        "0x1.0000000000003p-1 0x1.ffffffffffffap-2",
+        "0x1.7d441ed607d59p-1 0x1.0577c253f054ep-2",
+        "0x1.c5a8e1bfe1bdcp-1 0x1.d2b8f200f2120p-4",
+        "0x1.d7f27cca57436p-1 0x1.406c19ad45e53p-4",
+        "0x1.eafaee703e388p-1 0x1.505118fc1c77dp-5",
+        "0x1.f98019232d33ep-1 0x1.9ff9b734b309ep-7",
+        "0x1.fae147ae147aep-1 0x1.47ae147ae147dp-7",
+    ),
+    (
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.ffffffdb0cb17p-1 0x1.279a74673c156p-28",
+        "0x1.b7027719fb0a2p-1 0x1.23f6239813d77p-3",
+        "0x1.83929c041faebp-1 0x1.f1b58fef81455p-3",
+        "0x1.6ac0f08f4fd7ep-1 0x1.2a7e1ee160504p-2",
+        "0x1.3a81ea8b695b6p-1 0x1.8afc2ae92d494p-2",
+        "0x1.5bec972283f3fp-1 0x1.4826d1baf8182p-2",
+        "0x1.ffff9a680060ep-1 0x1.965ffe7c80000p-19",
+    ),
+    (
+        "0x1.9999999999999p-1 0x1.999999999999cp-3",
+        "0x1.9999999999998p-1 0x1.99999999999a2p-3",
+        "0x1.85cec7a93a294p-1 0x1.e8c4e15b175b0p-3",
+        "0x1.651ce2d5663b2p-1 0x1.35c63a553389dp-2",
+        "0x1.51402765b2e45p-1 0x1.5d7fb1349a376p-2",
+        "0x1.25531b4871a70p-1 0x1.b559c96f1cb21p-2",
+        "0x1.66e5f233ecb2ap-1 0x1.32341b98269acp-2",
+        "0x1.9999999999993p-1 0x1.99999999999b4p-3",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "law, eps, recorded",
+    [(*case, rows) for case, rows in zip(SAMPLED_LAWS, RECORDED)],
+    ids=[f"law{i}-{eps}" for i, (_, eps) in enumerate(SAMPLED_LAWS)])
+def test_sample_dislocation_with_precomputed_total(law, eps, recorded):
+    # a law maps the uniform it is given, at the total its caller computed,
+    # to the very vector it gave when it drew that uniform itself
     total = law.truncated_mass(eps)
-    for _ in range(200):
-        assert (law.sample_dislocation(eps, given, total=total)
-                == law.sample_dislocation(eps, default))
+    for u, want in zip(U_GRID, recorded):
+        assert " ".join(x.hex() for x in law.sample_dislocation(eps, total, u)) == want
     # every law above is empty at eps = 0.6, where its total is 0
     with pytest.raises(EmptyTruncation):
-        law.sample_dislocation(0.6, given, total=law.truncated_mass(0.6))
-
-
-@pytest.mark.parametrize("law, eps", SAMPLED_LAWS)
-def test_sample_dislocation_given_the_uniform_draws_none(law, eps):
-    # given u, a law returns what its own draw of that uniform gives and
-    # leaves rng as it was; next_event hands it the uniform it drew with
-    # the wait and the target
-    rng, twin = np.random.default_rng(6), np.random.default_rng(7)
-    total = law.truncated_mass(eps)
-    before = rng.bit_generator.state
-    for _ in range(200):
-        state = twin.bit_generator.state
-        u = twin.random()
-        twin.bit_generator.state = state
-        assert (law.sample_dislocation(eps, rng, total, u)
-                == law.sample_dislocation(eps, twin, total))
-        assert twin.bit_generator.state != state
-    assert rng.bit_generator.state == before
+        law.sample_dislocation(0.6, law.truncated_mass(0.6), 0.5)
 
 
 def test_finite_atomic_truncation_cache_is_read_once():
@@ -374,15 +409,11 @@ def test_finite_atomic_truncation_cache_is_read_once():
             law._trunc_cache = refill
             return tuple.__iter__(self)
 
-    class TopRng:
-        # u = 0.99 * 7.0 picks the last atom, which eps = 0.2 cuts
-        def random(self):
-            return 0.99
-
     reads = (
         (lambda: law._truncation(0.0)[1], [1.0, 3.0, 7.0]),
         (lambda: law.truncated_mass(0.0), 7.0),
-        (lambda: law.sample_dislocation(0.0, TopRng()), (0.95, 0.05)),
+        # u = 0.99 picks the last atom, which eps = 0.2 cuts
+        (lambda: law.sample_dislocation(0.0, 7.0, 0.99), (0.95, 0.05)),
     )
     for read, want in reads:
         law._trunc_cache = Entry(entry)

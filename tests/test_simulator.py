@@ -127,7 +127,7 @@ def test_lone_fragment_target_keeps_the_stream():
         wait, target, frags = next_event(state, SPLIT_64, 0.0, 0.0, skip, TRUNC_64)
         assert wait == draw.exponential(1.0 / TRUNC_64)
         assert target == draw.integers(1, 2) == 1
-        assert frags == SPLIT_64.sample_dislocation(0.0, draw)
+        assert frags == SPLIT_64.sample_dislocation(0.0, TRUNC_64, draw.random())
     assert skip.bit_generator.state == draw.bit_generator.state
 
 
@@ -146,7 +146,7 @@ def test_alpha_zero_events_draw_as_numpys_calls(bit_generator):
         wait, target, frags = next_event(state, law, 0.0, 0.01, rng, trunc)
         assert wait == 1.0 / (n * trunc) * twin.standard_exponential()
         assert target == int(twin.integers(1, n + 1))
-        assert frags == law.sample_dislocation(0.01, twin)
+        assert frags == law.sample_dislocation(0.01, trunc, twin.random())
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -172,7 +172,7 @@ def test_next_event_waits_are_numpy_exponentials(alpha):
             twin.integers(1, 4)
         else:
             twin.random()
-        SPLIT_64.sample_dislocation(0.0, twin)
+        twin.random()  # the law's uniform
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -241,32 +241,25 @@ def counting(law):
     return twin
 
 
-def unhinted(law):
-    """A copy of law whose sample_dislocation drops the total it is given."""
-    base = type(law)
-
-    class Unhinted(base):
-        def sample_dislocation(self, eps, rng, total=None, u=None):
-            return base.sample_dislocation(self, eps, rng, u=u)
-
-    twin = Unhinted.__new__(Unhinted)
-    twin.__dict__.update(law.__dict__)
-    return twin
-
-
 @pytest.mark.parametrize("law, eps", HOISTED_LAWS)
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
 def test_next_event_precomputed_rate_keeps_the_stream(law, eps, alpha):
-    # next_event forwards trunc to sample_dislocation as total; the draws
-    # are those of a law that computes its own total
+    # next_event makes every draw of an event, the law's uniform last, and
+    # hands the law trunc as its total: the event is numpy's calls in that
+    # order, with the law mapping the last uniform at its own total
     state = MassState((0.5, 0.3, 0.15, 0.05), 0.0, 1.0)
-    given, default = np.random.default_rng(31), np.random.default_rng(31)
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
     trunc = law.truncated_mass(eps)
-    own = unhinted(law)
     for _ in range(50):
-        a = next_event(state, law, alpha, eps, given, trunc)
-        b = next_event(state, own, alpha, eps, default, trunc)
-        assert a == b
+        _, target, frags = next_event(state, law, alpha, eps, rng, trunc)
+        twin.standard_exponential()
+        if alpha == 0.0:
+            assert target == int(twin.integers(1, 5))
+        else:
+            twin.random()
+        assert frags == law.sample_dislocation(eps, law.truncated_mass(eps),
+                                               twin.random())
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("law, eps", HOISTED_LAWS)

@@ -21,7 +21,12 @@ from fragsim import (
 )
 from fragsim import suites
 from fragsim.cli import main
-from fragsim.errors import ConfigError, RateOverflow, UnknownSuite
+from fragsim.errors import (
+    ConfigError,
+    InsufficientData,
+    RateOverflow,
+    UnknownSuite,
+)
 
 
 def test_exit_codes():
@@ -135,12 +140,15 @@ _KS_SUITES = {"records", "extreme", "frechet-k", "correspondence", "scaling"}
 @pytest.mark.parametrize("replicas", [1, 49])
 def test_ks_suites_need_fifty_replicas(name, replicas, monkeypatch):
     # the asymptotic KS law's sample floor, refused before any replica
-    # runs in exactly the suites with a *_ks check; the rest get through
+    # runs in exactly the suites with a *_ks check; the rest get through,
+    # but for S6 at one replica, whose expected counts pool to one cell
     def no_replicas(*args):
         raise _ReachedReplicas
 
     monkeypatch.setattr(suites, "run_replicas", no_replicas)
-    expected = ConfigError if name in _KS_SUITES else _ReachedReplicas
+    expected = (ConfigError if name in _KS_SUITES else
+                InsufficientData if (name, replicas) == ("subordinator", 1)
+                else _ReachedReplicas)
     with pytest.raises(expected):
         run_suite(name, replicas=replicas)
 
@@ -228,6 +236,18 @@ def test_bad_overrides_raise_a_typed_error(name, overrides, error):
 def test_subordinator_counts_that_overflow_raise_config_error(overrides):
     with pytest.raises(ConfigError, match=r"m_max=\d+, t="):
         run_suite("subordinator", overrides, replicas=200)
+
+
+def test_subordinator_pools_its_cells_before_any_replica_runs(monkeypatch):
+    # at t = 1e6 every path is killed, so all expected counts fall in one
+    # cell and the chi-square test cannot be computed: no path is run
+    calls = []
+    real = suites.run_subordinator
+    monkeypatch.setattr(suites, "run_subordinator",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(InsufficientData, match="fewer than two cells"):
+        run_suite("subordinator", {"t": 1e6}, replicas=20)
+    assert calls == []
 
 
 # A value of the wrong kind for its pinned default fails in run_suite's
