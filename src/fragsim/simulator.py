@@ -11,6 +11,7 @@ where jump rates do not depend on fragment masses.
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,11 @@ from .rng import exponential_rank_and_uniform
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
-_SCAN_BLOCK = 64  # rates summed per step of next_event's target walk
+# Rates summed per step of next_event's target walk. The running sum at each
+# block end is exact left-to-right float addition, so _evolve carries it to
+# the next event while no rank in the block changes: dislocate keeps every
+# rank before the parent's, and the cap drops only ranks past it.
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ class Trajectory(NamedTuple):
         return any(ev.capped for ev in self.events)
 
 
-def next_event(state, law, alpha, eps, rng, trunc):
+def next_event(state, law, alpha, eps, rng, trunc, sums=None):
     """Draw (waiting time, target rank, relative fragment vector).
 
     Each fragment carries an exponential clock of rate mass**alpha times
@@ -157,6 +162,17 @@ def next_event(state, law, alpha, eps, rng, trunc):
     bit, as CPython 3.11's sum with a float start adds left to right in
     one C double and the running sums of non-negative rates never fall.
 
+    sums, a list, carries the running sums at the ends of the first
+    len(sums) blocks of these rates, and the walk appends each block end
+    it passes. The total continues from the last carried end over the
+    ranks after it, and a u * total below that end is found by bisecting
+    the carried ends and stepping through one block. Both give the full
+    scan's floats: a left-to-right sum continued from a running sum is
+    the running sum of the whole. The caller keeps an end only while no
+    rank in its blocks changes, as _evolve does; a rate that overflows in
+    m ** alpha drops every carried end, so its infinite rate reaches the
+    total. With sums omitted the scan starts at rank 1.
+
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
     DeadState, before any draw, when it underflows to 0, as every m**alpha
@@ -174,12 +190,21 @@ def next_event(state, law, alpha, eps, rng, trunc):
             e, target, v = rng.standard_exponential(), 1, rng.random()
         wait = 1.0 / (n * trunc) * e
     else:
+        if sums is None:
+            sums = []
         # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
         try:
             rates = state.parts if alpha == 1.0 else [m ** alpha for m in state.parts]
         except OverflowError:
-            rates = (math.inf,)
-        total = sum(rates)
+            rates, sums = (math.inf,), []
+        lo, acc = 0, 0.0
+        if sums:
+            lo, acc = len(sums) * _SCAN_BLOCK, sums[-1]
+            rest = iter(rates)
+            rest.__setstate__(lo)
+            total = sum(rest, acc)
+        else:
+            total = sum(rates)
         if not total < math.inf:
             raise RateOverflow(
                 f"mass-biased rates overflow at alpha={alpha}: fragments are "
@@ -190,12 +215,16 @@ def next_event(state, law, alpha, eps, rng, trunc):
         wait = 1.0 / rate * rng.standard_exponential()
         u = rng.random() * total
         v = rng.random()
-        acc, lo = 0.0, 0
-        while lo + _SCAN_BLOCK < n:
-            end = sum(rates[lo:lo + _SCAN_BLOCK], acc)
-            if u < end:
-                break
-            acc, lo = end, lo + _SCAN_BLOCK
+        if u < acc:
+            j = bisect_right(sums, u)
+            lo, acc = j * _SCAN_BLOCK, sums[j - 1] if j else 0.0
+        else:
+            while lo + _SCAN_BLOCK < n:
+                end = sum(rates[lo:lo + _SCAN_BLOCK], acc)
+                if u < end:
+                    break
+                sums.append(end)
+                acc, lo = end, lo + _SCAN_BLOCK
         target = n
         for i, r in enumerate(rates[lo:lo + _SCAN_BLOCK], lo + 1):
             acc += r
@@ -234,12 +263,14 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
     a caller that keeps only the final state.
     """
     snapshots, events = [], []
+    sums = []  # next_event's block sums, carried; alpha = 0 leaves it empty
     n_obs = len(obs)
     obs_idx = 0
     t = 0.0
     while True:
         try:
-            wait, target, frags = next_event(state, law, alpha, eps, rng, trunc)
+            wait, target, frags = next_event(state, law, alpha, eps, rng, trunc,
+                                             sums)
             t_next = t + wait
         except (DeadState, EmptyTruncation):
             t_next = math.inf
@@ -252,6 +283,10 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
         capped = len(after.parts) > max_fragments
         if capped:
             after = _trim_to_cap(after, max_fragments)
+        if sums:
+            # a block keeps its sum while it lies before the parent's rank
+            # and within the cap: dislocate and the trim change no rank there
+            del sums[min(target - 1, len(after.parts)) // _SCAN_BLOCK:]
         if log:
             # tuple.__new__ builds the very record EventAtom(...) would,
             # without the generated __new__'s Python frame, as below
@@ -315,22 +350,31 @@ def write_event_csv(traj, stream):
     """Event log: time,target_rank,parent_mass,s1..s8 (vector padded/truncated)."""
     cols = ",".join(f"s{i + 1}" for i in range(CSV_EVENT_COLS))
     stream.write(f"time,target_rank,parent_mass,{cols}\n")
-    row = "%.17g,%d,%.17g" + ",%.17g" * CSV_EVENT_COLS + "\n"
-    pad = (0.0,) * CSV_EVENT_COLS
+    rows = _padded_rows("%.17g,%d,%.17g", CSV_EVENT_COLS, "\n")
     for ev in traj.events:
-        stream.write(row % ((ev.time, ev.target_rank, ev.parent_mass)
-                            + (ev.fragments + pad)[:CSV_EVENT_COLS]))
+        frags = ev.fragments[:CSV_EVENT_COLS]
+        stream.write(rows[len(frags)] % ((ev.time, ev.target_rank, ev.parent_mass)
+                                         + frags))
 
 
 def write_snapshot_csv(traj, stream):
     """Snapshots: time,lambda1..lambda16,dust (parts padded/truncated)."""
     cols = ",".join(f"lambda{i + 1}" for i in range(CSV_SNAPSHOT_COLS))
     stream.write(f"time,{cols},dust\n")
-    row = "%.17g" + ",%.17g" * (CSV_SNAPSHOT_COLS + 1) + "\n"
-    pad = (0.0,) * CSV_SNAPSHOT_COLS
+    rows = _padded_rows("%.17g", CSV_SNAPSHOT_COLS, ",%.17g\n")
     for t, snap in zip(traj.obs_times, traj.snapshots):
-        stream.write(row % ((t,) + (snap.parts + pad)[:CSV_SNAPSHOT_COLS]
-                            + (snap.dust,)))
+        parts = snap.parts[:CSV_SNAPSHOT_COLS]
+        stream.write(rows[len(parts)] % ((t,) + parts + (snap.dust,)))
+
+
+def _padded_rows(head, cols, tail):
+    """Row formats by value count k <= cols: k values, then cols - k zeros.
+
+    The zeros are literal: '%.17g' % 0.0 is '0', so a padded row reads as
+    it would with 0.0 formatted into it, without the formatting.
+    """
+    return [head + ",%.17g" * k + ",0" * (cols - k) + tail
+            for k in range(cols + 1)]
 
 
 def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):

@@ -23,6 +23,7 @@ from fragsim import (
     write_event_csv,
     write_snapshot_csv,
 )
+from fragsim import simulator
 from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from fragsim.simulator import _evolve, _observe
 
@@ -474,6 +475,143 @@ def test_sum_adds_left_to_right():
     # the block scan relies on sum(block, acc) rounding after every add, as
     # CPython 3.11 does; 3.12 compensates, which would move the pinned streams
     assert sum([1e16, 1.0, -1e16], 0.0) == 0.0
+    # the carried block sums rely on a sum continued from a partial sum being
+    # the whole sum, bit for bit, wherever it is cut
+    for x in ([1e16, 1.0, -1e16],
+              [float(r) for r in np.random.default_rng(4).random(300) ** 9]):
+        whole = sum(x)
+        for k in range(len(x) + 1):
+            assert sum(x[k:], sum(x[:k])).hex() == whole.hex()
+
+
+class Scripted:
+    """numpy's draws, after the given exponentials and uniforms are used up."""
+
+    def __init__(self, seed, exponentials=(), uniforms=()):
+        self.rng = np.random.default_rng(seed)
+        self.exponentials, self.uniforms = list(exponentials), list(uniforms)
+
+    def standard_exponential(self):
+        if self.exponentials:
+            return self.exponentials.pop(0)
+        return self.rng.standard_exponential()
+
+    def random(self):
+        return self.uniforms.pop(0) if self.uniforms else self.rng.random()
+
+
+def _path_hex(traj, end):
+    events = [(ev.time.hex(), ev.target_rank, [x.hex() for x in ev.fragments],
+               ev.parent_mass.hex(), ev.capped) for ev in traj.events]
+    return events, [_hex(s) for s in traj.snapshots], _hex(end)
+
+
+def watch_carried(monkeypatch):
+    """Make _evolve's next_event calls record how many block sums each was
+    handed, in the list returned."""
+    handed = []
+
+    def watched(*args):
+        handed.append(len(args[-1]))
+        return next_event(*args)
+
+    monkeypatch.setattr(simulator, "next_event", watched)
+    return handed
+
+
+def twin_paths(monkeypatch, start, law, alpha, horizon, floor, cap, make_rng):
+    """A path through _evolve as shipped and its twin whose next_event calls
+    carry no block sums, both as float.hex, and the most block sums any
+    call of the first was handed."""
+    def path():
+        traj, end = _evolve(start, law, alpha, 0.0, law.truncated_mass(0.0),
+                            horizon, floor, cap, make_rng(),
+                            (horizon / 3, horizon / 2, horizon))
+        return _path_hex(traj, end)
+
+    handed = watch_carried(monkeypatch)
+    shipped = path()
+    monkeypatch.setattr(simulator, "next_event",
+                        lambda *args: next_event(*args[:-1]))
+    return shipped, path(), max(handed)
+
+
+@pytest.mark.parametrize("alpha, horizon", ((1.0, 300.0), (0.5, 25.0),
+                                            (2.0, 20000.0)))
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_block_sums_keep_the_path(monkeypatch, alpha, horizon, seed):
+    shipped, carry_free, handed = twin_paths(
+        monkeypatch, MassState((1.0,), 0.0, 1.0), THREE_ATOMS, alpha, horizon,
+        0.0, 10 ** 6, lambda: np.random.default_rng(seed))
+    assert shipped == carry_free
+    assert max(len(s[0]) for s in shipped[1]) > 3 * 64 and handed >= 3
+
+
+def test_carried_block_sums_under_a_mass_floor(monkeypatch):
+    # every piece of a part of 0.0075 falls below the floor, and the 0.25
+    # part leaves pieces above it at the front, which drops every block
+    start = MassState((0.25,) + (0.0075,) * 100, 0.0, 1.0)
+    for seed in range(4):
+        shipped, carry_free, handed = twin_paths(
+            monkeypatch, start, THREE_ATOMS, -1.0, 1.0, 1e-2, 10 ** 6,
+            lambda: np.random.default_rng(seed))
+        assert shipped == carry_free and handed >= 1
+        assert float.fromhex(shipped[2][1]) > 0.0
+
+
+def test_carried_block_sums_past_a_cap_that_trims_them(monkeypatch):
+    # the first event splits rank 300 of 300 equal parts and the cap keeps
+    # 100, so of the four blocks the walk passed only the first survives
+    start = MassState((2.0 ** -9,) * 300, 0.0, 300 * 2.0 ** -9)
+    shipped, carry_free, handed = twin_paths(
+        monkeypatch, start, THREE_ATOMS, 1.0, 80.0, 0.0, 100,
+        lambda: Scripted(5, uniforms=(math.nextafter(1.0, 0.0),)))
+    assert shipped == carry_free and handed == 1
+    events = shipped[0]
+    assert events[0][1] == 300 and events[0][4] and len(events) > 20
+
+
+@pytest.mark.parametrize("alpha", (1.0, 2.0))
+def test_carried_block_sums_on_a_block_boundary(monkeypatch, alpha):
+    # each u * total is the running sum at a block end, so the target is the
+    # first rank of the next block: found by the walk (event 1), by
+    # bisecting the carried sums (2, 4, 5) and by the walk on from the last
+    # carried sum, which u equals (3)
+    halves = FiniteAtomic([(1.0, (0.5, 0.5))])
+    state, uniforms = MassState(dyadic_parts(200), 0.0, 1.0), []
+    for b in (192, 128, 128, 64, 0):
+        rates = [m ** alpha for m in state.parts]
+        u = onto(sum(rates[:b]), sum(rates))
+        assert u is not None
+        uniforms += [u, 0.5]
+        state = dislocate(state, b + 1, (0.5, 0.5))
+    shipped, carry_free, handed = twin_paths(
+        monkeypatch, MassState(dyadic_parts(200), 0.0, 1.0), halves, alpha,
+        1.0, 0.0, 10 ** 6,
+        lambda: Scripted(0, [1e-9] * 5 + [math.inf], uniforms))
+    assert shipped == carry_free and handed == 3
+    assert [ev[1] for ev in shipped[0]] == [193, 129, 129, 65, 1]
+
+
+@pytest.mark.parametrize("law", (SPLIT_64, FiniteAtomic([(1.0, (0.5, 1e-305))])),
+                         ids=("sum", "pow"))
+def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
+    # with blocks carried and no floor at alpha = -1, the rates of shrinking
+    # parts overflow in their sum (0.6, 0.4) or, once a piece of 1e-305 of a
+    # part is subnormal, in m ** alpha, whose one infinite rate drops them
+    start = MassState(dyadic_parts(200), 0.0, 1.0)
+    handed = watch_carried(monkeypatch)
+    for seed in range(3):
+        handed.clear()
+        with pytest.raises(RateOverflow):
+            _evolve(start, law, -1.0, 0.0, law.truncated_mass(0.0), 50.0, 0.0,
+                    10 ** 6, np.random.default_rng(seed))
+        assert handed[-1] >= 1
+    carried = [sum(m ** -1.0 for m in dyadic_parts(200)[:64])]
+    with pytest.raises(RateOverflow):
+        next_event(MassState(dyadic_parts(200) + (5e-324,), 0.0, 1.0), law,
+                   -1.0, 0.0, np.random.default_rng(0), law.truncated_mass(0.0),
+                   carried)
 
 
 def test_run_pure_erosion_is_exact():
@@ -748,6 +886,42 @@ def test_csv_writers_match_the_per_field_reference():
         new, old = csv_pair(write_event_csv, event_csv_reference, traj)
         assert new == old
         new, old = csv_pair(write_snapshot_csv, snapshot_csv_reference, traj)
+        assert new == old
+
+
+def event_csv_padded(traj, stream):
+    """The event writer that padded every vector with 0.0 and formatted it."""
+    cols = ",".join(f"s{i + 1}" for i in range(8))
+    stream.write(f"time,target_rank,parent_mass,{cols}\n")
+    row = "%.17g,%d,%.17g" + ",%.17g" * 8 + "\n"
+    for ev in traj.events:
+        stream.write(row % ((ev.time, ev.target_rank, ev.parent_mass)
+                            + (ev.fragments + (0.0,) * 8)[:8]))
+
+
+def snapshot_csv_padded(traj, stream):
+    """The snapshot writer that padded every state with 0.0 and formatted it."""
+    cols = ",".join(f"lambda{i + 1}" for i in range(16))
+    stream.write(f"time,{cols},dust\n")
+    row = "%.17g" + ",%.17g" * 17 + "\n"
+    for t, snap in zip(traj.obs_times, traj.snapshots):
+        stream.write(row % ((t,) + (snap.parts + (0.0,) * 16)[:16]
+                            + (snap.dust,)))
+
+
+def test_csv_writers_match_the_padded_format():
+    odd = (1, 0.5, -0.0, 5e-324, 0.0, 1 / 3, 2 ** 60, 1e-300, 0.25)
+    sizes = (0, 16, 17)
+    traj = Trajectory(
+        obs_times=tuple(0.5 * k for k in sizes),
+        snapshots=tuple(MassState(tuple(2.0 ** -j for j in range(1, k + 1)),
+                                  5e-324 if k else -0.0, 1.0) for k in sizes),
+        events=tuple(EventAtom(0.1 * k, k + 1, odd[:k], 1 / (k + 1))
+                     for k in range(10)))
+    assert [len(ev.fragments) for ev in traj.events] == list(range(10))
+    for writer, padded in ((write_event_csv, event_csv_padded),
+                           (write_snapshot_csv, snapshot_csv_padded)):
+        new, old = csv_pair(writer, padded, traj)
         assert new == old
 
 
