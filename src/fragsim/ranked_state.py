@@ -5,6 +5,11 @@ masses, a dust ledger for mass that left the resolved fragments, and the
 nominal budget the state started from. All operations preserve the budget
 inequality sum(parts) + dust <= nominal (within a small float tolerance)
 and keep the parts ranked.
+
+Inside the simulator's event loop a state carries its parts as a list,
+so that an event copies them once: dislocate returns parts of the kind
+it was given. List-backed states never leave that loop; every snapshot,
+trajectory and kernel state a caller sees holds a tuple.
 """
 
 import math
@@ -20,7 +25,7 @@ BUDGET_TOL = 1e-9
 
 
 class MassState(NamedTuple):
-    parts: tuple   # non-increasing, strictly positive
+    parts: tuple   # non-increasing, strictly positive; a list in the event loop
     dust: float    # mass lost to unresolved fragments, erosion, and flooring
     nominal: float # initial total mass
 
@@ -66,6 +71,10 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     Every part ranked before the parent weighs at least as much as it, and
     no piece outweighs the parent or the piece before it, so each insert
     point is searched for from the last one on.
+
+    The parts are copied into a new list, so state is left as it was. That
+    list is the new state's parts when state's parts are a list, as in the
+    event loop; any other parts give a tuple.
     """
     if not 1 <= rank <= len(state.parts):
         raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
@@ -85,6 +94,8 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
             # after every equal part: pre-existing fragments precede new ones
             lo = bisect_right(parts, -piece, lo, key=operator.neg)
             parts.insert(lo, piece)
+    if type(state.parts) is not list:
+        parts = tuple(parts)
     # tuple.__new__ builds the MassState that MassState(...) would, without
     # the generated __new__'s Python frame
-    return tuple.__new__(MassState, (tuple(parts), dust, state.nominal))
+    return tuple.__new__(MassState, (parts, dust, state.nominal))

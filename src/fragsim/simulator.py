@@ -235,9 +235,13 @@ def next_event(state, law, alpha, eps, rng, trunc, sums=None):
 
 
 def _observe(state, c, t):
-    """State as seen at time t: erosion factor applied, eroded mass dusted."""
+    """State as seen at time t: erosion factor applied, eroded mass dusted.
+
+    The snapshot's parts are a tuple whichever kind state holds.
+    """
     if c == 0.0:
-        return state
+        return tuple.__new__(MassState, (tuple(state.parts), state.dust,
+                                         state.nominal))
     factor = math.exp(-c * t)
     live = sum(state.parts)
     return MassState(tuple(m * factor for m in state.parts),
@@ -245,7 +249,10 @@ def _observe(state, c, t):
 
 
 def _trim_to_cap(state, cap):
-    """Move the smallest parts to dust so that cap parts remain."""
+    """Move the smallest parts to dust so that cap parts remain.
+
+    The kept parts are a slice, so they are of the kind state holds.
+    """
     spill = sum(state.parts[cap:])
     return MassState(state.parts[:cap], state.dust + spill, state.nominal)
 
@@ -261,6 +268,11 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
     remaining snapshots and ends, even when horizon is infinite. With log
     false no event is logged and the trajectory's event log is empty, for
     a caller that keeps only the final state.
+
+    state's parts may be a tuple or a list. A list-backed state stays one
+    through every event, since dislocate then returns its own new list,
+    so an event copies the parts once; the final state has parts of the
+    start's kind, and every snapshot holds a tuple.
     """
     snapshots, events = [], []
     sums = []  # next_event's block sums, carried; alpha = 0 leaves it empty
@@ -307,8 +319,10 @@ def run(config, rng):
     lands inside that snapshot. When a dislocation would push the fragment
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
+
+    The path runs on a list-backed state; its snapshots hold tuples.
     """
-    state = tuple.__new__(MassState, ((config.initial_mass,), 0.0,
+    state = tuple.__new__(MassState, ([config.initial_mass], 0.0,
                                       config.initial_mass))
     traj, _ = _evolve(state, config.law, config.alpha, config.eps,
                       config.law.truncated_mass(config.eps), config.t_end,
@@ -347,12 +361,16 @@ def chi_value(traj, t):
 
 
 def write_event_csv(traj, stream):
-    """Event log: time,target_rank,parent_mass,s1..s8 (vector padded/truncated)."""
+    """Event log: time,target_rank,parent_mass,s1..s8 (vector padded/truncated).
+
+    The log keeps each law's vector as the law returned it, so a list or
+    an array is made a tuple here, not in the event loop.
+    """
     cols = ",".join(f"s{i + 1}" for i in range(CSV_EVENT_COLS))
     stream.write(f"time,target_rank,parent_mass,{cols}\n")
     rows = _padded_rows("%.17g,%d,%.17g", CSV_EVENT_COLS, "\n")
     for ev in traj.events:
-        frags = ev.fragments[:CSV_EVENT_COLS]
+        frags = tuple(ev.fragments[:CSV_EVENT_COLS])
         stream.write(rows[len(frags)] % ((ev.time, ev.target_rank, ev.parent_mass)
                                          + frags))
 
@@ -384,7 +402,8 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     state of a unit-mass path run at alpha = 0 to time duration. A duration
     that is not finite and >= 0 raises ConfigError. eps follows SimConfig's
     rule: finite and >= 0, and > 0 for an infinite-activity law, and
-    mass_floor and max_fragments follow its checks too.
+    mass_floor and max_fragments follow its checks too. The path runs on a
+    list-backed state, and the state returned holds a tuple.
     """
     _check_eps(law, eps)
     _check_limits(mass_floor, max_fragments)
@@ -393,8 +412,9 @@ def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
     def kernel(duration, rng):
         check_range(duration, lambda d: 0.0 <= d < math.inf,
                     "step duration {!r} must be finite and >= 0")
-        _, state = _evolve(MassState((1.0,), 0.0, 1.0), law, 0.0, eps, trunc,
-                           duration, mass_floor, max_fragments, rng, log=False)
-        return state
+        start = tuple.__new__(MassState, ([1.0], 0.0, 1.0))
+        _, state = _evolve(start, law, 0.0, eps, trunc, duration, mass_floor,
+                           max_fragments, rng, log=False)
+        return _observe(state, 0.0, duration)
 
     return kernel

@@ -141,6 +141,29 @@ def test_dislocate_matches_the_sort_reference():
             assert _bits(got) == _bits(want), (state, rank, fragments, floor)
 
 
+def test_dislocate_leaves_its_input_and_keeps_its_kind():
+    # the bench counts events by reading the input's parts after the call,
+    # and the event loop logs the parent from them, so they must not change
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        masses = sorted((int(k) / 256.0 for k in rng.integers(1, 7, size=n)),
+                        reverse=True)
+        floor = float(rng.choice([0.0, 1.0 / 512.0, 1.0 / 256.0]))
+        fragments = _random_fragments(rng)
+        rank = int(rng.integers(1, n + 1))
+        want = dislocate(MassState(tuple(masses), 0.0, 1.0), rank, fragments,
+                         floor)
+        assert type(want.parts) is tuple
+        for kind in (tuple, list):
+            parts = kind(masses)
+            state = MassState(parts, 0.0, 1.0)
+            got = dislocate(state, rank, fragments, floor)
+            assert state.parts is parts and parts == kind(masses)
+            assert type(got.parts) is kind and got.parts is not parts
+            assert _bits(got) == _bits(want)
+
+
 def _validate_by_loop(fragments):
     """Reference validate_fragments: the two-test loop it replaced."""
     prev = None

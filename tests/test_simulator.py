@@ -25,6 +25,7 @@ from fragsim import (
 )
 from fragsim import simulator
 from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
+from fragsim.measures import DislocationLaw
 from fragsim.simulator import _evolve, _observe
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
@@ -1060,6 +1061,77 @@ def test_event_log_replays_to_the_snapshots(law, eps, alpha, c, floor, cap,
         cap_hits += traj.cap_hit
     assert events >= paths
     assert (cap_hits > 0) == (cap == 3)
+
+
+@pytest.mark.parametrize(
+    "law, eps, alpha, c, floor, cap, t_end, paths", REPLAYS,
+    ids=[f"{type(r[0]).__name__}-a{r[2]}-c{r[3]}-floor{r[4]}-cap{r[5]}"
+         for r in REPLAYS])
+def test_a_list_backed_start_keeps_the_path(law, eps, alpha, c, floor, cap,
+                                            t_end, paths):
+    # run and the step kernel start from a list; the end state keeps the
+    # start's kind, and every snapshot holds a tuple
+    obs = (0.0, t_end / 4, t_end / 2, t_end)
+    trunc = law.truncated_mass(eps)
+    for seed in range(paths):
+        mass = 0.75 if seed % 2 else 1.0
+        hexed = []
+        for kind in (tuple, list):
+            traj, end = _evolve(MassState(kind([mass]), 0.0, mass), law, alpha,
+                                eps, trunc, t_end, floor, cap,
+                                np.random.default_rng(seed), obs, c)
+            assert type(end.parts) is kind
+            assert [type(s.parts) for s in traj.snapshots] == [tuple] * 4
+            hexed.append(_path_hex(traj, end))
+        assert hexed[0] == hexed[1]
+
+
+@pytest.mark.parametrize("alpha, c", ((0.0, 0.0), (0.0, 0.5), (1.0, 0.0)))
+def test_run_and_the_step_kernel_hand_out_tuples(alpha, c):
+    law = FiniteAtomic([(1.0, (0.5, 0.3, 0.2))])
+    kernel = make_step_kernel(law, max_fragments=3)
+    cap_hits = 0
+    for cap in (3, 10 ** 6):
+        cfg = SimConfig(law, 3.0, alpha=alpha, c=c, obs_times=(0.0, 1.0, 3.0),
+                        max_fragments=cap)
+        for seed in range(4):
+            traj = run(cfg, np.random.default_rng(seed))
+            assert [type(s.parts) for s in traj.snapshots] == [tuple] * 3
+            cap_hits += traj.cap_hit
+    for seed in range(4):
+        for duration in (0.0, 1.0, 3.0):
+            state = kernel(duration, np.random.default_rng(seed))
+            assert type(state.parts) is tuple
+    assert cap_hits > 0
+
+
+class OneVector(DislocationLaw):
+    """One dislocation of rate 1, returned as the object it was given."""
+
+    def __init__(self, vector):
+        self.vector = vector
+
+    def truncated_mass(self, eps):
+        return 1.0
+
+    def sample_dislocation(self, eps, total, u):
+        return self.vector
+
+
+@pytest.mark.parametrize("vector", ([0.6, 0.4, 0.0], np.array([0.6, 0.4, 0.0])),
+                         ids=("list", "ndarray"))
+def test_csv_writers_take_a_law_vector_of_any_kind(vector):
+    # the event log keeps the law's own vector; '%.17g' % 0.0 is '0', the
+    # literal padding, so the trailing zero writes what padding would
+    written = []
+    for law in (OneVector((0.6, 0.4)), OneVector(vector)):
+        traj = run(SimConfig(law, 2.0, obs_times=(1.0, 2.0)),
+                   np.random.default_rng(1))
+        stream = io.StringIO()
+        write_event_csv(traj, stream)
+        write_snapshot_csv(traj, stream)
+        written.append((len(traj.events), stream.getvalue()))
+    assert written[0] == written[1] and written[0][0] > 1
 
 
 def test_records_are_immutable_named_tuples():
