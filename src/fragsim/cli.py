@@ -5,6 +5,7 @@ configuration or arguments were unusable.
 """
 
 import argparse
+import math
 import numbers
 import os
 import sys
@@ -18,6 +19,8 @@ from .suites import CONFIG_EXIT, FAIL_EXIT, PASS_EXIT, run_suite, suite_names
 
 _SIM_KEYS = ("alpha", "c", "eps", "obs_times", "max_fragments",
              "mass_floor", "initial_mass")
+# the measure line parses to "law"; a suite-only key is refused, not ignored
+_SIMULATE_KEYS = ("law", "t_end", "seed", "replicas") + _SIM_KEYS
 
 
 def _build_parser():
@@ -49,6 +52,9 @@ def _build_parser():
 
 def _cmd_simulate(args):
     values = load_config(args.config)
+    for key in values:
+        if key not in _SIMULATE_KEYS:
+            raise ConfigError(f"simulate does not take {key!r}")
     if "law" not in values:
         raise ConfigError("simulate needs a measure line in the config")
     if "t_end" not in values:
@@ -94,6 +100,8 @@ def _cmd_tail(args):
         raise ConfigError(f"--x: {exc}") from exc
     if not grid:
         raise ConfigError("--x needs at least one grid point")
+    if any(math.isnan(x) for x in grid):
+        raise ConfigError("--x: a grid point is NaN")
     print("x,tail_nu2,gen_inverse_f")
     for x in grid:
         print(f"{x:.10g},{law.tail_nu2(x):.10g},{law.gen_inverse_f(x):.10g}")

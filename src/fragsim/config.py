@@ -9,8 +9,10 @@ are rejected so typos fail loudly.
 from .errors import ConfigError
 from .measures import parse_measure
 
-_FLOAT_KEYS = ("alpha", "c", "eps", "t_end", "mass_floor", "initial_mass")
-_INT_KEYS = ("replicas", "seed", "max_fragments")
+# SimConfig's fields, then the keys only a suite takes (fragsim verify)
+_FLOAT_KEYS = ("alpha", "c", "eps", "t_end", "mass_floor", "initial_mass",
+               "event_budget", "r")
+_INT_KEYS = ("replicas", "seed", "max_fragments", "m_max", "n")
 _LIST_KEYS = ("obs_times",)
 
 

@@ -212,21 +212,20 @@ class BinaryPowerLaw(DislocationLaw):
 class BrennanDurrett(DislocationLaw):
     """Unit-rate binary splits (max(V, 1-V), min(V, 1-V)) with V ~ Beta(p, q).
 
-    The only law that needs scipy.stats and scipy.integrate; it imports them
-    itself, so the other laws run without loading them. It draws through
-    scipy.special's betaincinv, which gives the frozen scipy.stats.beta's
-    ppf bit for bit and skips its argument handling.
+    The only law that needs scipy; it imports scipy.special itself, so the
+    other laws run without loading it. Its tail is betainc, its draws are
+    betaincinv (the frozen scipy.stats.beta's cdf and ppf, bit for bit,
+    without their argument handling), and its dust integral is closed form.
     """
 
     def __init__(self, p, q):
         p, q = float(p), float(q)
         if not (0.0 < p < np.inf and 0.0 < q < np.inf):
             raise DivergentMeasure(f"Beta parameters ({p}, {q}) must be finite and > 0")
-        from scipy import special, stats
+        from scipy import special
 
         self.p = p
         self.q = q
-        self._beta = stats.beta(p, q)
         self._betainc = special.betainc
         self._betaincinv = special.betaincinv
         self._cdf_cache = None  # (eps, Beta(p, q) cdf at eps)
@@ -238,17 +237,19 @@ class BrennanDurrett(DislocationLaw):
         # P(x <= V <= 1-x), the chance the smaller piece reaches x
         x = np.asarray(x, dtype=float)
         inside = np.clip(x, 0.0, 0.5)
-        out = self._beta.cdf(1.0 - inside) - self._beta.cdf(inside)
+        cdf = self._betainc
+        out = cdf(self.p, self.q, 1.0 - inside) - cdf(self.p, self.q, inside)
         out = np.where(x > 0.5, 0.0, out)
         out = np.where(x <= 0.0, 1.0, out)
         return _maybe_scalar(out)
 
     def dust_integral(self):
-        from scipy import integrate
-
-        val, _ = integrate.quad(
-            lambda v: min(v, 1.0 - v) * self._beta.pdf(v), 0.0, 1.0, points=[0.5])
-        return val
+        # E[min(V, 1-V)] = E[V; V < 1/2] + E[1-V; V >= 1/2], and v times the
+        # Beta(p, q) density is p/(p+q) times the Beta(p+1, q) density
+        p, q = self.p, self.q
+        low = self._betainc(p + 1.0, q, 0.5)
+        high = 1.0 - self._betainc(p, q + 1.0, 0.5)
+        return float(p / (p + q) * low + q / (p + q) * high)
 
     def truncated_mass(self, eps):
         return self.tail_nu2(eps)

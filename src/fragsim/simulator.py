@@ -74,8 +74,20 @@ class SimConfig:
             raise ConfigError(
                 "erosion with a nonzero self-similarity index is not supported; "
                 "set alpha = 0 or c = 0")
-        _check_eps(self.law, self.eps)
-        _check_limits(self.mass_floor, self.max_fragments)
+        # an infinite eps would truncate every dislocation away, so a path
+        # would run with no event at all
+        check_range(self.eps, lambda e: 0.0 <= e < math.inf,
+                    "eps {!r} must be finite and >= 0")
+        if self.eps == 0.0 and getattr(self.law, "infinite_activity", False):
+            raise ConfigError("an infinite-activity law requires eps > 0")
+        # a cap below 1 or an infinite floor would dust the whole mass, a NaN
+        # floor would dust nothing, and a cap that is not an int cannot slice
+        # the parts
+        cap, floor = self.max_fragments, self.mass_floor
+        if not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ConfigError(f"max_fragments {cap!r} must be an int >= 1")
+        if not (isinstance(floor, numbers.Real) and 0.0 <= floor < math.inf):
+            raise ConfigError(f"mass_floor {floor!r} must be finite and >= 0")
         prev = 0.0
         for t in self.obs_times:
             # NaN fails both bounds, so a NaN time is rejected here too
@@ -84,31 +96,6 @@ class SimConfig:
                     f"observation time {t} outside [{prev}, {self.t_end}]: "
                     f"obs_times must be non-decreasing in [0, t_end]")
             prev = t
-
-
-def _check_eps(law, eps):
-    """Reject a truncation level no event loop can run at.
-
-    An infinite eps would truncate every dislocation away, so a path
-    would run with no event at all.
-    """
-    check_range(eps, lambda e: 0.0 <= e < math.inf,
-                "eps {!r} must be finite and >= 0")
-    if eps == 0.0 and getattr(law, "infinite_activity", False):
-        raise ConfigError("an infinite-activity law requires eps > 0")
-
-
-def _check_limits(mass_floor, max_fragments):
-    """Reject a mass floor or fragment cap the event loop cannot honour.
-
-    A cap below 1 or an infinite floor would dust the whole mass, a NaN
-    floor would dust nothing, and a cap that is not an int cannot slice
-    the parts.
-    """
-    if not (isinstance(max_fragments, numbers.Integral) and max_fragments >= 1):
-        raise ConfigError(f"max_fragments {max_fragments!r} must be an int >= 1")
-    if not (isinstance(mass_floor, numbers.Real) and 0.0 <= mass_floor < math.inf):
-        raise ConfigError(f"mass_floor {mass_floor!r} must be finite and >= 0")
 
 
 class EventAtom(NamedTuple):
@@ -258,16 +245,16 @@ def _trim_to_cap(state, cap):
 
 
 def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
-            rng, obs=(), c=0.0, log=True):
+            rng, obs=(), c=0.0):
     """The event loop behind run and make_step_kernel.
 
     Evolves state from time 0 to horizon, taking a snapshot eroded at rate
     c at each time in obs. Returns (Trajectory, final state); the final
     state carries no erosion factor. A path with no fragments left, with
     an empty truncation, or with rates that underflow to 0 takes its
-    remaining snapshots and ends, even when horizon is infinite. With log
-    false no event is logged and the trajectory's event log is empty, for
-    a caller that keeps only the final state.
+    remaining snapshots and ends, even when horizon is infinite. Every
+    event is logged; make_step_kernel keeps only the final state and drops
+    the log.
 
     state's parts may be a tuple or a list. A list-backed state stays one
     through every event, since dislocate then returns its own new list,
@@ -299,11 +286,10 @@ def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
             # a block keeps its sum while it lies before the parent's rank
             # and within the cap: dislocate and the trim change no rank there
             del sums[min(target - 1, len(after.parts)) // _SCAN_BLOCK:]
-        if log:
-            # tuple.__new__ builds the very record EventAtom(...) would,
-            # without the generated __new__'s Python frame, as below
-            events.append(tuple.__new__(EventAtom, (
-                t_next, target, frags, state.parts[target - 1], capped)))
+        # tuple.__new__ builds the very record EventAtom(...) would,
+        # without the generated __new__'s Python frame, as below
+        events.append(tuple.__new__(EventAtom, (
+            t_next, target, frags, state.parts[target - 1], capped)))
         state = after
         t = t_next
     return (tuple.__new__(Trajectory, (obs, tuple(snapshots), tuple(events))),
@@ -395,26 +381,27 @@ def _padded_rows(head, cols, tail):
             for k in range(cols + 1)]
 
 
-def make_step_kernel(law, eps=0.0, mass_floor=0.0, max_fragments=10 ** 6):
+def make_step_kernel(law):
     """Kernel for homogeneous partition steps: evolve a unit mass for a duration.
 
     Returns kernel(duration, rng) -> MassState of relative masses, the end
     state of a unit-mass path run at alpha = 0 to time duration. A duration
-    that is not finite and >= 0 raises ConfigError. eps follows SimConfig's
-    rule: finite and >= 0, and > 0 for an infinite-activity law, and
-    mass_floor and max_fragments follow its checks too. The path runs on a
-    list-backed state, and the state returned holds a tuple.
+    that is not finite and >= 0 raises ConfigError. The path runs at
+    SimConfig(law, 0.0)'s eps, mass_floor and max_fragments, built once
+    here, so an infinite-activity law raises ConfigError as SimConfig
+    does. The path runs on a list-backed state, and the state returned
+    holds a tuple.
     """
-    _check_eps(law, eps)
-    _check_limits(mass_floor, max_fragments)
+    cfg = SimConfig(law, 0.0)
+    eps, floor, cap = cfg.eps, cfg.mass_floor, cfg.max_fragments
     trunc = law.truncated_mass(eps)
 
     def kernel(duration, rng):
         check_range(duration, lambda d: 0.0 <= d < math.inf,
                     "step duration {!r} must be finite and >= 0")
         start = tuple.__new__(MassState, ([1.0], 0.0, 1.0))
-        _, state = _evolve(start, law, 0.0, eps, trunc, duration, mass_floor,
-                           max_fragments, rng, log=False)
+        _, state = _evolve(start, law, 0.0, eps, trunc, duration, floor, cap,
+                           rng)
         return _observe(state, 0.0, duration)
 
     return kernel

@@ -214,6 +214,30 @@ def test_tail_grid(capsys):
     assert "0.5857864" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite, line, echo", (
+    ("frechet-k", "event_budget = 6", "event_budget=6.0"),
+    ("subordinator", "m_max = 3", "m_max=3"),
+    ("correspondence", "n = 500", "n=500"),
+    ("scaling", "r = 0.25", "r=0.25"),
+))
+def test_verify_takes_the_suite_only_keys(tmp_path, capsys, suite, line, echo):
+    # the config file typed only SimConfig's keys, so each of these exited 2
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main(["verify", suite, "--config", cfg, "--replicas", "50"]) in (0, 1)
+    config = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("config: ")]
+    assert echo in config[0].split()
+
+
+def test_simulate_rejects_a_suite_only_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SIM_CFG + "n = 5\n")
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    # the parser now types n for the suites; simulate must still refuse it
+    assert "simulate does not take 'n'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tail_rejects_bad_input(capsys):
     assert main(["tail", "--measure", "binary_power", "--x", "0.25"]) == 2
     assert main(["tail", "--measure", "binary_power; a = 0.5", "--x", " "]) == 2
@@ -221,8 +245,11 @@ def test_tail_rejects_bad_input(capsys):
     # a NaN Beta parameter printed NaN rows and exited 0
     assert main(["tail", "--measure", "brennan_durrett; p = nan; q = 2",
                  "--x", "0.1"]) == 2
+    # a NaN grid point printed a NaN row and exited 0
+    assert main(["tail", "--measure", "atomic; atoms = 1.0:0.6,0.4",
+                 "--x", "0.1,nan"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("error:") == 4 and captured.out == ""
+    assert captured.err.count("error:") == 5 and captured.out == ""
 
 
 def test_argparse_usage_error():
@@ -239,8 +266,12 @@ import fragsim
 import fragsim.cli
 code = fragsim.cli.main(["verify", "erosion", "--seed", "1"])
 scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-dust = fragsim.BrennanDurrett(2, 2).dust_integral()
-print(json.dumps({"code": code, "scipy": scipy, "dust": dust}))
+law = fragsim.BrennanDurrett(2, 2)
+dust = law.dust_integral()
+tail = law.tail_nu2(0.25)
+bd = sorted(m for m in sys.modules if m in ("scipy.stats", "scipy.integrate"))
+print(json.dumps({"code": code, "scipy": scipy, "dust": dust, "tail": tail,
+                  "bd": bd, "special": "scipy.special" in sys.modules}))
 """
 
 
@@ -253,5 +284,7 @@ def test_import_and_a_suite_load_no_scipy():
     result = json.loads(out.splitlines()[-1])
     assert result["code"] == 0
     assert result["scipy"] == []
-    # Brennan-Durrett loads scipy.stats and scipy.integrate on first use
+    # Brennan-Durrett loads scipy.special on first use, and nothing more
     assert result["dust"] == pytest.approx(0.3125, abs=1e-12)
+    assert result["tail"] == pytest.approx(0.6875, abs=1e-12)
+    assert result["special"] and result["bd"] == []

@@ -298,6 +298,34 @@ def test_brennan_durrett_draws_as_the_frozen_beta_did():
                                for v in want]
 
 
+def test_brennan_durrett_tail_is_the_frozen_beta_cdf():
+    # tail_nu2 calls scipy.special.betainc, which gives the frozen
+    # scipy.stats.beta's cdf bit for bit, so truncated rates do not move
+    x = np.concatenate([np.linspace(-0.1, 0.6, 701), np.geomspace(1e-300, 0.5, 60),
+                        [0.0, 0.5, np.nextafter(0.5, 0.0)]])
+    inside = np.clip(x, 0.0, 0.5)
+    for p, q in ((0.05, 0.9), (5.0, 1.2), (0.5, 0.5), (10.0, 0.3)):
+        frozen = sps.beta(p, q)
+        want = frozen.cdf(1.0 - inside) - frozen.cdf(inside)
+        want = np.where(x > 0.5, 0.0, np.where(x <= 0.0, 1.0, want))
+        assert BrennanDurrett(p, q).tail_nu2(x).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p, q", ((0.05, 0.9), (5.0, 1.2), (0.5, 0.5), (0.2, 7.0)))
+def test_brennan_durrett_dust_integral_against_mpmath(p, q):
+    # E[min(V, 1-V)] for V ~ Beta(p, q) at 40 digits; the quadrature the
+    # closed form replaced was off by 1.5e-9 (relative) at (0.05, 0.9)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(p), mpmath.mpf(q)
+        half = mpmath.mpf(1) / 2
+        want = mpmath.quad(
+            lambda v: min(v, 1 - v) * v ** (a - 1) * (1 - v) ** (b - 1),
+            [0, half, 1]) / mpmath.beta(a, b)
+        got = BrennanDurrett(p, q).dust_integral()
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_parse_measure_grammar():
     law = parse_measure("measure = binary_power; a = 0.5")
     assert isinstance(law, BinaryPowerLaw) and law.a == 0.5

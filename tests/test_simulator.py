@@ -273,12 +273,19 @@ def test_run_computes_the_truncated_rate_once(law, eps):
                              max_fragments=200), np.random.default_rng(41))
         assert type(law).calls == 1
     assert len(traj.events) > 3
+    # the kernel runs at SimConfig's default eps = 0, which an
+    # infinite-activity law refuses before it computes any rate
     type(law).calls = 0
-    kernel = make_step_kernel(law, eps=eps, max_fragments=200)
-    rng = np.random.default_rng(43)
-    assert len(kernel(20.0, rng).parts) > 3
-    kernel(1.0, rng)
-    assert type(law).calls == 1
+    if law.infinite_activity:
+        with pytest.raises(ConfigError, match="requires eps > 0"):
+            make_step_kernel(law)
+        assert type(law).calls == 0
+    else:
+        kernel = make_step_kernel(law)
+        rng = np.random.default_rng(43)
+        assert len(kernel(3.0, rng).parts) > 3
+        kernel(1.0, rng)
+        assert type(law).calls == 1
 
 
 def test_run_stops_when_the_truncation_is_empty():
@@ -287,7 +294,8 @@ def test_run_stops_when_the_truncation_is_empty():
     traj = run(SimConfig(law=law, t_end=1.0, eps=0.6, obs_times=(1.0,)),
                np.random.default_rng(0))
     assert traj.events == () and traj.snapshots[0].parts == (1.0,)
-    kernel = make_step_kernel(law, eps=0.6)
+    # the kernel runs at eps = 0, so only a law with no mass empties it
+    kernel = make_step_kernel(FiniteAtomic([]))
     assert kernel(5.0, np.random.default_rng(0)).parts == (1.0,)
 
 
@@ -302,8 +310,10 @@ def test_run_stops_when_the_truncation_is_empty():
 def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
     with pytest.raises(ConfigError, match=match):
         SimConfig(law, 1.0, eps=eps)
-    with pytest.raises(ConfigError, match=match):
-        make_step_kernel(law, eps=eps)
+    if eps == 0.0:
+        # the kernel runs at SimConfig's default eps = 0
+        with pytest.raises(ConfigError, match=match):
+            make_step_kernel(law)
 
 
 @pytest.mark.parametrize("field, value", (
@@ -317,10 +327,10 @@ def test_step_kernel_follows_the_config_eps_rule(law, eps, match):
     ("mass_floor", "0.1"),
 ))
 def test_step_kernel_follows_the_config_limits(field, value):
+    # the kernel takes its limits from SimConfig's defaults, so this rule
+    # is the kernel's too
     with pytest.raises(ConfigError, match=field):
         SimConfig(SPLIT_64, 1.0, **{field: value})
-    with pytest.raises(ConfigError, match=field):
-        make_step_kernel(SPLIT_64, **{field: value})
 
 
 @pytest.mark.parametrize("kwargs, match", (
@@ -926,23 +936,20 @@ def test_csv_writers_match_the_padded_format():
         assert new == old
 
 
-@pytest.mark.parametrize("law, eps, floor, cap, duration", [
-    (SPLIT_64, 0.0, 0.0, 10 ** 6, 3.0),
-    (BinaryPowerLaw(0.5), 0.05, 1e-12, 10 ** 6, 1.0),
-    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 2, 3.0),
-])
-def test_step_kernel_is_run_to_the_duration(law, eps, floor, cap, duration):
-    kernel = make_step_kernel(law, eps, floor, cap)
-    cfg = SimConfig(law, duration, eps=eps, obs_times=(duration,),
-                    mass_floor=floor, max_fragments=cap)
-    events = cap_hits = 0
+@pytest.mark.parametrize("law, duration", [
+    (SPLIT_64, 3.0),
+    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 3.0),
+    (BrennanDurrett(2.0, 3.0), 2.0),
+], ids=("binary", "ternary", "beta"))
+def test_step_kernel_is_run_to_the_duration(law, duration):
+    kernel = make_step_kernel(law)
+    cfg = SimConfig(law, duration, obs_times=(duration,))
+    events = 0
     for seed in range(8):
         traj = run(cfg, np.random.default_rng(seed))
         assert kernel(duration, np.random.default_rng(seed)) == traj.snapshots[0]
         events += len(traj.events)
-        cap_hits += traj.cap_hit
     assert events > 8
-    assert (cap_hits > 0) == (cap == 2)
 
 
 @pytest.mark.parametrize("duration", (math.nan, math.inf, -1.0, -0.5))
@@ -950,33 +957,12 @@ def test_step_kernel_is_run_to_the_duration(law, eps, floor, cap, duration):
                                         (FiniteAtomic([]), 0.0)),
                          ids=("capped", "floored", "frozen"))
 def test_step_kernel_rejects_a_bad_duration(duration, law, floor):
-    kernel = make_step_kernel(law, mass_floor=floor, max_fragments=1000)
+    kernel = make_step_kernel(law)
     with pytest.raises(ConfigError, match="duration"):
         kernel(duration, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("law, eps, floor, cap, duration", [
-    (SPLIT_64, 0.0, 0.0, 10 ** 6, 3.0),
-    (BinaryPowerLaw(0.5), 0.05, 1e-12, 10 ** 6, 1.0),
-    (FiniteAtomic([(1.0, (0.5, 0.3, 0.2))]), 0.0, 0.0, 2, 3.0),
-])
-def test_evolve_without_a_log_keeps_the_path(law, eps, floor, cap, duration):
-    trunc = law.truncated_mass(eps)
-    start = MassState((1.0,), 0.0, 1.0)
-    obs = (duration / 2.0, duration)
-    events = 0
-    for seed in range(8):
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        logged, end = _evolve(start, law, 0.0, eps, trunc, duration, floor,
-                              cap, rng, obs)
-        quiet, quiet_end = _evolve(start, law, 0.0, eps, trunc, duration,
-                                   floor, cap, twin, obs, log=False)
-        events += len(logged.events)
-        assert quiet_end == end
-        assert quiet.snapshots == logged.snapshots
-        assert quiet.events == ()
-        assert rng.random() == twin.random()
-    assert events > 8
+    # the kernel's duration rule is SimConfig's t_end rule, whatever its limits
+    with pytest.raises(ConfigError, match="t_end"):
+        SimConfig(law, duration, mass_floor=floor, max_fragments=1000)
 
 
 def test_make_step_kernel():
@@ -1089,7 +1075,7 @@ def test_a_list_backed_start_keeps_the_path(law, eps, alpha, c, floor, cap,
 @pytest.mark.parametrize("alpha, c", ((0.0, 0.0), (0.0, 0.5), (1.0, 0.0)))
 def test_run_and_the_step_kernel_hand_out_tuples(alpha, c):
     law = FiniteAtomic([(1.0, (0.5, 0.3, 0.2))])
-    kernel = make_step_kernel(law, max_fragments=3)
+    kernel = make_step_kernel(law)
     cap_hits = 0
     for cap in (3, 10 ** 6):
         cfg = SimConfig(law, 3.0, alpha=alpha, c=c, obs_times=(0.0, 1.0, 3.0),
