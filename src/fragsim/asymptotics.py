@@ -72,11 +72,8 @@ def record_cdf(law, t, x):
 
 
 def extreme_cdf(x, a):
-    """Heavy-tail extreme law exp(-x^(-a)) on x > 0."""
-    x = np.asarray(x, dtype=float)
-    safe = np.maximum(x, 1e-300)
-    out = np.where(x > 0.0, np.exp(-safe ** (-a)), 0.0)
-    return float(out) if out.ndim == 0 else out
+    """Heavy-tail extreme law exp(-x^(-a)) on x > 0: frechet_k_cdf at k = 1."""
+    return frechet_k_cdf(1, a, x)
 
 
 def frechet_k_cdf(k, a, x):

@@ -5,6 +5,7 @@ configuration or arguments were unusable.
 """
 
 import argparse
+import dataclasses
 import math
 import numbers
 import os
@@ -17,10 +18,9 @@ from .rng import replica_rng
 from .simulator import SimConfig, run, write_event_csv, write_snapshot_csv
 from .suites import CONFIG_EXIT, FAIL_EXIT, PASS_EXIT, run_suite, suite_names
 
-_SIM_KEYS = ("alpha", "c", "eps", "obs_times", "max_fragments",
-             "mass_floor", "initial_mass")
-# the measure line parses to "law"; a suite-only key is refused, not ignored
-_SIMULATE_KEYS = ("law", "t_end", "seed", "replicas") + _SIM_KEYS
+# a path's keys are SimConfig's fields, the measure line parsing to "law";
+# a suite-only key is refused, not ignored
+_PATH_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 
 
 def _build_parser():
@@ -53,7 +53,7 @@ def _build_parser():
 def _cmd_simulate(args):
     values = load_config(args.config)
     for key in values:
-        if key not in _SIMULATE_KEYS:
+        if key not in _PATH_KEYS and key not in ("seed", "replicas"):
             raise ConfigError(f"simulate does not take {key!r}")
     if "law" not in values:
         raise ConfigError("simulate needs a measure line in the config")
@@ -66,8 +66,7 @@ def _cmd_simulate(args):
         raise ConfigError(f"seed {seed!r} must be an int >= 0")
     if replicas < 1:
         raise ConfigError(f"replica count {replicas} must be >= 1")
-    kwargs = {k: values[k] for k in _SIM_KEYS if k in values}
-    cfg = SimConfig(values["law"], values["t_end"], **kwargs)
+    cfg = SimConfig(**{k: v for k, v in values.items() if k in _PATH_KEYS})
     os.makedirs(args.out, exist_ok=True)
     for i in range(replicas):
         traj = run(cfg, replica_rng(seed, i))

@@ -157,7 +157,8 @@ class BinaryPowerLaw(DislocationLaw):
     """Conservative binary splits (1 - x, x), small piece density a*x^(-a-1).
 
     Requires 0 < a < 1; at a >= 1 the lost-mass integral diverges and the
-    law admits no fragmentation process.
+    law admits no fragmentation process. truncated_mass keeps no memo, as
+    SimConfig computes it once per config.
     """
 
     infinite_activity = True
@@ -170,16 +171,17 @@ class BinaryPowerLaw(DislocationLaw):
         self.a = a
         self._two_a = 2.0 ** a
         self._neg_inv_a = -1.0 / a
-        self._mass_cache = None  # (eps, truncated_mass(eps))
 
     def __repr__(self):
         return f"BinaryPowerLaw(a={self.a})"
 
     def tail_nu2(self, x):
-        # closed form x^(-a) - 2^a on (0, 1/2]; zero beyond, divergent at 0
+        # closed form x^(-a) - 2^a on (0, 1/2]; zero beyond, divergent at 0.
+        # np.maximum makes a 0-d x a float64, whose pow is the scalar one
         x = np.asarray(x, dtype=float)
-        safe = np.maximum(x, 1e-300)
-        out = np.where(x > 0.5, 0.0, safe ** (-self.a) - self._two_a)
+        with np.errstate(divide="ignore"):  # x <= 0 is masked to inf below
+            out = np.where(x > 0.5, 0.0, np.maximum(x, 0.0) ** -self.a
+                           - self._two_a)
         out = np.where(x <= 0.0, np.inf, out)
         return _maybe_scalar(out)
 
@@ -187,14 +189,10 @@ class BinaryPowerLaw(DislocationLaw):
         return self.a / (1.0 - self.a) * 0.5 ** (1.0 - self.a)
 
     def truncated_mass(self, eps):
-        cache = self._mass_cache
-        if cache is None or cache[0] != eps:
-            if eps <= 0.0:
-                raise EmptyTruncation(
-                    "binary power law needs a positive truncation")
-            cache = (eps, max(self.tail_nu2(eps), 0.0))
-            self._mass_cache = cache
-        return cache[1]
+        if eps <= 0.0:
+            raise EmptyTruncation(
+                "binary power law needs a positive truncation")
+        return max(self.tail_nu2(eps), 0.0)
 
     def sample_dislocation(self, eps, total, u):
         if total <= 0.0:

@@ -13,6 +13,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -42,7 +43,8 @@ class SimConfig:
     truncation level on {1 - s1 >= eps}; it must be positive when the law
     has infinite activity. Positive erosion demands alpha = 0 because the
     analytic erosion factor commutes with the jump dynamics only when jump
-    rates are mass-independent.
+    rates are mass-independent. truncated_rate, law.truncated_mass(eps), is
+    computed once per config; it is no field, so ==, hash and repr skip it.
     """
 
     law: object
@@ -97,6 +99,10 @@ class SimConfig:
                     f"obs_times must be non-decreasing in [0, t_end]")
             prev = t
 
+    @cached_property
+    def truncated_rate(self):
+        return self.law.truncated_mass(self.eps)
+
 
 class EventAtom(NamedTuple):
     """One dislocation event: which rank split, into what, from what mass."""
@@ -130,8 +136,8 @@ def next_event(state, law, alpha, eps, rng, trunc, sums=None):
     """Draw (waiting time, target rank, relative fragment vector).
 
     Each fragment carries an exponential clock of rate mass**alpha times
-    trunc, law.truncated_mass(eps), which the caller computes once per
-    run; the winner is the target. This is the one place an event's
+    trunc, law.truncated_mass(eps), which SimConfig computes once per
+    config; the winner is the target. This is the one place an event's
     numbers are drawn, in a fixed order so that paths are reproducible:
     the wait, the target, then the uniform v that
     law.sample_dislocation(eps, trunc, v) maps to the fragment vector.
@@ -244,23 +250,25 @@ def _trim_to_cap(state, cap):
     return MassState(state.parts[:cap], state.dust + spill, state.nominal)
 
 
-def _evolve(state, law, alpha, eps, trunc, horizon, mass_floor, max_fragments,
-            rng, obs=(), c=0.0):
+def _evolve(state, config, horizon, rng):
     """The event loop behind run and make_step_kernel.
 
-    Evolves state from time 0 to horizon, taking a snapshot eroded at rate
-    c at each time in obs. Returns (Trajectory, final state); the final
-    state carries no erosion factor. A path with no fragments left, with
-    an empty truncation, or with rates that underflow to 0 takes its
-    remaining snapshots and ends, even when horizon is infinite. Every
-    event is logged; make_step_kernel keeps only the final state and drops
-    the log.
+    Evolves state from time 0 to horizon on config's knobs, bar t_end and
+    initial_mass, taking a snapshot eroded at rate config.c at each of its
+    obs_times. Returns (Trajectory, final state); the final state carries
+    no erosion factor. A path with no fragments left, with an empty
+    truncation, or with rates that underflow to 0 takes its remaining
+    snapshots and ends, even when horizon is infinite. Every event is
+    logged; make_step_kernel keeps only the final state and drops the log.
 
     state's parts may be a tuple or a list. A list-backed state stays one
     through every event, since dislocate then returns its own new list,
     so an event copies the parts once; the final state has parts of the
     start's kind, and every snapshot holds a tuple.
     """
+    law, alpha, eps, c = config.law, config.alpha, config.eps, config.c
+    trunc, obs = config.truncated_rate, config.obs_times
+    mass_floor, max_fragments = config.mass_floor, config.max_fragments
     snapshots, events = [], []
     sums = []  # next_event's block sums, carried; alpha = 0 leaves it empty
     n_obs = len(obs)
@@ -306,14 +314,12 @@ def run(config, rng):
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
 
-    The path runs on a list-backed state; its snapshots hold tuples.
+    The path runs on a list-backed state; its snapshots hold tuples. Every
+    path run on one config shares its truncated_rate.
     """
     state = tuple.__new__(MassState, ([config.initial_mass], 0.0,
                                       config.initial_mass))
-    traj, _ = _evolve(state, config.law, config.alpha, config.eps,
-                      config.law.truncated_mass(config.eps), config.t_end,
-                      config.mass_floor, config.max_fragments, rng,
-                      config.obs_times, config.c)
+    traj, _ = _evolve(state, config, config.t_end, rng)
     return traj
 
 
@@ -386,22 +392,19 @@ def make_step_kernel(law):
 
     Returns kernel(duration, rng) -> MassState of relative masses, the end
     state of a unit-mass path run at alpha = 0 to time duration. A duration
-    that is not finite and >= 0 raises ConfigError. The path runs at
-    SimConfig(law, 0.0)'s eps, mass_floor and max_fragments, built once
-    here, so an infinite-activity law raises ConfigError as SimConfig
-    does. The path runs on a list-backed state, and the state returned
-    holds a tuple.
+    that is not finite and >= 0 raises ConfigError. Every path runs on
+    SimConfig(law, 0.0), built once here (no observation times, c = 0),
+    to horizon duration, so an infinite-activity law raises ConfigError as
+    SimConfig does. The path runs on a list-backed state, and the state
+    returned holds a tuple.
     """
-    cfg = SimConfig(law, 0.0)
-    eps, floor, cap = cfg.eps, cfg.mass_floor, cfg.max_fragments
-    trunc = law.truncated_mass(eps)
+    config = SimConfig(law, 0.0)
 
     def kernel(duration, rng):
         check_range(duration, lambda d: 0.0 <= d < math.inf,
                     "step duration {!r} must be finite and >= 0")
         start = tuple.__new__(MassState, ([1.0], 0.0, 1.0))
-        _, state = _evolve(start, law, 0.0, eps, trunc, duration, floor, cap,
-                           rng)
+        _, state = _evolve(start, config, duration, rng)
         return _observe(state, 0.0, duration)
 
     return kernel

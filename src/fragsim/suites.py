@@ -111,6 +111,12 @@ def _check(name, statistic, threshold, relation, n):
     return CheckResult(name, statistic, float(threshold), relation, ok, n)
 
 
+def _z(observed, expected, se):
+    """|observed - expected| / se; a zero SE scores 0 or inf."""
+    gap = abs(observed - expected)
+    return gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)
+
+
 def _echo(params, **extra):
     merged = {**params, **extra}
     return tuple(sorted((k, repr(v)) for k, v in merged.items()))
@@ -202,26 +208,24 @@ def _suite_conservation(law, t, replicas, seed):
 
 
 def _suite_poisson_counts(law, t, eps, replicas, seed):
-    rate = law.truncated_mass(eps) * t
+    cfg = SimConfig(law, t, eps=eps)
+    rate = cfg.truncated_rate * t
 
     def rank_one_events(traj, _rng):
         return sum(ev.target_rank == 1 for ev in traj.events)
 
-    counts = np.array(_leg(SimConfig(law, t, eps=eps), rank_one_events,
-                           replicas, seed))
+    counts = np.array(_leg(cfg, rank_one_events, replicas, seed))
     p = poisson_pmf_test(np.bincount(counts), rate)
     checks = [_check("count_chi_square_p", p, 0.01, ">", replicas)]
 
     # Same content read through the pmf: frequency of n events vs the
-    # Poisson mass, worst z-score over n = 0..3 (a zero SE scores 0 or inf).
+    # Poisson mass, worst z-score over n = 0..3.
     worst_z = 0.0
     for m in range(4):
         pm = math.exp(-rate) * rate ** m / math.factorial(m)
         freq = float(np.mean(counts == m))
         se = math.sqrt(pm * (1.0 - pm) / replicas)
-        z = abs(freq - pm) / se if se > 0.0 else (
-            0.0 if freq == pm else math.inf)
-        worst_z = max(worst_z, z)
+        worst_z = max(worst_z, _z(freq, pm, se))
     checks.append(_check("pmf_worst_z", worst_z, 3.0, "<", replicas))
     return checks, dict(rate=rate)
 
@@ -298,7 +302,7 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
 
     surv = math.exp(-kill * t)
     se = math.sqrt(surv * (1.0 - surv) / replicas)
-    z = abs(alive_count / replicas - surv) / se
+    z = _z(alive_count / replicas, surv, se)
     checks.append(_check("survival_z", z, 3.0, "<", replicas))
     return checks, dict(jump_size=jump, jump_rate=jump_rate,
                         killing_rate=kill)
@@ -404,9 +408,7 @@ def _suite_correspondence(law, t, n, replicas, seed):
     channel = np.array([r[1] for r in ranked])
     tops = np.array(one_step)
     se = math.sqrt(lam1.var(ddof=1) / replicas + tops.var(ddof=1) / replicas)
-    gap = abs(lam1.mean() - tops.mean())
-    # two constant samples (at t = 0, say) agree exactly or not at all
-    mean_z = gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)
+    mean_z = _z(lam1.mean(), tops.mean(), se)
     return [
         _check("channel_ks", ks_two_sample(channel, tops), 0.05, "<",
                replicas),

@@ -156,6 +156,16 @@ def test_verify_subordinator_rejects_a_bad_horizon(tmp_path, capsys, t_end):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_subordinator_with_survival_rounded_to_1(tmp_path, capsys):
+    # the survival SE is 0 here: the check scores 0 and passes
+    cfg = write_cfg(tmp_path, "measure = atomic; atoms = 1.0:0.9999999999999999"
+                              "\nt_end = 0.5\n")
+    assert main(["verify", "subordinator", "--config", cfg,
+                 "--replicas", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "check: survival_z statistic=0 < threshold=3 n=2000 pass" in out
+
+
 @pytest.mark.parametrize("command", (["verify", "erosion"], ["simulate"]))
 def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     # the load fails before simulate makes its output directory
@@ -236,6 +246,12 @@ def test_simulate_rejects_a_suite_only_key(tmp_path, capsys):
     # the parser now types n for the suites; simulate must still refuse it
     assert "simulate does not take 'n'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tail_keeps_the_closed_form_below_1e_300(capsys):
+    assert main(["tail", "--measure", "binary_power; a = 0.5",
+                 "--x", "1e-310"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1e-310,1e+155,0.5"
 
 
 def test_tail_rejects_bad_input(capsys):

@@ -71,6 +71,17 @@ def test_binary_tail_closed_form_vs_quadrature():
             assert abs(law.tail_nu2(x) - want) < 1e-8 * max(1.0, want)
 
 
+def test_binary_tail_keeps_its_closed_form_below_1e_300():
+    # the pow is taken at x itself, not at x clamped to 1e-300
+    law = BinaryPowerLaw(0.5)
+    assert law.tail_nu2(1e-310) == 1e-310 ** -0.5 - 2 ** 0.5
+    assert law.tail_nu2(5e-324) == 5e-324 ** -0.5 - 2 ** 0.5
+    xs = np.array([1e-310, 0.0, -1.0, -math.inf, math.nan])
+    assert np.array_equal(law.tail_nu2(xs),
+                          [1e-310 ** -0.5 - 2 ** 0.5, math.inf, math.inf,
+                           math.inf, math.nan], equal_nan=True)
+
+
 def test_binary_dust_closed_form_vs_quadrature():
     for a in (0.2, 0.5, 0.8):
         law = BinaryPowerLaw(a)

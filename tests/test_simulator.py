@@ -1,5 +1,6 @@
 """Event-driven simulator: scheduling law, conservation, traces, CSV output."""
 
+import dataclasses
 import io
 import math
 
@@ -357,6 +358,24 @@ def test_config_still_takes_what_compares_as_a_number():
     assert run(cfg, np.random.default_rng(0)).snapshots[1].parts
 
 
+@pytest.mark.parametrize("law, eps", HOISTED_LAWS)
+def test_one_config_computes_its_truncated_rate_once(law, eps):
+    # the suites run every replica of a leg on one config
+    law = counting(law)
+    cfg = SimConfig(law=law, t_end=2.0, eps=eps, alpha=1.0)
+    events = 0
+    for seed in range(50):
+        events += len(run(cfg, np.random.default_rng(seed)).events)
+    assert type(law).calls == 1 and events > 50
+    assert cfg.truncated_rate == law.truncated_mass(eps)
+    # the rate is no field: equality, hashing and repr see the fields alone
+    twin = SimConfig(law=law, t_end=2.0, eps=eps, alpha=1.0)
+    assert cfg == twin and hash(cfg) == hash(twin) and repr(cfg) == repr(twin)
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "law", "t_end", "alpha", "c", "eps", "obs_times", "max_fragments",
+        "mass_floor", "initial_mass"]
+
+
 @pytest.mark.parametrize("duration", ("1", None, [1.0]))
 def test_step_kernel_rejects_a_duration_that_is_not_a_number(duration):
     kernel = make_step_kernel(SPLIT_64)
@@ -372,8 +391,10 @@ def test_step_kernel_rejects_a_duration_that_is_not_a_number(duration):
 def test_evolve_ends_a_dead_or_frozen_path(law, floor, events, horizon):
     rng = np.random.default_rng(11)
     start = MassState((1.0,), 0.0, 1.0)
-    traj, state = _evolve(start, law, 1.0, 0.0, law.truncated_mass(0.0),
-                          horizon, floor, 100, rng, obs=(1e-9, 2.0))
+    traj, state = _evolve(start, SimConfig(law, 3.0, alpha=1.0, eps=0.0,
+                                           obs_times=(1e-9, 2.0),
+                                           mass_floor=floor, max_fragments=100),
+                          horizon, rng)
     assert len(traj.events) == events and len(traj.snapshots) == 2
     assert state == (MassState((), 1.0, 1.0) if events else start)
 
@@ -535,9 +556,10 @@ def twin_paths(monkeypatch, start, law, alpha, horizon, floor, cap, make_rng):
     carry no block sums, both as float.hex, and the most block sums any
     call of the first was handed."""
     def path():
-        traj, end = _evolve(start, law, alpha, 0.0, law.truncated_mass(0.0),
-                            horizon, floor, cap, make_rng(),
-                            (horizon / 3, horizon / 2, horizon))
+        traj, end = _evolve(start, SimConfig(
+            law, horizon, alpha=alpha, eps=0.0,
+            obs_times=(horizon / 3, horizon / 2, horizon), mass_floor=floor,
+            max_fragments=cap), horizon, make_rng())
         return _path_hex(traj, end)
 
     handed = watch_carried(monkeypatch)
@@ -615,8 +637,9 @@ def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
     for seed in range(3):
         handed.clear()
         with pytest.raises(RateOverflow):
-            _evolve(start, law, -1.0, 0.0, law.truncated_mass(0.0), 50.0, 0.0,
-                    10 ** 6, np.random.default_rng(seed))
+            _evolve(start, SimConfig(law, 50.0, alpha=-1.0, eps=0.0,
+                                     mass_floor=0.0, max_fragments=10 ** 6),
+                    50.0, np.random.default_rng(seed))
         assert handed[-1] >= 1
     carried = [sum(m ** -1.0 for m in dyadic_parts(200)[:64])]
     with pytest.raises(RateOverflow):
@@ -1033,13 +1056,14 @@ REPLAYS = [
 def test_event_log_replays_to_the_snapshots(law, eps, alpha, c, floor, cap,
                                              t_end, paths):
     obs = (0.0, t_end / 4, t_end / 2, t_end)
-    trunc = law.truncated_mass(eps)
     events = cap_hits = 0
     for seed in range(paths):
         start = MassState((0.75,), 0.0, 0.75) if seed % 2 else \
             MassState((1.0,), 0.0, 1.0)
-        traj, end = _evolve(start, law, alpha, eps, trunc, t_end, floor, cap,
-                            np.random.default_rng(seed), obs, c)
+        traj, end = _evolve(start, SimConfig(
+            law, t_end, alpha=alpha, c=c, eps=eps, obs_times=obs,
+            mass_floor=floor, max_fragments=cap), t_end,
+            np.random.default_rng(seed))
         snaps, replayed = _replay(traj, start, floor, cap, c)
         assert [_hex(s) for s in snaps] == [_hex(s) for s in traj.snapshots]
         assert _hex(replayed) == _hex(end)
@@ -1058,14 +1082,14 @@ def test_a_list_backed_start_keeps_the_path(law, eps, alpha, c, floor, cap,
     # run and the step kernel start from a list; the end state keeps the
     # start's kind, and every snapshot holds a tuple
     obs = (0.0, t_end / 4, t_end / 2, t_end)
-    trunc = law.truncated_mass(eps)
     for seed in range(paths):
         mass = 0.75 if seed % 2 else 1.0
         hexed = []
         for kind in (tuple, list):
-            traj, end = _evolve(MassState(kind([mass]), 0.0, mass), law, alpha,
-                                eps, trunc, t_end, floor, cap,
-                                np.random.default_rng(seed), obs, c)
+            traj, end = _evolve(MassState(kind([mass]), 0.0, mass), SimConfig(
+                law, t_end, alpha=alpha, c=c, eps=eps, obs_times=obs,
+                mass_floor=floor, max_fragments=cap), t_end,
+                np.random.default_rng(seed))
             assert type(end.parts) is kind
             assert [type(s.parts) for s in traj.snapshots] == [tuple] * 4
             hexed.append(_path_hex(traj, end))

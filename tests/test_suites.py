@@ -295,6 +295,16 @@ def test_poisson_counts_with_underflowed_masses():
     assert report.passed
 
 
+def test_subordinator_with_survival_rounded_to_1():
+    # a killing rate of 1.1e-16 rounds exp(-kill * t) to 1.0 and its SE to
+    # 0; every replica survives, so survival_z is 0, not a ZeroDivisionError
+    law = FiniteAtomic([(1.0, (0.9999999999999999,))])
+    report = run_suite("subordinator", {"law": law, "t": 0.5}, replicas=2000)
+    survival_z = {c.name: c for c in report.checks}["survival_z"]
+    assert survival_z.statistic == 0.0
+    assert report.passed
+
+
 def test_records_at_time_zero():
     # no replica has an event, and the record law is the step at 0
     report = run_suite("records", {"t": 0.0}, replicas=50)
