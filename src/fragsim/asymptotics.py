@@ -83,14 +83,18 @@ def frechet_k_cdf(k, a, x):
     m = x^(-a).
     """
     x = np.asarray(x, dtype=float)
-    safe = np.maximum(x, 1e-300)
-    m = safe ** (-a)
-    total = np.zeros_like(m)
-    term = np.exp(-m)
-    for i in range(k):
-        total = total + term
-        term = term * m / (i + 1)
-    out = np.where(x > 0.0, total, 0.0)
+    # x <= 0, or an x whose power overflows, makes m infinite and the cdf
+    # 0; the terms are NaN there, and the where below masks them, as it
+    # does a NaN x. np.maximum makes a 0-d x a float64, whose pow is the
+    # scalar one
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.maximum(x, 0.0) ** -a
+        total = np.zeros_like(m)
+        term = np.exp(-m)
+        for i in range(k):
+            total = total + term
+            term = term * m / (i + 1)
+    out = np.where(m < np.inf, total, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -198,6 +198,10 @@ class BinaryPowerLaw(DislocationLaw):
         if total <= 0.0:
             raise EmptyTruncation(f"no dislocations with second piece >= {eps}")
         s2 = (u * total + self._two_a) ** self._neg_inv_a
+        if s2 > 0.5:
+            # u * total below half an ulp of 2**a rounds the sum to 2**a,
+            # whose power can round above 1/2; the small piece is 1/2 there
+            s2 = 0.5
         return (1.0 - s2, s2)
 
     def gen_inverse_f(self, y):

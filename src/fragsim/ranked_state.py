@@ -34,31 +34,33 @@ def validate_fragments(fragments):
     """Check a dislocation vector: non-negative, non-increasing, sum <= 1.
 
     Returns the vector with zero entries stripped; being non-increasing,
-    its zeros form a suffix. NaN ratios are rejected.
+    its zeros form a suffix. NaN ratios are rejected. A tuple with nothing
+    to strip is returned itself.
     """
-    return _checked(fragments)[0]
-
-
-def _checked(fragments):
-    """(validate_fragments(fragments), total) from one pass. The total
-    0.0 + x0 + x1 + ... is sum() of the stripped vector bit for bit on
-    CPython 3.11, as the stripped zeros add nothing; a tuple with nothing
-    to strip is returned itself."""
     prev = math.inf
     total = 0.0
     positive = 0
     for x in fragments:
         if not prev >= x >= 0.0:
-            if not x >= 0.0:
-                raise InvalidFragmentVector(f"fragment ratio {x} is not a "
-                                            f"non-negative number")
-            raise InvalidFragmentVector("fragment vector is not non-increasing")
+            raise _bad_ratio(x)
         prev = x
         total += x
         positive += x > 0.0
     if total > 1.0 + BUDGET_TOL:
-        raise InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
-    return tuple(fragments[:positive]), total
+        raise _over_budget(total)
+    return tuple(fragments[:positive])
+
+
+def _bad_ratio(x):
+    """The error for a ratio x that failed prev >= x >= 0."""
+    if not x >= 0.0:
+        return InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                     f"non-negative number")
+    return InvalidFragmentVector("fragment vector is not non-increasing")
+
+
+def _over_budget(total):
+    return InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
 
 
 def dislocate(state, rank, fragments, mass_floor=0.0):
@@ -68,32 +70,51 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     deficit m*(1 - sum(fragments)) joins the dust, as does any piece below
     mass_floor. Ties in the re-ranking keep earlier-created fragments first.
 
-    Every part ranked before the parent weighs at least as much as it, and
-    no piece outweighs the parent or the piece before it, so each insert
-    point is searched for from the last one on.
+    One pass over fragments checks each ratio as validate_fragments does,
+    with its errors, and inserts its piece. Every part ranked before the
+    parent weighs at least as much as it, and no piece outweighs the
+    parent or the piece before it, so each insert point is searched for
+    from the last one on, and a piece heavier than the part at that point
+    goes there with no search. The dust takes the deficit's mass first,
+    then the dusted pieces in vector order, after the whole vector is
+    checked; the sum is added left to right, which is sum() of the
+    stripped vector bit for bit on CPython 3.11, as zeros add nothing.
 
-    The parts are copied into a new list, so state is left as it was. That
-    list is the new state's parts when state's parts are a list, as in the
-    event loop; any other parts give a tuple.
+    The parts are copied into a new list, so state is left as it was, even
+    when the vector is refused. That list is the new state's parts when
+    state's parts are a list, as in the event loop; any other parts give
+    a tuple.
     """
     if not 1 <= rank <= len(state.parts):
         raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
-    fragments, total = _checked(fragments)
     parts = list(state.parts)
     parent = parts.pop(rank - 1)
+    lo = rank - 1
+    prev = math.inf
+    total = 0.0
+    dusted = ()
+    for x in fragments:
+        if not prev >= x >= 0.0:
+            raise _bad_ratio(x)
+        prev = x
+        total += x
+        piece = parent * x
+        if piece < mass_floor or piece == 0.0:
+            if x:  # a zero ratio makes no piece, so it dusts nothing
+                dusted += (piece,)
+        else:
+            if lo < len(parts) and parts[lo] >= piece:
+                # after every equal part: pre-existing fragments precede new ones
+                lo = bisect_right(parts, -piece, lo + 1, key=operator.neg)
+            parts.insert(lo, piece)
+    if total > 1.0 + BUDGET_TOL:
+        raise _over_budget(total)
     dust = state.dust
     deficit = 1.0 - total
     if deficit > 0.0:
         dust += parent * deficit
-    lo = rank - 1
-    for x in fragments:
-        piece = parent * x
-        if piece < mass_floor or piece == 0.0:
-            dust += piece
-        else:
-            # after every equal part: pre-existing fragments precede new ones
-            lo = bisect_right(parts, -piece, lo, key=operator.neg)
-            parts.insert(lo, piece)
+    for piece in dusted:
+        dust += piece
     if type(state.parts) is not list:
         parts = tuple(parts)
     # tuple.__new__ builds the MassState that MassState(...) would, without

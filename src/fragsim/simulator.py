@@ -11,6 +11,7 @@ where jump rates do not depend on fragment masses.
 
 import math
 import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,8 +133,8 @@ class Trajectory(NamedTuple):
         return any(ev.capped for ev in self.events)
 
 
-def next_event(state, law, alpha, eps, rng, trunc, sums=None):
-    """Draw (waiting time, target rank, relative fragment vector).
+def next_event(state, alpha, eps, rng, trunc, sums=None):
+    """Draw (waiting time, target rank, the law's uniform v).
 
     Each fragment carries an exponential clock of rate mass**alpha times
     trunc, law.truncated_mass(eps), which SimConfig computes once per
@@ -141,6 +142,8 @@ def next_event(state, law, alpha, eps, rng, trunc, sums=None):
     numbers are drawn, in a fixed order so that paths are reproducible:
     the wait, the target, then the uniform v that
     law.sample_dislocation(eps, trunc, v) maps to the fragment vector.
+    The law draws nothing, so the caller maps v only for an event it
+    keeps, and the stream is the same whether it maps v or not.
     The wait is scale * standard_exponential(), the very product numpy's
     exponential(scale) returns for a scalar, without its check of scale.
     At alpha = 0 with n > 1 parts all three come from one call,
@@ -169,7 +172,8 @@ def next_event(state, law, alpha, eps, rng, trunc, sums=None):
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
     DeadState, before any draw, when it underflows to 0, as every m**alpha
-    does at a large alpha.
+    does at a large alpha. Raises EmptyTruncation, before any draw, when
+    trunc is not positive.
     """
     n = len(state.parts)
     if n == 0:
@@ -224,7 +228,7 @@ def next_event(state, law, alpha, eps, rng, trunc, sums=None):
             if u < acc:
                 target = i
                 break
-    return wait, target, law.sample_dislocation(eps, trunc, v)
+    return wait, target, v
 
 
 def _observe(state, c, t):
@@ -258,17 +262,27 @@ def _evolve(state, config, horizon, rng):
     obs_times. Returns (Trajectory, final state); the final state carries
     no erosion factor. A path with no fragments left, with an empty
     truncation, or with rates that underflow to 0 takes its remaining
-    snapshots and ends, even when horizon is infinite. Every event is
-    logged; make_step_kernel keeps only the final state and drops the log.
+    snapshots and ends, even when horizon is infinite; so does a path
+    whose law raises EmptyTruncation or DeadState as it maps a uniform.
+    Every event is logged; make_step_kernel keeps only the final state
+    and drops the log.
+
+    The law maps an event's uniform only once the event is known to fall
+    within the horizon, so a path makes one sample_dislocation call per
+    logged event and none for the draw past its end. Each event calls
+    dislocate once, with the state before it.
 
     state's parts may be a tuple or a list. A list-backed state stays one
     through every event, since dislocate then returns its own new list,
     so an event copies the parts once; the final state has parts of the
     start's kind, and every snapshot holds a tuple.
     """
-    law, alpha, eps, c = config.law, config.alpha, config.eps, config.c
+    alpha, eps, c = config.alpha, config.eps, config.c
     trunc, obs = config.truncated_rate, config.obs_times
     mass_floor, max_fragments = config.mass_floor, config.max_fragments
+    sample = config.law.sample_dislocation
+    # an event happens at a time <= last; an infinite time never does
+    last = min(horizon, sys.float_info.max)
     snapshots, events = [], []
     sums = []  # next_event's block sums, carried; alpha = 0 leaves it empty
     n_obs = len(obs)
@@ -276,15 +290,17 @@ def _evolve(state, config, horizon, rng):
     t = 0.0
     while True:
         try:
-            wait, target, frags = next_event(state, law, alpha, eps, rng, trunc,
-                                             sums)
+            wait, target, v = next_event(state, alpha, eps, rng, trunc, sums)
             t_next = t + wait
+            happens = t_next <= last
+            if happens:
+                frags = sample(eps, trunc, v)
         except (DeadState, EmptyTruncation):
-            t_next = math.inf
+            t_next, happens = math.inf, False
         while obs_idx < n_obs and obs[obs_idx] < t_next:
             snapshots.append(_observe(state, c, obs[obs_idx]))
             obs_idx += 1
-        if t_next > horizon or t_next == math.inf:
+        if not happens:
             break
         after = dislocate(state, target, frags, mass_floor)
         capped = len(after.parts) > max_fragments

@@ -204,6 +204,29 @@ def test_frechet_k_cdf():
         assert np.all(frechet_k_cdf(k + 1, 0.5, xs) >= vals)
 
 
+@pytest.mark.parametrize("a", (0.001, 0.002, 0.005))
+@pytest.mark.parametrize("x", (1e-310, 1e-320, 5e-324))
+def test_frechet_k_keeps_its_closed_form_below_1e_300(a, x):
+    # a subnormal x is powered as it is, not as 1e-300; numpy's pow and
+    # exp may differ from math's in the last bits
+    m = x ** -a
+    for k, want in ((1, math.exp(-m)), (2, math.exp(-m) * (1.0 + m))):
+        assert frechet_k_cdf(k, a, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert frechet_k_cdf(k, a, np.array([x, 0.0]))[0] == \
+            pytest.approx(want, rel=1e-12, abs=0.0)
+    assert extreme_cdf(x, a) == frechet_k_cdf(1, a, x)
+
+
+def test_frechet_k_is_zero_where_the_mean_count_is_infinite():
+    # x <= 0, NaN, or an x whose power overflows: no NaN and no warning
+    for k in (1, 2, 3):
+        assert frechet_k_cdf(k, 0.999, 1e-320) == 0.0
+        assert frechet_k_cdf(k, 2.0, 1e-200) == 0.0
+        out = frechet_k_cdf(k, 0.5, np.array([0.0, -1.0, -np.inf, np.nan,
+                                               np.inf, 1e-320]))
+        assert out.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+
 def test_frechet_k_matches_poisson_tally():
     # the k-th largest exceeds x iff a Poisson(x^(-a)) count reaches k
     for k in (1, 2, 3):

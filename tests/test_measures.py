@@ -14,6 +14,7 @@ from fragsim import (
     FiniteAtomic,
     ks_stat,
     parse_measure,
+    validate_fragments,
 )
 from fragsim.errors import (
     ConfigError,
@@ -261,6 +262,25 @@ def test_sample_dislocation_binary_inverse_cdf():
     stat = ks_stat([s2 for _, s2 in draws], cdf)
     assert stat < 1.36 / math.sqrt(n) + 0.005
     assert stat < 0.01
+
+
+def test_binary_sampler_never_returns_an_increasing_vector():
+    # at u = 0 the sum u * total + 2**a is 2**a, whose power -1/a rounds
+    # above 1/2 for some a; the small piece is clamped to 1/2 there, and
+    # every s2 at or below 1/2 is the formula's float
+    rng = np.random.default_rng(3)
+    clamped = 0
+    for k in range(1, 1000):
+        law = BinaryPowerLaw(k / 1000)
+        total = law.truncated_mass(0.01)
+        for u in (0.0, *rng.random(3).tolist()):
+            raw = (u * total + 2.0 ** law.a) ** (-1.0 / law.a)
+            s1, s2 = law.sample_dislocation(0.01, total, u)
+            assert s2 == min(raw, 0.5) and s1 == 1.0 - s2
+            assert validate_fragments((s1, s2)) == (s1, s2)
+            clamped += raw > 0.5
+    assert clamped > 100
+    assert BinaryPowerLaw(0.007).sample_dislocation(0.01, 1.0, 0.0) == (0.5, 0.5)
 
 
 def test_brennan_durrett_uniform_and_beta_oracles():

@@ -1,6 +1,8 @@
 """Ranked mass states: fragment validation and dislocation."""
 
 import math
+import operator
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from fragsim import MassState, dislocate, validate_fragments
 from fragsim.errors import InvalidFragmentVector, RankOutOfRange
-from fragsim.ranked_state import BUDGET_TOL, _checked
+from fragsim.ranked_state import BUDGET_TOL
 from reference import mass_state
 
 
@@ -233,23 +235,6 @@ def test_validate_fragments_matches_the_loop_reference():
             _outcome(_validate_by_loop, edge)
 
 
-def _sum_outcome(check, fragments):
-    """_outcome with the sum: dislocate's deficit is 1.0 minus this float,
-    compared by its bits. sum(()) is the int 0, which float() keeps."""
-    out = _outcome(check, fragments)
-    if out[0] == "ok":
-        out += (float(sum(check(fragments))).hex(),)
-    return out
-
-
-def _checked_outcome(fragments):
-    try:
-        vector, total = _checked(fragments)
-    except InvalidFragmentVector as exc:
-        return InvalidFragmentVector, str(exc)
-    return "ok", [(type(x), repr(x)) for x in vector], total.hex()
-
-
 _TOP = 1.0 + BUDGET_TOL
 # ratios in [0, 1], the odd values, and sums from just below the budget's
 # top to just above it, split in two equal halves or kept whole
@@ -267,15 +252,78 @@ _VECTOR = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
-@given(_VECTOR, st.booleans())
-def test_checked_is_validate_fragments_and_sum(fragments, as_tuple):
-    # dislocate takes its vector and deficit from _checked's one pass; it
-    # must keep validate_fragments' vector and errors and sum()'s float
-    if as_tuple:
-        fragments = tuple(fragments)
-    want = _sum_outcome(_validate_by_loop, fragments)
-    assert _checked_outcome(fragments) == want
-    assert _sum_outcome(validate_fragments, fragments) == want
-    if want[0] == "ok" and as_tuple and 0.0 not in fragments:
-        assert _checked(fragments)[0] is fragments
+def _dislocate_in_two_passes(state, rank, fragments, mass_floor=0.0):
+    """Reference dislocate: check the vector with the loop reference, take
+    the deficit from sum() of what it kept, then insert the pieces, each
+    searched for from the last insert point on."""
+    if not 1 <= rank <= len(state.parts):
+        raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
+    fragments = _validate_by_loop(fragments)
+    parts = list(state.parts)
+    parent = parts.pop(rank - 1)
+    dust = state.dust
+    deficit = 1.0 - sum(fragments)
+    if deficit > 0.0:
+        dust += parent * deficit
+    lo = rank - 1
+    for x in fragments:
+        piece = parent * x
+        if piece < mass_floor or piece == 0.0:
+            dust += piece
+        else:
+            lo = bisect_right(parts, -piece, lo, key=operator.neg)
+            parts.insert(lo, piece)
+    return MassState(tuple(parts), dust, state.nominal)
+
+
+def _dislocate_outcome(dislocate_fn, state, rank, fragments, floor):
+    try:
+        out = dislocate_fn(state, rank, fragments, floor)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return ("ok", [(type(x), float(x).hex()) for x in out.parts],
+            float(out.dust).hex())
+
+
+def _fitting(ratios):
+    """The non-increasing prefix of ratios that sums to at most 1."""
+    kept, total = [], 0.0
+    for x in sorted(ratios, reverse=True):
+        if total + x > 1.0:
+            break
+        kept.append(x)
+        total += x
+    return kept
+
+
+# dyadic ratios tie with dyadic parts and with each other exactly, and a
+# zero suffix makes pieces the dust takes nothing from
+_DYADIC = st.tuples(st.lists(st.integers(1, 9), max_size=5), st.integers(0, 2)) \
+    .map(lambda v: _fitting([0.5 ** k for k in v[0]]) + [0.0] * v[1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(st.one_of(_VECTOR, _DYADIC),
+       st.sampled_from((tuple, list, np.array)),
+       st.lists(st.integers(1, 6), min_size=1, max_size=30),
+       st.sampled_from((0.0, -0.0, 1.0 / 64.0)),
+       st.sampled_from((0.0, 1.0 / 2048.0, 1.0 / 512.0, 0.003)),
+       st.data())
+def test_dislocate_is_validate_then_insert(fragments, kind, masses, dust,
+                                            floor, data):
+    # dislocate checks and inserts in one pass; it must keep the loop
+    # reference's errors, sum()'s deficit and the two-pass insert, bit for
+    # bit, and leave its input as it was
+    masses = tuple(sorted((k / 256.0 for k in masses), reverse=True))
+    state = MassState(masses, dust, 1.0)
+    rank = data.draw(st.integers(0, len(masses) + 1))
+    vector = kind(fragments)
+    want = _dislocate_outcome(_dislocate_in_two_passes, state, rank, vector,
+                              floor)
+    assert _dislocate_outcome(dislocate, state, rank, vector, floor) == want
+    assert state.parts == masses
+    if want[0] == "ok":
+        assert _outcome(validate_fragments, vector) == \
+            _outcome(_validate_by_loop, vector)
+        if kind is tuple and 0.0 not in vector:
+            assert validate_fragments(vector) is vector

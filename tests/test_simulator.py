@@ -90,8 +90,7 @@ def test_rates_that_underflow_end_the_path():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     with pytest.raises(DeadState, match="underflow"):
-        next_event(MassState((0.6, 0.4), 0.0, 1.0), SPLIT_64, 2000.0, 0.0, rng,
-                   TRUNC_64)
+        next_event(MassState((0.6, 0.4), 0.0, 1.0), 2000.0, 0.0, rng, TRUNC_64)
     assert rng.bit_generator.state == before  # raised before any draw
 
 
@@ -99,13 +98,13 @@ def test_next_event_waiting_time_and_target():
     rng = np.random.default_rng(0)
     state = MassState((1.0,), 0.0, 1.0)
     n = 20000
-    waits = [next_event(state, SPLIT_64, 0.0, 0.0, rng, TRUNC_64)[0]
+    waits = [next_event(state, 0.0, 0.0, rng, TRUNC_64)[0]
              for _ in range(n)]
     # unit rate: one fragment times unit truncated mass
     assert abs(np.mean(waits) - 1.0) < 3.0 / math.sqrt(n)
 
     state = MassState((0.6, 0.4), 0.0, 1.0)
-    targets = [next_event(state, SPLIT_64, 0.0, 0.0, rng, TRUNC_64)[1]
+    targets = [next_event(state, 0.0, 0.0, rng, TRUNC_64)[1]
                for _ in range(n)]
     # homogeneous case: the target is uniform, whatever the masses
     assert abs(np.mean([t == 1 for t in targets]) - 0.5) < 3 * 0.5 / math.sqrt(n)
@@ -127,17 +126,17 @@ def test_lone_fragment_target_keeps_the_stream():
     state = MassState((0.7,), 0.3, 1.0)
     skip, draw = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(20):
-        wait, target, frags = next_event(state, SPLIT_64, 0.0, 0.0, skip, TRUNC_64)
+        wait, target, v = next_event(state, 0.0, 0.0, skip, TRUNC_64)
         assert wait == draw.exponential(1.0 / TRUNC_64)
         assert target == draw.integers(1, 2) == 1
-        assert frags == SPLIT_64.sample_dislocation(0.0, TRUNC_64, draw.random())
+        assert v == draw.random()
     assert skip.bit_generator.state == draw.bit_generator.state
 
 
 @pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.PCG64DXSM))
 def test_alpha_zero_events_draw_as_numpys_calls(bit_generator):
     # one event at n parts is numpy's standard_exponential, integers and
-    # the law's draw in that order; n = 1 draws no rank, and n >= 2 takes
+    # the law's uniform in that order; n = 1 draws no rank, and n >= 2 takes
     # the merged draw. The law's random() between events meets PCG64's
     # buffered 32-bit half, and the state is compared after every event
     law = BinaryPowerLaw(0.5)
@@ -146,10 +145,10 @@ def test_alpha_zero_events_draw_as_numpys_calls(bit_generator):
     twin = np.random.Generator(bit_generator(17))
     for n in (1, 2, 1, 3, 33, 1, 2, 300) * 5:
         state = MassState((1.0 / n,) * n, 0.0, 1.0)
-        wait, target, frags = next_event(state, law, 0.0, 0.01, rng, trunc)
+        wait, target, v = next_event(state, 0.0, 0.01, rng, trunc)
         assert wait == 1.0 / (n * trunc) * twin.standard_exponential()
         assert target == int(twin.integers(1, n + 1))
-        assert frags == law.sample_dislocation(0.01, trunc, twin.random())
+        assert v == twin.random()
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -169,7 +168,7 @@ def test_next_event_waits_are_numpy_exponentials(alpha):
     scale = 1.0 / (sum(rates) * TRUNC_64)
     rng, twin = np.random.default_rng(32), np.random.default_rng(32)
     for _ in range(500):
-        wait, _, _ = next_event(state, SPLIT_64, alpha, 0.0, rng, TRUNC_64)
+        wait, _, _ = next_event(state, alpha, 0.0, rng, TRUNC_64)
         assert wait == twin.exponential(scale)
         if alpha == 0.0:
             twin.integers(1, 4)
@@ -183,11 +182,11 @@ def test_next_event_mass_biased_target():
     rng = np.random.default_rng(1)
     state = MassState((0.6, 0.4), 0.0, 1.0)
     n = 20000
-    picks = [next_event(state, SPLIT_64, 1.0, 0.0, rng, TRUNC_64)[1]
+    picks = [next_event(state, 1.0, 0.0, rng, TRUNC_64)[1]
              for _ in range(n)]
     # alpha = 1 weights each fragment by its mass
     assert abs(np.mean([t == 1 for t in picks]) - 0.6) < 3 * 0.5 / math.sqrt(n)
-    waits = [next_event(state, SPLIT_64, 1.0, 0.0, rng, TRUNC_64)[0]
+    waits = [next_event(state, 1.0, 0.0, rng, TRUNC_64)[0]
              for _ in range(n)]
     assert abs(np.mean(waits) - 1.0) < 3.0 / math.sqrt(n)
 
@@ -195,13 +194,14 @@ def test_next_event_mass_biased_target():
 def test_next_event_degenerate_states():
     rng = np.random.default_rng(2)
     with pytest.raises(DeadState):
-        next_event(MassState((), 1.0, 1.0), SPLIT_64, 0.0, 0.0, rng, TRUNC_64)
+        next_event(MassState((), 1.0, 1.0), 0.0, 0.0, rng, TRUNC_64)
     with pytest.raises(EmptyTruncation):
         law = BinaryPowerLaw(0.5)
-        next_event(MassState((1.0,), 0.0, 1.0), law, 0.0, 0.6, rng,
+        next_event(MassState((1.0,), 0.0, 1.0), 0.0, 0.6, rng,
                    law.truncated_mass(0.6))
     with pytest.raises(EmptyTruncation):
-        next_event(MassState((1.0,), 0.0, 1.0), FiniteAtomic([]), 0.0, 0.0, rng, 0.0)
+        next_event(MassState((1.0,), 0.0, 1.0), 0.0, 0.0, rng,
+                   FiniteAtomic([]).truncated_mass(0.0))
 
 
 def test_rate_overflow_at_negative_alpha_is_typed():
@@ -209,7 +209,7 @@ def test_rate_overflow_at_negative_alpha_is_typed():
     # one rate overflows a float, or every rate is finite and the sum is not
     for parts in ((0.5, 1e-310), (1e-308, 1e-308)):
         with pytest.raises(RateOverflow, match="mass_floor"):
-            next_event(MassState(parts, 0.0, 1.0), SPLIT_64, -1.0, 0.0, rng, TRUNC_64)
+            next_event(MassState(parts, 0.0, 1.0), -1.0, 0.0, rng, TRUNC_64)
     # tiny fragments split ever faster until their rates overflow
     with pytest.raises(RateOverflow, match="mass_floor"):
         run(SimConfig(SPLIT_64, 5.0, alpha=-1.0), np.random.default_rng(1))
@@ -229,15 +229,21 @@ HOISTED_LAWS = (
 
 
 def counting(law):
-    """A copy of law whose class counts its truncated_mass calls."""
+    """A copy of law whose class counts its truncated_mass calls, and its
+    sample_dislocation calls as maps."""
     base = type(law)
 
     class Counting(base):
         calls = 0
+        maps = 0
 
         def truncated_mass(self, eps):
             type(self).calls += 1
             return base.truncated_mass(self, eps)
+
+        def sample_dislocation(self, eps, total, u):
+            type(self).maps += 1
+            return base.sample_dislocation(self, eps, total, u)
 
     twin = Counting.__new__(Counting)
     twin.__dict__.update(law.__dict__)
@@ -248,20 +254,20 @@ def counting(law):
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
 def test_next_event_precomputed_rate_keeps_the_stream(law, eps, alpha):
     # next_event makes every draw of an event, the law's uniform last, and
-    # hands the law trunc as its total: the event is numpy's calls in that
-    # order, with the law mapping the last uniform at its own total
+    # returns that uniform: the event is numpy's calls in that order, at
+    # the law's truncated rate
     state = MassState((0.5, 0.3, 0.15, 0.05), 0.0, 1.0)
     rng, twin = np.random.default_rng(31), np.random.default_rng(31)
     trunc = law.truncated_mass(eps)
+    rates = [m ** alpha for m in state.parts]
     for _ in range(50):
-        _, target, frags = next_event(state, law, alpha, eps, rng, trunc)
-        twin.standard_exponential()
+        wait, target, v = next_event(state, alpha, eps, rng, trunc)
+        assert wait == 1.0 / (sum(rates) * trunc) * twin.standard_exponential()
         if alpha == 0.0:
             assert target == int(twin.integers(1, 5))
         else:
-            twin.random()
-        assert frags == law.sample_dislocation(eps, law.truncated_mass(eps),
-                                               twin.random())
+            assert target == reference_target(state.parts, alpha, twin.random())
+        assert v == twin.random()
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -287,6 +293,77 @@ def test_run_computes_the_truncated_rate_once(law, eps):
         assert len(kernel(3.0, rng).parts) > 3
         kernel(1.0, rng)
         assert type(law).calls == 1
+
+
+@pytest.mark.parametrize("law, eps", HOISTED_LAWS)
+@pytest.mark.parametrize("alpha", (0.0, 1.0))
+def test_the_law_maps_a_uniform_only_for_a_logged_event(law, eps, alpha):
+    # the draw past the horizon is never mapped: one map per logged event,
+    # also for a path with none
+    law = counting(law)
+    events = []
+    for t_end in (1e-9, 0.5, 3.0):
+        cfg = SimConfig(law, t_end, alpha=alpha, eps=eps, max_fragments=200)
+        for seed in range(5):
+            type(law).maps = 0
+            traj = run(cfg, np.random.default_rng(seed))
+            assert type(law).maps == len(traj.events)
+            events.append(len(traj.events))
+    assert min(events) == 0 and max(events) > 3
+
+
+@pytest.mark.parametrize("law", (SPLIT_64, HOISTED_LAWS[0][0],
+                                 BrennanDurrett(2.0, 3.0)),
+                         ids=("binary", "ternary", "beta"))
+def test_the_step_kernel_maps_a_uniform_only_for_an_event(monkeypatch, law):
+    # the kernel drops its log, so its events are counted at dislocate
+    law = counting(law)
+    calls = []
+    monkeypatch.setattr(simulator, "dislocate",
+                        lambda *args: calls.append(args) or dislocate(*args))
+    kernel = make_step_kernel(law)
+    events = []
+    for duration in (0.0, 1e-9, 0.5, 3.0):
+        for seed in range(5):
+            type(law).maps, calls[:] = 0, []
+            kernel(duration, np.random.default_rng(seed))
+            assert type(law).maps == len(calls)
+            events.append(len(calls))
+    assert min(events) == 0 and max(events) > 3
+
+
+class FailsOnMap(DislocationLaw):
+    """Splits (0.6, 0.4) at rate 1 until its given map, which raises."""
+
+    def __init__(self, error, fail_at):
+        self.error, self.fail_at, self.maps = error, fail_at, 0
+
+    def truncated_mass(self, eps):
+        return 1.0
+
+    def sample_dislocation(self, eps, total, u):
+        self.maps += 1
+        if self.maps == self.fail_at:
+            raise self.error("no dislocation to map")
+        return (0.6, 0.4)
+
+
+@pytest.mark.parametrize("error", (EmptyTruncation, DeadState))
+def test_a_law_that_raises_as_it_maps_ends_the_path(error):
+    # the path takes its remaining snapshots of the state before the
+    # failed event and ends, as when next_event raises
+    obs = (50.0, 100.0, 100.0)
+    for seed in range(5):
+        law = FailsOnMap(error, 3)
+        traj = run(SimConfig(law, 100.0, obs_times=obs),
+                   np.random.default_rng(seed))
+        assert len(traj.events) == 2 and law.maps == 3
+        state = MassState((1.0,), 0.0, 1.0)
+        for ev in traj.events:
+            state = dislocate(state, ev.target_rank, ev.fragments)
+        assert traj.snapshots == (state,) * 3
+        kernel = make_step_kernel(FailsOnMap(error, 3))
+        assert kernel(100.0, np.random.default_rng(seed)) == state
 
 
 def test_run_stops_when_the_truncation_is_empty():
@@ -431,12 +508,12 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
     parts = (0.5, 0.25, 0.125, 0.0625, 0.0625)
     state = MassState(parts, 0.0, 1.0)
     for u in (0.0, 0.2, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0):
-        wait, target, _ = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u),
+        wait, target, _ = next_event(state, alpha, 0.0, StubRng(u),
                                      TRUNC_64)
         assert target == reference_target(parts, alpha, u)
         assert wait == 1.0 / sum(m ** alpha for m in parts)
     if alpha == 1.0:
-        assert [next_event(state, SPLIT_64, alpha, 0.0, StubRng(u), TRUNC_64)[1]
+        assert [next_event(state, alpha, 0.0, StubRng(u), TRUNC_64)[1]
                 for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
 
 
@@ -464,7 +541,7 @@ def test_block_scan_matches_the_element_loop(n, alpha):
     total = sum(rates)
 
     def target(u):
-        got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(u), TRUNC_64)[1]
+        got = next_event(state, alpha, 0.0, StubRng(u), TRUNC_64)[1]
         assert got == reference_target(parts, alpha, u)
         return got
 
@@ -498,7 +575,7 @@ def test_block_scan_on_int_and_simulated_parts():
     for state in (MassState(mixed, 0.0, 2.0), MassState(parts, 0.0, 1.0)):
         for alpha in (0.5, 1.0, 2.0):
             for u in (*rng.random(100), 1.0):
-                got = next_event(state, SPLIT_64, alpha, 0.0, StubRng(float(u)),
+                got = next_event(state, alpha, 0.0, StubRng(float(u)),
                                  TRUNC_64)[1]
                 assert got == reference_target(state.parts, alpha, float(u))
 
@@ -643,9 +720,8 @@ def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
         assert handed[-1] >= 1
     carried = [sum(m ** -1.0 for m in dyadic_parts(200)[:64])]
     with pytest.raises(RateOverflow):
-        next_event(MassState(dyadic_parts(200) + (5e-324,), 0.0, 1.0), law,
-                   -1.0, 0.0, np.random.default_rng(0), law.truncated_mass(0.0),
-                   carried)
+        next_event(MassState(dyadic_parts(200) + (5e-324,), 0.0, 1.0), -1.0,
+                   0.0, np.random.default_rng(0), law.truncated_mass(0.0), carried)
 
 
 def test_run_pure_erosion_is_exact():
