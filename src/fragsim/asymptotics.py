@@ -59,14 +59,15 @@ def record_cdf(law, t, x):
 
     The record stays <= x exactly when no dislocation with second piece in
     (x, inf) arrives by t, so this is exp(-t * strict tail). Exact for the
-    eps-truncated stream whenever x >= eps.
+    eps-truncated stream whenever x >= eps. A horizon t that is not
+    finite and >= 0 raises ConfigError.
     """
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"record horizon t {t!r} must be finite and >= 0")
     x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        # nothing arrives by time 0, even where the tail is infinite
-        out = np.ones_like(x)
-    else:
-        out = np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float))
+    # nothing arrives by time 0, even where the tail is infinite
+    out = (np.ones_like(x) if t == 0.0 else
+           np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float)))
     out = np.where(x < 0.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
 
@@ -80,8 +81,10 @@ def frechet_k_cdf(k, a, x):
     """Law of the k-th largest point of the limiting extremal point process.
 
     P(at most k-1 points above x) = sum over i < k of exp(-m) m^i / i! with
-    m = x^(-a).
+    m = x^(-a). A k that is not an int >= 1 raises ConfigError.
     """
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ConfigError(f"record rank k {k!r} must be an int >= 1")
     x = np.asarray(x, dtype=float)
     # x <= 0, or an x whose power overflows, makes m infinite and the cdf
     # 0; the terms are NaN there, and the where below masks them, as it

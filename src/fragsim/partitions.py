@@ -6,8 +6,9 @@ labels). trivial and paintbox check only their n (an int, >= 1 for
 trivial and >= 0 for paintbox); they, partition_step and frequencies
 build their results in canonical form by construction, so each one is
 built once and never re-checked. trivial and paintbox share one ground
-tuple (1, ..., n), kept for the last n asked for, so a repeated n does
-not build its labels again; its numpy object column is kept with it.
+tuple (1, ..., n), kept with its numpy object column for the last n asked
+for, whatever its int type, so a repeated n does not build its labels
+again.
 
 Sampling follows the paintbox rule: every label independently picks
 fragment k with probability equal to that fragment's share of the nominal
@@ -41,35 +42,25 @@ class FinitePartition:
     blocks: tuple  # disjoint tuples covering ground, ordered by least element
 
 
-def _ground(n, least):
-    """The ground tuple (1, ..., n) for an int n >= least.
-
-    A bad n raises InvalidPartition before the cache is consulted.
-    """
-    if not (isinstance(n, numbers.Integral) and n >= least):
-        raise InvalidPartition(f"a partition of {{1..n}} needs an int "
-                               f"n >= {least}, got {n!r}")
-    return _labels(n)
-
-
-# The last ground tuple handed out: (n's type and value, the tuple, its
-# numpy object column).
+# The last ground tuple handed out: (n, the tuple, its numpy object column).
 _last_ground = (None, (), np.empty(0, dtype=object))
 
 
-def _labels(n):
-    """The ground tuple (1, ..., n) for an int n >= 0.
+def _ground(n, least):
+    """The ground tuple (1, ..., n) for an int n >= least.
 
-    The cache keeps the last n only, keyed by n and its type, so every call
-    with that n gets the same tuple. The tuple's object column is built
-    with it, for _paint_over to gather from.
+    A bad n raises InvalidPartition before the cache is consulted. The
+    cache keeps the last n only, so every call with an equal n, of any int
+    type, gets the same tuple. The tuple's object column is built with it,
+    for _paint_over to gather from.
     """
     global _last_ground
-    key = (type(n), n)
-    if _last_ground[0] != key:
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise InvalidPartition(f"a partition of {{1..n}} needs an int "
+                               f"n >= {least}, got {n!r}")
+    if _last_ground[0] != n:
         ground = tuple(range(1, n + 1))
-        _last_ground = (key, ground,
-                        np.fromiter(ground, dtype=object, count=len(ground)))
+        _last_ground = (n, ground, np.array(ground, dtype=object))
     return _last_ground[1]
 
 

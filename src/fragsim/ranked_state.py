@@ -33,34 +33,12 @@ class MassState(NamedTuple):
 def validate_fragments(fragments):
     """Check a dislocation vector: non-negative, non-increasing, sum <= 1.
 
-    Returns the vector with zero entries stripped; being non-increasing,
-    its zeros form a suffix. NaN ratios are rejected. A tuple with nothing
-    to strip is returned itself.
+    Returns the vector with zero entries stripped, as a tuple; being
+    non-increasing, its zeros form a suffix. NaN ratios are rejected. The
+    check is dislocate's: the pieces a unit fragment breaks into are the
+    stripped ratios, bit for bit, as 1.0 * x == x.
     """
-    prev = math.inf
-    total = 0.0
-    positive = 0
-    for x in fragments:
-        if not prev >= x >= 0.0:
-            raise _bad_ratio(x)
-        prev = x
-        total += x
-        positive += x > 0.0
-    if total > 1.0 + BUDGET_TOL:
-        raise _over_budget(total)
-    return tuple(fragments[:positive])
-
-
-def _bad_ratio(x):
-    """The error for a ratio x that failed prev >= x >= 0."""
-    if not x >= 0.0:
-        return InvalidFragmentVector(f"fragment ratio {x} is not a "
-                                     f"non-negative number")
-    return InvalidFragmentVector("fragment vector is not non-increasing")
-
-
-def _over_budget(total):
-    return InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
+    return dislocate(_UNIT, 1, fragments).parts
 
 
 def dislocate(state, rank, fragments, mass_floor=0.0):
@@ -70,15 +48,16 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     deficit m*(1 - sum(fragments)) joins the dust, as does any piece below
     mass_floor. Ties in the re-ranking keep earlier-created fragments first.
 
-    One pass over fragments checks each ratio as validate_fragments does,
-    with its errors, and inserts its piece. Every part ranked before the
-    parent weighs at least as much as it, and no piece outweighs the
-    parent or the piece before it, so each insert point is searched for
-    from the last one on, and a piece heavier than the part at that point
-    goes there with no search. The dust takes the deficit's mass first,
-    then the dusted pieces in vector order, after the whole vector is
-    checked; the sum is added left to right, which is sum() of the
-    stripped vector bit for bit on CPython 3.11, as zeros add nothing.
+    fragments must be non-negative and non-increasing, with sum <= 1 (NaN
+    is refused); any other vector raises InvalidFragmentVector. One pass
+    over fragments checks each ratio and inserts its piece. Every part
+    ranked before the parent weighs at least as much as it, and no piece
+    outweighs the parent or the piece before it, so each insert point is
+    searched for from the last one on, and a piece heavier than the part
+    at that point goes there with no search. The dust takes the deficit's
+    mass first, then the dusted pieces in vector order, after the whole
+    vector is checked; the sum is added left to right, which is sum() of
+    the stripped vector bit for bit on CPython 3.11, as zeros add nothing.
 
     The parts are copied into a new list, so state is left as it was, even
     when the vector is refused. That list is the new state's parts when
@@ -95,7 +74,10 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     dusted = ()
     for x in fragments:
         if not prev >= x >= 0.0:
-            raise _bad_ratio(x)
+            if not x >= 0.0:
+                raise InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                            f"non-negative number")
+            raise InvalidFragmentVector("fragment vector is not non-increasing")
         prev = x
         total += x
         piece = parent * x
@@ -108,7 +90,7 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
                 lo = bisect_right(parts, -piece, lo + 1, key=operator.neg)
             parts.insert(lo, piece)
     if total > 1.0 + BUDGET_TOL:
-        raise _over_budget(total)
+        raise InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
     dust = state.dust
     deficit = 1.0 - total
     if deficit > 0.0:
@@ -120,3 +102,7 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     # tuple.__new__ builds the MassState that MassState(...) would, without
     # the generated __new__'s Python frame
     return tuple.__new__(MassState, (parts, dust, state.nominal))
+
+
+# The unit fragment validate_fragments dislocates.
+_UNIT = MassState((1.0,), 0.0, 1.0)

@@ -12,10 +12,10 @@ spawn_key=(index,)) itself. numpy mixes the seed: SeedSequence(seed) holds
 the pool that the index word meets, read once per seed. The port mixes only
 the index word, by one numpy pass over a block of 256 consecutive indices,
 which yields the states of the whole block; the read-only array for the
-last (seed, block) is kept, and each replica takes its row. NumPy's
-stream-compatibility policy (NEP 19) freezes that algorithm, and
-tests/test_rng.py pins the port against numpy bit for bit. Inputs outside
-the port's domain take numpy's own path.
+last (seed, block) is kept with the seed's part of the mix, and each
+replica takes its row. NumPy's stream-compatibility policy (NEP 19)
+freezes that algorithm, and tests/test_rng.py pins the port against numpy
+bit for bit. Inputs outside the port's domain take numpy's own path.
 
 An alpha = 0 event draws an exponential wait, a target rank uniform on
 1..n and the uniform its law turns into fragments, and each of Generator's
@@ -86,11 +86,11 @@ def _seed_prefix(seed):
     return (*(_MIX_MULT_L * p for p in pool), *(c for pair in consts for c in pair))
 
 
-_prefix_cache = (None,)  # (seed, *_seed_prefix(seed))
 _BLOCK = 256  # replica indices whose states are derived in one numpy pass
 _OUT_XOR = np.array([b for b, _ in _OUT_CONSTS], dtype=np.uint64)
 _OUT_MULT = np.array([c for _, c in _OUT_CONSTS], dtype=np.uint64)
-_state_cache = (None, None, None)  # (seed, block, the block's states)
+# (seed, block, the block's states, _seed_prefix(seed) as uint64)
+_state_cache = (None, None, None, None)
 
 
 def _replica_state(seed, index):
@@ -99,18 +99,17 @@ def _replica_state(seed, index):
 
     The states of all _BLOCK indices in index's block are derived in one
     numpy pass and kept, read-only, for the calls that follow; row j is
-    that of index block * _BLOCK + j. Every operand is a 32-bit word held
-    in uint64, so each product is exact and wrapping subtraction keeps the
-    low 32 bits that & _MASK selects.
+    that of index block * _BLOCK + j. The seed's prefix is kept with them,
+    so a new block of the same seed reuses it. Every operand is a 32-bit
+    word held in uint64, so each product is exact and wrapping subtraction
+    keeps the low 32 bits that & _MASK selects.
     """
-    global _prefix_cache, _state_cache
+    global _state_cache
     block = index // _BLOCK
     cache = _state_cache
     if cache[0] != seed or cache[1] != block:
-        prefix = _prefix_cache
-        if prefix[0] != seed:
-            prefix = _prefix_cache = (seed, *_seed_prefix(seed))
-        consts = np.array(prefix[1:], dtype=np.uint64)
+        consts = (cache[3] if cache[0] == seed
+                  else np.array(_seed_prefix(seed), dtype=np.uint64))
         mix_l, xor, mult = consts[:4], consts[4::2], consts[5::2]
         index_word = np.arange(block * _BLOCK, (block + 1) * _BLOCK,
                                dtype=np.uint64)[:, None]
@@ -125,7 +124,7 @@ def _replica_state(seed, index):
         states = words[:, 0::2] | words[:, 1::2] << 32
         states ^= states >> 16 & _LOW16_OF_HALVES
         states.flags.writeable = False
-        cache = _state_cache = (seed, block, states)
+        cache = _state_cache = (seed, block, states, consts)
     return cache[2][index % _BLOCK]
 
 

@@ -80,10 +80,13 @@ def ks_two_sample(a, b):
 def pool_cells(observed, expected):
     """Pool adjacent cells left to right until each expected count is >= 5,
     folding a trailing remainder into the last closed cell, and return the
-    pooled observed and expected lists. Fewer than two cells raise
-    InsufficientData; which cells form depends on expected alone."""
+    pooled observed and expected lists. A count that is not finite raises
+    ConfigError, and fewer than two cells raise InsufficientData; which
+    cells form depends on expected alone."""
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
+    if not (np.isfinite(observed).all() and np.isfinite(expected).all()):
+        raise ConfigError("chi-square cell counts must be finite")
     pooled_obs, pooled_exp = [], []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):

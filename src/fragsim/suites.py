@@ -436,77 +436,65 @@ def _suite_scaling(law, alpha, r, t, replicas, seed):
     return [_check("scaling_ks", stat, 0.03, "<", replicas)], {}
 
 
-def _split_64():
-    return FiniteAtomic([(1.0, (0.6, 0.4))])
-
-
-def _split_91():
-    return FiniteAtomic([(1.0, (0.9, 0.1))])
-
-
-def _binary_half():
-    return BinaryPowerLaw(0.5)
-
-
-# One row per suite: its function, the claim its report states, and its
-# pinned defaults. The law is a factory so every run gets a fresh law
-# object (FiniteAtomic caches).
+# One row per suite: its function, its default law, the claim its report
+# states, and its other pinned defaults. A law's caches are keyed by eps and
+# hold pure values, so one law object serves every run.
 _SUITES = {
     "erosion": (
-        _suite_erosion,
+        _suite_erosion, FiniteAtomic([(1.0, (0.6, 0.4))]),
         "pure erosion shrinks the single fragment exactly exponentially, "
         "and a positive erosion rate factors out of any dislocation path",
-        dict(law=_split_64, c=1.0, t=1.0, replicas=50, seed=11)),
+        dict(c=1.0, t=1.0, replicas=50, seed=11)),
     "conservation": (
-        _suite_conservation,
+        _suite_conservation, FiniteAtomic([(1.0, (0.6, 0.4))]),
         "total mass is conserved at every jump and the mass of the k "
         "largest fragments never increases",
-        dict(law=_split_64, t=3.0, replicas=200, seed=13)),
+        dict(t=3.0, replicas=200, seed=13)),
     "poisson-counts": (
-        _suite_poisson_counts,
+        _suite_poisson_counts, FiniteAtomic([(1.0, (0.9, 0.1))]),
         "rank-1 dislocations on a window form a Poisson count with the "
         "truncated-law rate",
-        dict(law=_split_91, t=0.5, eps=0.0, replicas=10 ** 4, seed=17)),
+        dict(t=0.5, eps=0.0, replicas=10 ** 4, seed=17)),
     "records": (
-        _suite_records,
+        _suite_records, BinaryPowerLaw(0.5),
         "the running max of the rank-1 second piece follows the "
         "void-probability law above the truncation level",
-        dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4, seed=19)),
+        dict(t=0.01, eps=1e-4, replicas=10 ** 4, seed=19)),
     "sandwich": (
-        _suite_sandwich,
+        _suite_sandwich, BinaryPowerLaw(0.5),
         "on paths keeping the main fragment above one half, chi times the "
         "record bounds the second fragment below and the record bounds it "
         "above",
-        dict(law=_binary_half, t=0.01, eps=1e-4, replicas=10 ** 4, seed=23)),
+        dict(t=0.01, eps=1e-4, replicas=10 ** 4, seed=23)),
     "subordinator": (
-        _suite_subordinator,
+        _suite_subordinator, FiniteAtomic([(1.0, (0.9, 0.1))]),
         "minus log of the top fragment evolves as a killed compound "
         "Poisson process whose jump law is reweighted by the first piece",
-        dict(law=_split_91, t=1.0, m_max=4, replicas=10 ** 4, seed=29)),
+        dict(t=1.0, m_max=4, replicas=10 ** 4, seed=29)),
     "extreme": (
-        _suite_extreme,
+        _suite_extreme, BinaryPowerLaw(0.5),
         "the normalized second fragment approaches the extreme law "
         "exp(-x^-a) as the horizon shrinks, and the fit degrades at a "
         "10x coarser horizon",
-        dict(law=_binary_half, t=1e-3, event_budget=5.0, mass_floor=1e-12,
+        dict(t=1e-3, event_budget=5.0, mass_floor=1e-12,
              replicas=10 ** 4, seed=31)),
     "frechet-k": (
-        _suite_frechet_k,
+        _suite_frechet_k, BinaryPowerLaw(0.5),
         "lower-ranked fragments, normalized the same way as the second, "
         "follow the k-record extreme laws",
-        dict(law=_binary_half, t=1e-3, event_budget=7.0, mass_floor=1e-12,
+        dict(t=1e-3, event_budget=7.0, mass_floor=1e-12,
              replicas=10 ** 4, seed=37)),
     "correspondence": (
-        _suite_correspondence,
+        _suite_correspondence, FiniteAtomic([(1.0, (0.6, 0.4))]),
         "ranked dynamics observed through a finite paintbox agree in law "
         "with blockwise partition dynamics, and partition steps compose "
         "over split horizons",
-        dict(law=_split_64, t=0.3, n=1000, replicas=2000, seed=41)),
+        dict(t=0.3, n=1000, replicas=2000, seed=41)),
     "scaling": (
-        _suite_scaling,
+        _suite_scaling, FiniteAtomic([(1.0, (0.6, 0.4))]),
         "a path started from reduced mass r matches, in law, the unit "
         "path run to r^alpha t and rescaled by r",
-        dict(law=_split_64, alpha=1.0, r=0.5, t=0.4, replicas=5000, seed=43)),
+        dict(alpha=1.0, r=0.5, t=0.4, replicas=5000, seed=43)),
 }
 
 # Suites with a *_ks check; they need _MIN_KS_SAMPLES replicas.
@@ -524,8 +512,8 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; "
                            f"choose from {', '.join(suite_names())}")
-    suite, claim, defaults = _SUITES[name]
-    params = dict(defaults, law=defaults["law"]())
+    suite, law, claim, defaults = _SUITES[name]
+    params = dict(defaults, law=law)
     for key, value in (overrides or {}).items():
         key = _TRANSLATE.get(key, key)
         if key not in params:

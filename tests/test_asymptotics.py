@@ -179,6 +179,19 @@ def test_record_cdf_values():
     assert record_cdf(atom, 1.0, 0.39) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [-1.0, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("law", [BinaryPowerLaw(0.5),
+                                 FiniteAtomic([(1.0, (0.6, 0.4))])],
+                         ids=["binary", "atomic"])
+def test_record_cdf_needs_a_finite_horizon_at_or_above_0(law, t):
+    # a negative horizon gave a cdf above 1, NaN gave NaN, and inf times a
+    # zero tail warned
+    with pytest.raises(ConfigError, match="record horizon"):
+        record_cdf(law, t, 0.5)
+    with pytest.raises(ConfigError, match="record horizon"):
+        record_cdf(law, t, [0.1, 0.5])
+
+
 def test_extreme_cdf():
     assert extreme_cdf(1.0, 0.5) == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert extreme_cdf(4.0, 0.5) == pytest.approx(math.exp(-0.5), abs=1e-12)
@@ -202,6 +215,19 @@ def test_frechet_k_cdf():
         assert np.all(np.diff(vals) > 0.0)
         # one more allowed point above x only widens the event
         assert np.all(frechet_k_cdf(k + 1, 0.5, xs) >= vals)
+
+
+@pytest.mark.parametrize("k", [2.0, 0, -1, "2", None])
+def test_frechet_k_cdf_needs_an_int_k_at_or_above_1(k):
+    # 2.0 raised a bare TypeError from range, and k <= 0 gave 0 everywhere
+    with pytest.raises(ConfigError, match="record rank k"):
+        frechet_k_cdf(k, 0.5, 1.0)
+
+
+def test_frechet_k_cdf_takes_a_numpy_int_k():
+    xs = np.geomspace(1e-3, 1e3, 20)
+    assert np.array_equal(frechet_k_cdf(np.int64(2), 0.5, xs),
+                          frechet_k_cdf(2, 0.5, xs))
 
 
 @pytest.mark.parametrize("a", (0.001, 0.002, 0.005))

@@ -236,6 +236,16 @@ def test_trivial_and_paintbox_share_one_ground_per_n():
     assert trivial(np.int64(7)) == trivial(7)
 
 
+def test_every_int_kind_of_n_shares_one_ground():
+    # the cache is keyed by n's value, not its type
+    rng = np.random.default_rng(6)
+    ground = trivial(np.int64(7)).ground
+    assert trivial(7).ground is ground
+    assert paintbox(FEW, np.int32(7), rng).ground is ground
+    assert ground == tuple(range(1, 8))
+    assert all(type(label) is int for label in ground)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_painted_partitions_are_canonical_by_construction(seed):
     def fixed(duration, rng):

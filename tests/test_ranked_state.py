@@ -326,4 +326,4 @@ def test_dislocate_is_validate_then_insert(fragments, kind, masses, dust,
         assert _outcome(validate_fragments, vector) == \
             _outcome(_validate_by_loop, vector)
         if kind is tuple and 0.0 not in vector:
-            assert validate_fragments(vector) is vector
+            assert validate_fragments(vector) == vector

@@ -14,6 +14,7 @@ from fragsim import (
     pooled_chi_square,
 )
 from fragsim.errors import ConfigError, EmptySample, InsufficientData
+from fragsim.stats import pool_cells
 
 
 def test_ks_stat_against_own_ecdf_vanishes():
@@ -87,6 +88,31 @@ def test_pooled_chi_square_null_calibration():
     assert 0.0 < p <= 1.0
     with pytest.raises(InsufficientData):
         pooled_chi_square([3, 1], [3.0, 1.0])
+
+
+@pytest.mark.parametrize("observed, expected", [
+    ([1000, 1000], [math.inf, 5.0]),
+    ([1000, 1000], [math.nan, 1000.0]),
+    ([math.nan, 1000], [1000.0, 1000.0]),
+    ([math.inf, 1000], [1000.0, 1000.0]),
+    ([1000, 1000, 3], [1000.0, 1000.0, -math.inf]),
+])
+def test_chi_square_cells_must_be_finite(observed, expected):
+    # an infinite expected count gave inf / inf and a warning, a NaN count
+    # a silent NaN p-value
+    with pytest.raises(ConfigError, match="finite"):
+        pool_cells(observed, expected)
+    with pytest.raises(ConfigError, match="finite"):
+        pooled_chi_square(observed, expected)
+
+
+def test_chi_square_takes_a_cell_rounded_below_0():
+    # S6's last expected cell is replicas minus a float sum
+    observed = [500, 497, 2, 1]
+    expected = [500.0, 495.0, 5.0, -1e-13]
+    assert pool_cells(observed, expected) == ([500.0, 497.0, 3.0],
+                                              [500.0, 495.0, 5.0 - 1e-13])
+    assert 0.0 < pooled_chi_square(observed, expected) <= 1.0
 
 
 def test_pooled_chi_square_detects_wrong_law():

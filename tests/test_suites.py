@@ -74,11 +74,15 @@ def test_seed_and_replica_overrides_are_reflected():
         assert ("t", repr(t)) in other.config
 
 
-def test_report_text_is_byte_stable():
-    a = run_suite("erosion", replicas=10).to_text()
-    b = run_suite("erosion", replicas=10).to_text()
+@pytest.mark.parametrize("name", suite_names())
+def test_report_text_is_byte_stable(name):
+    # the second run meets the row's law with its eps caches warm
+    replicas = 600 if name in _CHI_SQUARE_SUITES else 50
+    a = run_suite(name, replicas=replicas).to_text()
+    b = run_suite(name, replicas=replicas).to_text()
     assert a == b
-    assert "overall: PASS" in a
+    if name not in _KS_SUITES:
+        assert "overall: PASS" in a
     assert "wall" not in a
 
 
@@ -134,6 +138,7 @@ class _ReachedReplicas(Exception):
 
 
 _KS_SUITES = {"records", "extreme", "frechet-k", "correspondence", "scaling"}
+_CHI_SQUARE_SUITES = {"poisson-counts", "subordinator"}
 
 
 @pytest.mark.parametrize("name", suite_names())
