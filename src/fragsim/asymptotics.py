@@ -2,10 +2,11 @@
 
 The size of the largest fragment, while it stays above half the total, is
 exp(-xi) for a killed subordinator xi. For a one-atom law every jump of xi
-has the one size -log s1; run_subordinator samples that case from three
-draws (the killing time, the jump count, the jump times) and none per
-jump. The second-largest fragment is squeezed between the running record
-of detached piece sizes and that record damped by the accumulated lead
+has the one size -log s1, so xi is that size times a killed Poisson
+count; run_subordinator samples the count from three draws (the killing
+time, the jump count, the jump times) and none per jump. The
+second-largest fragment is squeezed between the running record of
+detached piece sizes and that record damped by the accumulated lead
 factors. Rescaled by the generalized inverse of the tail, small-time
 fragment sizes follow heavy-tail extreme laws.
 """
@@ -15,13 +16,14 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DegenerateNormalizer, check_range
+from .measures import _maybe_scalar
 
 
-def check_subordinator(killing_rate, jump_rate, jump, t):
-    """Raise ConfigError unless the horizon, rates and jump are finite and
-    >= 0 and the mean jump count is at most 1e7 (80 MB of jump times)."""
+def check_subordinator(killing_rate, jump_rate, t):
+    """Raise ConfigError unless the horizon and rates are finite and >= 0
+    and the mean jump count is at most 1e7 (80 MB of jump times)."""
     for name, value in (("horizon t", t), ("killing_rate", killing_rate),
-                        ("jump_rate", jump_rate), ("jump", jump)):
+                        ("jump_rate", jump_rate)):
         check_range(value, lambda v: 0.0 <= v < math.inf,
                     f"subordinator {name} {{!r}} must be finite and >= 0")
     if jump_rate * t > 1e7:
@@ -29,29 +31,24 @@ def check_subordinator(killing_rate, jump_rate, jump, t):
                           f"exceeds 1e7; lower jump_rate or t")
 
 
-def run_subordinator(killing_rate, jump_rate, jump, t, rng):
-    """Value at time t and whether the path is still alive at t.
+def run_subordinator(killing_rate, jump_rate, t, rng):
+    """Jump count by time t, as an int, and whether the path is alive at t.
 
-    A killed compound Poisson process whose jumps all have size jump. It
-    draws the killing time, the jump count on [0, t] and the sorted jump
-    times, in that order, and nothing per jump. A killed path reports its
-    value at the killing time: the jumps at or before it, added one at a
-    time in time order. Inputs check_subordinator rejects raise
-    ConfigError before any draw.
+    A killed Poisson process: a killed subordinator whose jumps all have
+    one size is that size times this count. It draws the killing time,
+    the jump count on [0, t] and the jump times, in that order, and
+    nothing per jump. A killed path counts the jumps at or before the
+    killing time. Inputs check_subordinator rejects raise ConfigError
+    before any draw.
     """
-    check_subordinator(killing_rate, jump_rate, jump, t)
+    check_subordinator(killing_rate, jump_rate, t)
     if killing_rate > 0.0:
         kill = rng.exponential(1.0 / killing_rate)
     else:
         kill = math.inf
     count = rng.poisson(jump_rate * t) if jump_rate > 0.0 else 0
-    times = np.sort(rng.random(count)) * t
-    cut = min(t, kill)
-    value = 0.0
-    for when in times.tolist():
-        if when <= cut:
-            value += jump
-    return value, kill > t
+    jumps = np.count_nonzero(rng.random(count) * t <= min(t, kill))
+    return int(jumps), kill > t
 
 
 def record_cdf(law, t, x):
@@ -62,14 +59,17 @@ def record_cdf(law, t, x):
     eps-truncated stream whenever x >= eps. A horizon t that is not
     finite and >= 0 raises ConfigError.
     """
-    if not 0.0 <= t < math.inf:
-        raise ConfigError(f"record horizon t {t!r} must be finite and >= 0")
+    check_range(t, lambda t: 0.0 <= t < math.inf,
+                "record horizon t {!r} must be finite and >= 0")
     x = np.asarray(x, dtype=float)
-    # nothing arrives by time 0, even where the tail is infinite
-    out = (np.ones_like(x) if t == 0.0 else
-           np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float)))
-    out = np.where(x < 0.0, 0.0, out)
-    return float(out) if out.ndim == 0 else out
+    if t == 0.0:
+        # nothing arrives by time 0, even where the tail is infinite
+        out = np.ones_like(x)
+    else:
+        # a t times tail past the float range makes the cdf 0
+        with np.errstate(over="ignore"):
+            out = np.exp(-t * np.asarray(law.tail_nu2_strict(x), dtype=float))
+    return _maybe_scalar(np.where(x < 0.0, 0.0, out))
 
 
 def extreme_cdf(x, a):
@@ -97,15 +97,14 @@ def frechet_k_cdf(k, a, x):
         for i in range(k):
             total = total + term
             term = term * m / (i + 1)
-    out = np.where(m < np.inf, total, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _maybe_scalar(np.where(m < np.inf, total, 0.0))
 
 
 def normalize_lambda2(law, t, value):
     """Rescale a fragment size by the tail's generalized inverse at 1/t,
     for a finite t > 0."""
-    if not 0.0 < t < math.inf:
-        raise ConfigError(f"normalizing horizon t {t!r} must be finite and > 0")
+    check_range(t, lambda t: 0.0 < t < math.inf,
+                "normalizing horizon t {!r} must be finite and > 0")
     denom = law.gen_inverse_f(1.0 / t)
     if denom <= 0.0:
         raise DegenerateNormalizer(

@@ -6,14 +6,20 @@ fields); every other line is a single scalar or comma list. Unknown keys
 are rejected so typos fail loudly.
 """
 
+from dataclasses import fields
+
 from .errors import ConfigError
 from .measures import parse_measure
+from .simulator import SimConfig
 
-# SimConfig's fields, then the keys only a suite takes (fragsim verify)
-_FLOAT_KEYS = ("alpha", "c", "eps", "t_end", "mass_floor", "initial_mass",
-               "event_budget", "r")
-_INT_KEYS = ("replicas", "seed", "max_fragments", "m_max", "n")
-_LIST_KEYS = ("obs_times",)
+_BY_TYPE = {float: float, int: int,
+            tuple: lambda v: tuple(float(x) for x in v.split(",") if x.strip())}
+# A parser per key: SimConfig's fields but law, by their annotated types,
+# then the keys only a suite or the CLI takes
+_PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(SimConfig)
+            if f.name != "law"}
+_PARSERS.update(event_budget=float, r=float, m_max=int, n=int, seed=int,
+                replicas=int)
 
 
 def parse_config_text(text):
@@ -33,16 +39,11 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         value = line.split("=", 1)[1].strip()
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _LIST_KEYS:
-                out[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            out[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return out

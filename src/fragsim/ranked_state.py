@@ -13,11 +13,12 @@ trajectory and kernel state a caller sees holds a tuple.
 """
 
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import InvalidFragmentVector, RankOutOfRange
+from .errors import ConfigError, InvalidFragmentVector, RankOutOfRange
 
 # Absolute slack for budget checks; conservation itself is exact float
 # arithmetic and stays far inside this.
@@ -48,16 +49,18 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     deficit m*(1 - sum(fragments)) joins the dust, as does any piece below
     mass_floor. Ties in the re-ranking keep earlier-created fragments first.
 
-    fragments must be non-negative and non-increasing, with sum <= 1 (NaN
-    is refused); any other vector raises InvalidFragmentVector. One pass
-    over fragments checks each ratio and inserts its piece. Every part
-    ranked before the parent weighs at least as much as it, and no piece
-    outweighs the parent or the piece before it, so each insert point is
-    searched for from the last one on, and a piece heavier than the part
-    at that point goes there with no search. The dust takes the deficit's
-    mass first, then the dusted pieces in vector order, after the whole
-    vector is checked; the sum is added left to right, which is sum() of
-    the stripped vector bit for bit on CPython 3.11, as zeros add nothing.
+    fragments must be non-negative and non-increasing numbers, with sum <= 1
+    (NaN is refused); any other vector, or one that is not iterable, raises
+    InvalidFragmentVector, and a mass_floor that is not a number raises
+    ConfigError. One pass over fragments checks each ratio and inserts its
+    piece. Every part ranked before the parent weighs at least as much as
+    it, and no piece outweighs the parent or the piece before it, so each
+    insert point is searched for from the last one on, and a piece heavier
+    than the part at that point goes there with no search. The dust takes
+    the deficit's mass first, then the dusted pieces in vector order, after
+    the whole vector is checked; the sum is added left to right, which is
+    sum() of the stripped vector bit for bit on CPython 3.11, as zeros add
+    nothing.
 
     The parts are copied into a new list, so state is left as it was, even
     when the vector is refused. That list is the new state's parts when
@@ -72,23 +75,32 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     prev = math.inf
     total = 0.0
     dusted = ()
-    for x in fragments:
-        if not prev >= x >= 0.0:
-            if not x >= 0.0:
-                raise InvalidFragmentVector(f"fragment ratio {x} is not a "
-                                            f"non-negative number")
-            raise InvalidFragmentVector("fragment vector is not non-increasing")
-        prev = x
-        total += x
-        piece = parent * x
-        if piece < mass_floor or piece == 0.0:
-            if x:  # a zero ratio makes no piece, so it dusts nothing
-                dusted += (piece,)
-        else:
-            if lo < len(parts) and parts[lo] >= piece:
-                # after every equal part: pre-existing fragments precede new ones
-                lo = bisect_right(parts, -piece, lo + 1, key=operator.neg)
-            parts.insert(lo, piece)
+    try:
+        for x in fragments:
+            if not prev >= x >= 0.0:
+                if not x >= 0.0:
+                    raise InvalidFragmentVector(f"fragment ratio {x} is not a "
+                                                f"non-negative number")
+                raise InvalidFragmentVector("fragment vector is not "
+                                            "non-increasing")
+            prev = x
+            total += x
+            piece = parent * x
+            if piece < mass_floor or piece == 0.0:
+                if x:  # a zero ratio makes no piece, so it dusts nothing
+                    dusted += (piece,)
+            else:
+                if lo < len(parts) and parts[lo] >= piece:
+                    # after every equal part: pre-existing fragments
+                    # precede new ones
+                    lo = bisect_right(parts, -piece, lo + 1, key=operator.neg)
+                parts.insert(lo, piece)
+    except TypeError:
+        if not isinstance(mass_floor, numbers.Real):
+            raise ConfigError(f"mass_floor {mass_floor!r} must be a "
+                              f"number") from None
+        raise InvalidFragmentVector(f"fragment vector {fragments!r} is not a "
+                                    f"sequence of numbers") from None
     if total > 1.0 + BUDGET_TOL:
         raise InvalidFragmentVector(f"fragment ratios sum to {total} > 1")
     dust = state.dust

@@ -24,6 +24,7 @@ from .errors import (
     RateOverflow,
     check_range,
 )
+from .measures import DislocationLaw
 from .ranked_state import MassState, dislocate
 from .rng import exponential_rank_and_uniform
 
@@ -40,15 +41,16 @@ _SCAN_BLOCK = 64
 class SimConfig:
     """Full description of one simulation run.
 
-    obs_times must be non-decreasing and lie in [0, t_end]. eps is the
-    truncation level on {1 - s1 >= eps}; it must be positive when the law
-    has infinite activity. Positive erosion demands alpha = 0 because the
-    analytic erosion factor commutes with the jump dynamics only when jump
-    rates are mass-independent. truncated_rate, law.truncated_mass(eps), is
-    computed once per config; it is no field, so ==, hash and repr skip it.
+    law must be a DislocationLaw. obs_times must be non-decreasing and lie
+    in [0, t_end]. eps is the truncation level on {1 - s1 >= eps}; it must
+    be positive when the law has infinite activity. Positive erosion demands
+    alpha = 0 because the analytic erosion factor commutes with the jump
+    dynamics only when jump rates are mass-independent. truncated_rate,
+    law.truncated_mass(eps), is computed once per config; it is no field, so
+    ==, hash and repr skip it.
     """
 
-    law: object
+    law: DislocationLaw
     t_end: float
     alpha: float = 0.0
     c: float = 0.0
@@ -59,6 +61,8 @@ class SimConfig:
     initial_mass: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.law, DislocationLaw):
+            raise ConfigError(f"law {self.law!r} must be a DislocationLaw")
         try:
             obs_times = tuple(float(t) for t in self.obs_times)
         except (TypeError, ValueError):
@@ -81,7 +85,7 @@ class SimConfig:
         # would run with no event at all
         check_range(self.eps, lambda e: 0.0 <= e < math.inf,
                     "eps {!r} must be finite and >= 0")
-        if self.eps == 0.0 and getattr(self.law, "infinite_activity", False):
+        if self.eps == 0.0 and self.law.infinite_activity:
             raise ConfigError("an infinite-activity law requires eps > 0")
         # a cap below 1 or an infinite floor would dust the whole mass, a NaN
         # floor would dust nothing, and a cap that is not an int cannot slice

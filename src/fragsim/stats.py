@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, EmptySample, InsufficientData
+from .errors import ConfigError, EmptySample, InsufficientData, check_range
 
 _MIN_CHI_TOTAL = 500
 _MIN_EXPECTED = 5.0
@@ -80,16 +80,25 @@ def ks_two_sample(a, b):
 def pool_cells(observed, expected):
     """Pool adjacent cells left to right until each expected count is >= 5,
     folding a trailing remainder into the last closed cell, and return the
-    pooled observed and expected lists. A count that is not finite raises
-    ConfigError, and fewer than two cells raise InsufficientData; which
-    cells form depends on expected alone."""
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
+    pooled observed and expected lists. Two lists of differing lengths, or
+    a count that is not a finite number, raise ConfigError, and fewer than
+    two cells raise InsufficientData; which cells form depends on expected
+    alone."""
+    try:
+        observed = np.asarray(observed, dtype=float)
+        expected = np.asarray(expected, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("chi-square cell counts must be numbers") from None
+    if observed.ndim != 1 or observed.shape != expected.shape:
+        raise ConfigError(f"chi-square needs two equal-length lists of cell "
+                          f"counts, got shapes {observed.shape} and "
+                          f"{expected.shape}")
     if not (np.isfinite(observed).all() and np.isfinite(expected).all()):
         raise ConfigError("chi-square cell counts must be finite")
     pooled_obs, pooled_exp = [], []
     acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
+    # Python floats: a sum past the float range is inf, with no warning
+    for o, e in zip(observed.tolist(), expected.tolist()):
         acc_o += o
         acc_e += e
         if acc_e >= _MIN_EXPECTED:
@@ -121,8 +130,8 @@ def poisson_pmf_test(counts, rate):
     beyond the histogram folds into the last cell. The rate must be finite
     and non-negative.
     """
-    if not 0.0 <= rate < math.inf:
-        raise ConfigError(f"Poisson rate must be finite and >= 0, got {rate}")
+    check_range(rate, lambda r: 0.0 <= r < math.inf,
+                "Poisson rate must be finite and >= 0, got {}")
     counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if total < _MIN_CHI_TOTAL:

@@ -263,10 +263,9 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
     if not (isinstance(law, FiniteAtomic) and len(law.atoms) == 1
             and law.atoms[0][1]):
         raise ConfigError("the subordinator suite needs a one-atom atomic "
-                          "law with a positive piece so jump counts can be "
-                          "read off the path value")
+                          "law with a positive piece, so every jump has the "
+                          "one finite size -log s1")
     weight, atom = law.atoms[0]
-    jump = -math.log(atom[0])
     jump_rate = weight * atom[0]
     kill = law.dust_integral()
     try:
@@ -281,22 +280,18 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
                           f"or t") from None
     expected = np.append(expected, replicas - expected.sum())
     # inputs no path runs, or a test with too few cells, fail before any path
-    check_subordinator(kill, jump_rate, jump, t)
+    check_subordinator(kill, jump_rate, t)
     pool_cells(expected, expected)
 
     def worker(_i, rng):
-        return run_subordinator(kill, jump_rate, jump, t, rng)
+        return run_subordinator(kill, jump_rate, t, rng)
 
     rows = run_replicas(worker, replicas, seed)
     observed = np.zeros(m_max + 2)
     alive_count = 0
-    for value, alive in rows:
+    for jumps, alive in rows:
         alive_count += alive
-        m = int(round(value / jump))
-        if alive and m <= m_max and abs(value - m * jump) < 1e-9:
-            observed[m] += 1
-        else:
-            observed[m_max + 1] += 1
+        observed[jumps if alive and jumps <= m_max else m_max + 1] += 1
     p = pooled_chi_square(observed, expected)
     checks = [_check("value_chi_square_p", p, 0.01, ">", replicas)]
 
@@ -304,7 +299,7 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
     se = math.sqrt(surv * (1.0 - surv) / replicas)
     z = _z(alive_count / replicas, surv, se)
     checks.append(_check("survival_z", z, 3.0, "<", replicas))
-    return checks, dict(jump_size=jump, jump_rate=jump_rate,
+    return checks, dict(jump_size=-math.log(atom[0]), jump_rate=jump_rate,
                         killing_rate=kill)
 
 

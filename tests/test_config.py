@@ -1,8 +1,16 @@
 """Configuration file parsing."""
 
+import dataclasses
+
 import pytest
 
-from fragsim import BinaryPowerLaw, FiniteAtomic, load_config, parse_config_text
+from fragsim import (
+    BinaryPowerLaw,
+    FiniteAtomic,
+    SimConfig,
+    load_config,
+    parse_config_text,
+)
 from fragsim.errors import ConfigError
 
 FULL = """
@@ -38,6 +46,27 @@ def test_full_config():
     assert cfg["replicas"] == 4
 
 
+def test_every_sim_config_field_but_law_parses_to_its_type():
+    text = {float: ("0.5", 0.5), int: ("3", 3), tuple: ("0.25, 0.5", (0.25, 0.5))}
+    names = []
+    for field in dataclasses.fields(SimConfig):
+        if field.name == "law":
+            continue
+        line, value = text[field.type]
+        parsed = parse_config_text(f"{field.name} = {line}")[field.name]
+        assert type(parsed) is field.type and parsed == value, field.name
+        names.append(field.name)
+    assert names == ["t_end", "alpha", "c", "eps", "obs_times",
+                     "max_fragments", "mass_floor", "initial_mass"]
+
+
+@pytest.mark.parametrize("key, kind", [
+    ("event_budget", float), ("r", float), ("m_max", int), ("n", int),
+    ("seed", int), ("replicas", int)])
+def test_suite_and_cli_keys_parse_to_their_types(key, kind):
+    assert type(parse_config_text(f"{key} = 7")[key]) is kind
+
+
 def test_binary_measure_line():
     cfg = parse_config_text("measure = binary_power; a = 0.5\nt_end = 1")
     assert isinstance(cfg["law"], BinaryPowerLaw)
@@ -52,7 +81,7 @@ def test_comments_and_blanks_ignored():
 def test_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("seed = 1\nseed = 2")
-    with pytest.raises(ConfigError, match="line 3"):
+    with pytest.raises(ConfigError, match="line 3: unknown key 'whatever'"):
         parse_config_text("seed = 1\n\nwhatever = 2")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("t_end = fast")

@@ -180,6 +180,13 @@ def test_finite_atomic_construction_errors():
             FiniteAtomic(atoms)
 
 
+@pytest.mark.parametrize("fragments", [(None,), ("0.5",), 0.5],
+                         ids=["None", "str", "no-vector"])
+def test_atom_ratios_that_are_not_numbers_raise_a_typed_error(fragments):
+    with pytest.raises(InvalidFragmentVector, match="sequence of numbers"):
+        FiniteAtomic([(1.0, fragments)])
+
+
 def test_sample_dislocation_atomic():
     rng = np.random.default_rng(1)
     law = FiniteAtomic([(1.0, (0.6, 0.4))])
@@ -377,6 +384,18 @@ def test_parse_measure_grammar():
                 "measure = brennan_durrett; p = 2; q = inf"):
         with pytest.raises(ConfigError):
             parse_measure(bad)
+
+
+def test_parse_measure_grammar_edges():
+    # a trailing ';' leaves an empty fragment with no key
+    with pytest.raises(ConfigError, match="dangling fragment"):
+        parse_measure("measure = binary_power; a = 0.5;")
+    # an empty atom list is the law with no dislocations
+    law = parse_measure("measure = atomic; atoms =")
+    assert isinstance(law, FiniteAtomic) and law.atoms == ()
+    # an atom with no ':' has no fragment vector
+    with pytest.raises(ConfigError, match="bad atom '1.0'"):
+        parse_measure("measure = atomic; atoms = 1.0")
 
 
 # one or two laws per family, each at a truncation level where it has events

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragsim import MassState, dislocate, validate_fragments
-from fragsim.errors import InvalidFragmentVector, RankOutOfRange
+from fragsim.errors import ConfigError, InvalidFragmentVector, RankOutOfRange
 from fragsim.ranked_state import BUDGET_TOL
 from reference import mass_state
 
@@ -75,6 +75,22 @@ def test_dislocate_tie_order_is_stable():
     st = mass_state([0.5, 0.5])
     st = dislocate(st, 2, (0.5, 0.5))
     assert st.parts == (0.5, 0.25, 0.25)
+
+
+@pytest.mark.parametrize("fragments", [("a",), (None,), (0.5, (0.2,)), 3,
+                                       None],
+                         ids=["str", "None", "nested", "int", "no-vector"])
+def test_dislocate_refuses_a_vector_that_is_not_numbers(fragments):
+    # the ratio comparison raised a bare TypeError
+    state = mass_state([1.0])
+    with pytest.raises(InvalidFragmentVector, match="sequence of numbers"):
+        dislocate(state, 1, fragments)
+    assert state == mass_state([1.0])
+
+
+def test_dislocate_names_a_mass_floor_that_is_not_a_number():
+    with pytest.raises(ConfigError, match="mass_floor 'x' must be a number"):
+        dislocate(mass_state([1.0]), 1, (0.5, 0.25), mass_floor="x")
 
 
 def test_validate_fragments_rejects_nan():

@@ -428,6 +428,14 @@ def test_config_rejects_fields_that_are_not_numbers(kwargs, match):
         SimConfig(SPLIT_64, **kwargs)
 
 
+@pytest.mark.parametrize("law", [None, 0.5, True, "atomic", (SPLIT_64,)],
+                         ids=["None", "float", "bool", "str", "tuple"])
+def test_config_needs_a_dislocation_law(law):
+    # run read law.truncated_mass and failed with a bare AttributeError
+    with pytest.raises(ConfigError, match="must be a DislocationLaw"):
+        SimConfig(law, 0.1)
+
+
 def test_config_still_takes_what_compares_as_a_number():
     cfg = SimConfig(SPLIT_64, np.float64(1.0), alpha=0, c=np.float32(0.5),
                     eps=False, initial_mass=1, obs_times=("0.5", np.int64(1)))

@@ -179,3 +179,24 @@ def test_special_function_forms_equal_scipy_stats(monkeypatch):
             pmf = sps.poisson.pmf(support, rate)
             assert np.array_equal(expected[:-1], pmf[:-1])
             assert expected[-1] == pmf[-1] + sps.poisson.sf(size - 1, rate)
+
+
+def test_chi_square_cell_lists_must_have_one_length():
+    # zip dropped the extra cell, so this read p = 1.0
+    with pytest.raises(ConfigError, match="equal-length"):
+        pooled_chi_square([500, 500, 10000], [500.0, 500.0])
+    with pytest.raises(ConfigError, match="equal-length"):
+        pool_cells([500.0, 500.0], [500.0, 500.0, 10000.0])
+
+
+@pytest.mark.parametrize("rate", ["x", None, (1.0, 2.0)])
+def test_a_poisson_rate_that_is_not_a_number_raises_config_error(rate):
+    with pytest.raises(ConfigError, match="Poisson rate must be finite"):
+        poisson_pmf_test([300, 200, 100], rate)
+
+
+@pytest.mark.parametrize("observed", [["x", 500.0], [None, (1.0, 2.0)], 500.0],
+                         ids=["str", "nested", "scalar"])
+def test_chi_square_cells_must_be_a_list_of_numbers(observed):
+    with pytest.raises(ConfigError, match="chi-square"):
+        pool_cells(observed, [500.0, 500.0])

@@ -399,6 +399,49 @@ def test_failing_suite_reports_fail():
     assert "FAIL" in report.to_text()
 
 
+def _checks(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_erosion_flags_paths_whose_fragment_counts_differ(monkeypatch):
+    # a defect that loses the smallest fragment of an eroded snapshot
+    # leaves the eroded and unEroded paths with different fragment counts
+    real = suites.run
+
+    def lossy(cfg, rng):
+        traj = real(cfg, rng)
+        if cfg.c == 0.0:
+            return traj
+        return traj._replace(snapshots=tuple(
+            s._replace(parts=s.parts[:-1]) if len(s.parts) > 1 else s
+            for s in traj.snapshots))
+
+    monkeypatch.setattr(suites, "run", lossy)
+    checks = _checks(run_suite("erosion"))
+    assert checks["factorization_error"].statistic == math.inf
+    assert not checks["factorization_error"].passed
+    assert checks["pure_erosion_error"].passed
+    assert checks["stray_fragments"].passed
+
+
+def test_conservation_flags_a_prefix_increase(monkeypatch):
+    # a defect that hands the dust back to the largest fragment keeps the
+    # total mass, but the top fragment grows when a smaller one splits
+    real = suites.dislocate
+
+    def leaky(state, rank, fragments):
+        out = real(state, rank, fragments)
+        return MassState((out.parts[0] + out.dust,) + out.parts[1:], 0.0,
+                         out.nominal)
+
+    monkeypatch.setattr(suites, "dislocate", leaky)
+    law = FiniteAtomic([(1.0, (0.5, 0.3))])
+    checks = _checks(run_suite("conservation", {"law": law}, replicas=50))
+    assert checks["mass_balance_error"].passed
+    assert checks["prefix_increase_count"].statistic > 0
+    assert not checks["prefix_increase_count"].passed
+
+
 # sha256 of run_suite(name, replicas=R).to_text() at each suite's pinned
 # seed. Reports must stay byte-identical for a given seed and config, so a
 # refactor must leave every digest as it is; regenerate a pin only for a
