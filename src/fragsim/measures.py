@@ -32,6 +32,14 @@ _BISECT_LO = 1e-12
 _BISECT_TOL = 1e-10
 
 
+def _number(value, what):
+    """float(value); a value float() refuses raises ConfigError naming what."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} {value!r} must be a number") from None
+
+
 def _maybe_scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
@@ -94,7 +102,7 @@ class FiniteAtomic(DislocationLaw):
     def __init__(self, atoms):
         cleaned = []
         for weight, fragments in atoms:
-            weight = float(weight)
+            weight = _number(weight, "atom weight")
             if not weight > 0.0:
                 raise NegativeMass(f"atom weight {weight} must be positive")
             fragments = validate_fragments(fragments)
@@ -164,7 +172,7 @@ class BinaryPowerLaw(DislocationLaw):
     infinite_activity = True
 
     def __init__(self, a):
-        a = float(a)
+        a = _number(a, "exponent a")
         if not 0.0 < a < 1.0:
             raise DivergentMeasure(
                 f"exponent a={a}: lost-mass integral is finite only for 0 < a < 1")
@@ -221,7 +229,7 @@ class BrennanDurrett(DislocationLaw):
     """
 
     def __init__(self, p, q):
-        p, q = float(p), float(q)
+        p, q = _number(p, "Beta parameter p"), _number(q, "Beta parameter q")
         if not (0.0 < p < np.inf and 0.0 < q < np.inf):
             raise DivergentMeasure(f"Beta parameters ({p}, {q}) must be finite and > 0")
         from scipy import special

@@ -7,14 +7,17 @@ inequality sum(parts) + dust <= nominal (within a small float tolerance)
 and keep the parts ranked.
 
 Inside the simulator's event loop a state carries its parts as a list,
-so that an event copies them once: dislocate returns parts of the kind
-it was given. List-backed states never leave that loop; every snapshot,
-trajectory and kernel state a caller sees holds a tuple.
+and as an array('d') once it holds more than 64, so that an event copies
+them once, and a large state with one memcpy of doubles: dislocate
+returns parts of the kind it was given. List- and array-backed states
+never leave that loop; every snapshot, trajectory and kernel state a
+caller sees holds a tuple.
 """
 
 import math
 import numbers
 import operator
+from array import array
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -26,7 +29,7 @@ BUDGET_TOL = 1e-9
 
 
 class MassState(NamedTuple):
-    parts: tuple   # non-increasing, strictly positive; a list in the event loop
+    parts: tuple   # non-increasing, strictly positive; a list or array in the event loop
     dust: float    # mass lost to unresolved fragments, erosion, and flooring
     nominal: float # initial total mass
 
@@ -45,6 +48,7 @@ def validate_fragments(fragments):
 def dislocate(state, rank, fragments, mass_floor=0.0):
     """Replace the rank-th largest part (1-based) by its pieces and re-rank.
 
+    A rank that is not an int in 1..len(parts) raises RankOutOfRange.
     The dislocated mass m becomes m*x for each ratio x in fragments; the
     deficit m*(1 - sum(fragments)) joins the dust, as does any piece below
     mass_floor. Ties in the re-ranking keep earlier-created fragments first.
@@ -62,15 +66,22 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     sum() of the stripped vector bit for bit on CPython 3.11, as zeros add
     nothing.
 
-    The parts are copied into a new list, so state is left as it was, even
-    when the vector is refused. That list is the new state's parts when
-    state's parts are a list, as in the event loop; any other parts give
-    a tuple.
+    The parts are copied, so state is left as it was, even when the vector
+    is refused. A list or an array('d'), as in the event loop, is copied
+    by a slice, which is the new state's parts; any other parts are copied
+    into a list, and give a tuple.
     """
-    if not 1 <= rank <= len(state.parts):
-        raise RankOutOfRange(f"rank {rank} not in 1..{len(state.parts)}")
-    parts = list(state.parts)
-    parent = parts.pop(rank - 1)
+    kind = type(state.parts)
+    parts = state.parts[:] if kind is list or kind is array else \
+        list(state.parts)
+    try:
+        if not 1 <= rank <= len(parts):
+            raise RankOutOfRange(f"rank {rank} not in 1..{len(parts)}")
+        parent = parts.pop(rank - 1)
+    except TypeError:
+        # a rank that does not compare with ints, or is no index, as 1.5
+        raise RankOutOfRange(f"rank {rank!r} is not an int in "
+                             f"1..{len(parts)}") from None
     lo = rank - 1
     prev = math.inf
     total = 0.0
@@ -109,7 +120,7 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
         dust += parent * deficit
     for piece in dusted:
         dust += piece
-    if type(state.parts) is not list:
+    if kind is not list and kind is not array:
         parts = tuple(parts)
     # tuple.__new__ builds the MassState that MassState(...) would, without
     # the generated __new__'s Python frame

@@ -41,10 +41,13 @@ PCG64DXSM, MT19937, Philox and SFC64. Any other n takes the three calls.
 """
 
 import ctypes
+import numbers
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISpawnableSeedSequence
+
+from .errors import ConfigError
 
 _MASK = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
@@ -156,11 +159,21 @@ def replica_rng(seed, index):
     """Independent stream for one replica, determined by (seed, index) alone.
 
     The stream is numpy's default_rng(SeedSequence(seed, spawn_key=(index,))).
+    A seed or index that is not an int >= 0 raises ConfigError, with
+    numpy's message for a negative int.
     """
     if (type(seed) is int and seed >= 0 and type(index) is int
             and 0 <= index <= _MASK):
         return Generator(PCG64(_ReplicaSeed(seed, index)))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    for name, value in (("seed", seed), ("replica index", index)):
+        # SeedSequence would take None (fresh entropy) or a list of ints
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} must be an int >= 0")
+    try:
+        sequence = np.random.SeedSequence(seed, spawn_key=(index,))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return np.random.default_rng(sequence)
 
 
 class _BitGen(ctypes.Structure):

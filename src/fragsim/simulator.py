@@ -12,10 +12,12 @@ where jump rates do not depend on fragment masses.
 import math
 import numbers
 import sys
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -30,11 +32,11 @@ from .rng import exponential_rank_and_uniform
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
-# Rates summed per step of next_event's target walk. The running sum at each
-# block end is exact left-to-right float addition, so _evolve carries it to
-# the next event while no rank in the block changes: dislocate keeps every
-# rank before the parent's, and the cap drops only ranks past it.
-_SCAN_BLOCK = 64
+# The most parts an event-loop state holds in a list. Past it _evolve moves
+# them to an array('d'), which dislocate copies with one memcpy, and
+# next_event finds the target in running rate sums that _evolve carries
+# from one event to the next.
+_LIST_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,56 @@ class Trajectory(NamedTuple):
         return any(ev.capped for ev in self.events)
 
 
+class RunningSums:
+    """The running sums of a state's rates m ** alpha, rank by rank.
+
+    sums[:valid] hold them for the first valid ranks, each a left-to-right
+    float sum; sums is a float64 buffer, allocated on first use and grown
+    as the state grows. next_event extends them to every rank of the state
+    it is handed, and the caller keeps valid only as far as the ranks the
+    event left as they were, as _evolve does.
+    """
+
+    __slots__ = ("sums", "valid")
+
+    def __init__(self):
+        self.sums = None
+        self.valid = 0
+
+    def extend(self, parts, alpha):
+        """The running sums of parts' rates, as a view of sums[:len(parts)].
+
+        The ranks from valid on are added to the last valid sum by
+        np.add.accumulate, one add at a time left to right, so each sum is
+        the one a left-to-right loop of float adds gives. At alpha outside
+        {0, 1} each of those ranks' rates is Python's m ** alpha, libm's
+        pow, which raises OverflowError for a rate past the float range.
+        """
+        n, k = len(parts), self.valid
+        sums = self.sums
+        if sums is None or len(sums) < n:
+            grown = np.empty(2 * n)
+            if k:
+                grown[:k] = sums[:k]
+            self.sums = sums = grown
+        if k < n:
+            # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
+            sums[k:n] = parts[k:n] if alpha == 1.0 else \
+                [m ** alpha for m in parts[k:n]]
+            tail = sums[k - 1 if k else 0:n]
+            if alpha < 0.0 or parts[0] > 1.0:
+                # at alpha >= 0 parts of at most 1 have rates of at most 1,
+                # whose sum stays finite; the rates of small masses at
+                # alpha < 0, or of masses past 1, can sum past the float
+                # range
+                with np.errstate(over="ignore"):
+                    np.add.accumulate(tail, out=tail)
+            else:
+                np.add.accumulate(tail, out=tail)
+            self.valid = n
+        return sums[:n]
+
+
 def next_event(state, alpha, eps, rng, trunc, sums=None):
     """Draw (waiting time, target rank, the law's uniform v).
 
@@ -156,22 +208,17 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     without a draw, as numpy draws nothing for a one-value range.
 
     For alpha != 0 the target is the first rank whose running sum of
-    rates exceeds u * total, for a uniform u drawn before v. The scan
-    walks blocks of _SCAN_BLOCK rates with sum(block, acc), then steps
-    through the block that crosses u: the element loop's target bit for
-    bit, as CPython 3.11's sum with a float start adds left to right in
-    one C double and the running sums of non-negative rates never fall.
-
-    sums, a list, carries the running sums at the ends of the first
-    len(sums) blocks of these rates, and the walk appends each block end
-    it passes. The total continues from the last carried end over the
-    ranks after it, and a u * total below that end is found by bisecting
-    the carried ends and stepping through one block. Both give the full
-    scan's floats: a left-to-right sum continued from a running sum is
-    the running sum of the whole. The caller keeps an end only while no
-    rank in its blocks changes, as _evolve does; a rate that overflows in
-    m ** alpha drops every carried end, so its infinite rate reaches the
-    total. With sums omitted the scan starts at rank 1.
+    rates exceeds u * total, for a uniform u drawn before v. On at most
+    _LIST_MAX parts with sums omitted, the total is sum(rates) and a loop
+    adds the rates until one crosses u. Otherwise the running sums are
+    sums, a RunningSums (a fresh one when sums is omitted), extended to
+    every rank: the total is the last, and the target is one past the
+    count of sums at or below u, capped at n, found by searchsorted. Both
+    give the same floats and the same target: CPython 3.11's sum adds
+    left to right in one C double, as the loop and np.add.accumulate do,
+    and the running sums of non-negative rates never fall. A caller that
+    carries sums keeps only the sums of ranks the event left as they
+    were, as _evolve does.
 
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
@@ -190,59 +237,57 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
         else:
             e, target, v = rng.standard_exponential(), 1, rng.random()
         wait = 1.0 / (n * trunc) * e
-    else:
-        if sums is None:
-            sums = []
-        # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
-        try:
-            rates = state.parts if alpha == 1.0 else [m ** alpha for m in state.parts]
-        except OverflowError:
-            rates, sums = (math.inf,), []
-        lo, acc = 0, 0.0
-        if sums:
-            lo, acc = len(sums) * _SCAN_BLOCK, sums[-1]
-            rest = iter(rates)
-            rest.__setstate__(lo)
-            total = sum(rest, acc)
-        else:
+        return wait, target, v
+    running = None
+    try:
+        if sums is None and n <= _LIST_MAX:
+            # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
+            rates = state.parts if alpha == 1.0 else \
+                [m ** alpha for m in state.parts]
             total = sum(rates)
-        if not total < math.inf:
-            raise RateOverflow(
-                f"mass-biased rates overflow at alpha={alpha}: fragments are "
-                f"too small; a positive mass_floor dusts them")
-        rate = total * trunc
-        if not rate > 0.0:
-            raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
-        wait = 1.0 / rate * rng.standard_exponential()
-        u = rng.random() * total
-        v = rng.random()
-        if u < acc:
-            j = bisect_right(sums, u)
-            lo, acc = j * _SCAN_BLOCK, sums[j - 1] if j else 0.0
         else:
-            while lo + _SCAN_BLOCK < n:
-                end = sum(rates[lo:lo + _SCAN_BLOCK], acc)
-                if u < end:
-                    break
-                sums.append(end)
-                acc, lo = end, lo + _SCAN_BLOCK
-        target = n
-        for i, r in enumerate(rates[lo:lo + _SCAN_BLOCK], lo + 1):
+            running = (RunningSums() if sums is None else sums).extend(
+                state.parts, alpha)
+            total = running.item(n - 1)
+    except OverflowError:
+        total = math.inf
+    if not total < math.inf:
+        raise RateOverflow(
+            f"mass-biased rates overflow at alpha={alpha}: fragments are "
+            f"too small; a positive mass_floor dusts them")
+    rate = total * trunc
+    if not rate > 0.0:
+        raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
+    wait = 1.0 / rate * rng.standard_exponential()
+    u = rng.random() * total
+    v = rng.random()
+    target = n
+    if running is None:
+        acc = 0.0
+        for i, r in enumerate(rates, 1):
             acc += r
             if u < acc:
                 target = i
                 break
+    else:
+        target = min(int(running.searchsorted(u, "right")) + 1, n)
     return wait, target, v
 
 
-def _observe(state, c, t):
+def _observe(state, c, t, boxes=None):
     """State as seen at time t: erosion factor applied, eroded mass dusted.
 
-    The snapshot's parts are a tuple whichever kind state holds.
+    The snapshot's parts are a tuple whichever kind state holds. An array
+    holds bare doubles, so each snapshot of one would box every part anew;
+    with boxes, a dict, each value is boxed once and every snapshot shares
+    that float, as the snapshots of a list share its floats. Parts are
+    positive, so equal values are equal bits.
     """
     if c == 0.0:
-        return tuple.__new__(MassState, (tuple(state.parts), state.dust,
-                                         state.nominal))
+        parts = state.parts
+        parts = tuple(parts) if boxes is None else \
+            tuple(map(boxes.setdefault, parts, parts))
+        return tuple.__new__(MassState, (parts, state.dust, state.nominal))
     factor = math.exp(-c * t)
     live = sum(state.parts)
     return MassState(tuple(m * factor for m in state.parts),
@@ -278,8 +323,14 @@ def _evolve(state, config, horizon, rng):
 
     state's parts may be a tuple or a list. A list-backed state stays one
     through every event, since dislocate then returns its own new list,
-    so an event copies the parts once; the final state has parts of the
-    start's kind, and every snapshot holds a tuple.
+    so an event copies the parts once. Once a state holds more than
+    _LIST_MAX parts its parts move to an array('d'), which every later
+    event copies with one memcpy, and at alpha != 0 the path carries
+    next_event's RunningSums from then on: after each event it keeps the
+    sums of the ranks before the parent's and within the cap, as dislocate
+    moves no rank before the parent's and the trim drops only ranks past
+    the cap. The final state has parts of the start's kind, tuple or
+    list, and every snapshot holds a tuple.
     """
     alpha, eps, c = config.alpha, config.eps, config.c
     trunc, obs = config.truncated_rate, config.obs_times
@@ -288,11 +339,21 @@ def _evolve(state, config, horizon, rng):
     # an event happens at a time <= last; an infinite time never does
     last = min(horizon, sys.float_info.max)
     snapshots, events = [], []
-    sums = []  # next_event's block sums, carried; alpha = 0 leaves it empty
+    kind = type(state.parts)
+    # next_event's running sums and _observe's boxed floats, once the parts
+    # are an array
+    sums = boxes = None
     n_obs = len(obs)
     obs_idx = 0
     t = 0.0
     while True:
+        if len(state.parts) > _LIST_MAX and boxes is None:
+            if type(state.parts) is not array:
+                state = tuple.__new__(MassState, (array("d", state.parts),
+                                                  state.dust, state.nominal))
+            boxes = {}
+            if alpha != 0.0:
+                sums = RunningSums()
         try:
             wait, target, v = next_event(state, alpha, eps, rng, trunc, sums)
             t_next = t + wait
@@ -302,7 +363,7 @@ def _evolve(state, config, horizon, rng):
         except (DeadState, EmptyTruncation):
             t_next, happens = math.inf, False
         while obs_idx < n_obs and obs[obs_idx] < t_next:
-            snapshots.append(_observe(state, c, obs[obs_idx]))
+            snapshots.append(_observe(state, c, obs[obs_idx], boxes))
             obs_idx += 1
         if not happens:
             break
@@ -310,16 +371,19 @@ def _evolve(state, config, horizon, rng):
         capped = len(after.parts) > max_fragments
         if capped:
             after = _trim_to_cap(after, max_fragments)
-        if sums:
-            # a block keeps its sum while it lies before the parent's rank
-            # and within the cap: dislocate and the trim change no rank there
-            del sums[min(target - 1, len(after.parts)) // _SCAN_BLOCK:]
+        if sums is not None:
+            # next_event left a sum for each of the n ranks, n > target - 1;
+            # those before the parent's rank and within the cap still hold
+            sums.valid = min(target - 1, len(after.parts))
         # tuple.__new__ builds the very record EventAtom(...) would,
         # without the generated __new__'s Python frame, as below
         events.append(tuple.__new__(EventAtom, (
             t_next, target, frags, state.parts[target - 1], capped)))
         state = after
         t = t_next
+    if type(state.parts) is array and kind is not array:
+        state = tuple.__new__(MassState, ((list if kind is list else tuple)(
+            state.parts), state.dust, state.nominal))
     return (tuple.__new__(Trajectory, (obs, tuple(snapshots), tuple(events))),
             state)
 
@@ -334,8 +398,8 @@ def run(config, rng):
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
 
-    The path runs on a list-backed state; its snapshots hold tuples. Every
-    path run on one config shares its truncated_rate.
+    The path runs on a list- or array-backed state; its snapshots hold
+    tuples. Every path run on one config shares its truncated_rate.
     """
     state = tuple.__new__(MassState, ([config.initial_mass], 0.0,
                                       config.initial_mass))
@@ -415,8 +479,8 @@ def make_step_kernel(law):
     that is not finite and >= 0 raises ConfigError. Every path runs on
     SimConfig(law, 0.0), built once here (no observation times, c = 0),
     to horizon duration, so an infinite-activity law raises ConfigError as
-    SimConfig does. The path runs on a list-backed state, and the state
-    returned holds a tuple.
+    SimConfig does. The path runs on a list- or array-backed state, and
+    the state returned holds a tuple.
     """
     config = SimConfig(law, 0.0)
 

@@ -114,10 +114,15 @@ def pool_cells(observed, expected):
 
 
 def pooled_chi_square(observed, expected):
-    """Chi-square p-value on pool_cells' cells, with cells - 1 degrees of freedom."""
+    """Chi-square p-value on pool_cells' cells, with cells - 1 degrees of freedom.
+
+    A cell whose squared deviation passes the float range scores chi2 =
+    inf, with no warning, and so p = 0.0.
+    """
     pooled_obs, pooled_exp = pool_cells(observed, expected)
-    chi2 = float(np.sum((np.array(pooled_obs) - np.array(pooled_exp)) ** 2
-                        / np.array(pooled_exp)))
+    with np.errstate(over="ignore"):
+        chi2 = float(np.sum((np.array(pooled_obs) - np.array(pooled_exp)) ** 2
+                            / np.array(pooled_exp)))
     from scipy.special import chdtrc
 
     return float(chdtrc(len(pooled_exp) - 1, chi2))

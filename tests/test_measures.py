@@ -253,6 +253,25 @@ def test_nan_is_rejected_with_a_typed_error():
             parse_measure(spec)
 
 
+@pytest.mark.parametrize("make, name", (
+    (lambda: BinaryPowerLaw("x"), "exponent a"),
+    (lambda: BinaryPowerLaw(None), "exponent a"),
+    (lambda: BinaryPowerLaw([0.5, 0.6]), "exponent a"),
+    (lambda: BrennanDurrett(None, 2.0), "Beta parameter p"),
+    (lambda: BrennanDurrett(2.0, "q"), "Beta parameter q"),
+    (lambda: FiniteAtomic([("x", (0.5,))]), "atom weight"),
+    (lambda: FiniteAtomic([(None, (0.5,))]), "atom weight"),
+), ids=("a-str", "a-none", "a-list", "p-none", "q-str", "weight-str",
+        "weight-none"))
+def test_law_parameters_that_are_not_numbers_raise_config_error(make, name):
+    # float() raised a bare ValueError or TypeError for each
+    with pytest.raises(ConfigError, match=f"^{name} .* must be a number$"):
+        make()
+    # parse_measure converts its values first and keeps its own message
+    with pytest.raises(ConfigError, match="^bad measure spec: "):
+        parse_measure("measure = binary_power; a = x")
+
+
 def test_sample_dislocation_binary_inverse_cdf():
     law = BinaryPowerLaw(0.5)
     rng = np.random.default_rng(2)

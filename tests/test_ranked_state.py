@@ -2,6 +2,7 @@
 
 import math
 import operator
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_dislocate_rank_bounds():
     for bad in (0, 3, -1):
         with pytest.raises(RankOutOfRange):
             dislocate(st, bad, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("rank", ("x", 1.5, 1.0, None, math.nan, (1,)))
+@pytest.mark.parametrize("kind", (tuple, list, lambda p: array("d", p)),
+                         ids=("tuple", "list", "array"))
+def test_dislocate_refuses_a_rank_that_is_not_an_int(rank, kind):
+    # a str or None fails the comparison and 1.5 the pop, each with a bare
+    # TypeError; NaN fails the range
+    parts = kind((0.5, 0.3))
+    state = MassState(parts, 0.0, 1.0)
+    with pytest.raises(RankOutOfRange):
+        dislocate(state, rank, (0.5,))
+    assert state.parts is parts and parts == kind((0.5, 0.3))
 
 
 def test_dislocate_tie_order_is_stable():
@@ -173,12 +187,12 @@ def test_dislocate_leaves_its_input_and_keeps_its_kind():
         want = dislocate(MassState(tuple(masses), 0.0, 1.0), rank, fragments,
                          floor)
         assert type(want.parts) is tuple
-        for kind in (tuple, list):
+        for kind in (tuple, list, lambda p: array("d", p)):
             parts = kind(masses)
             state = MassState(parts, 0.0, 1.0)
             got = dislocate(state, rank, fragments, floor)
             assert state.parts is parts and parts == kind(masses)
-            assert type(got.parts) is kind and got.parts is not parts
+            assert type(got.parts) is type(parts) and got.parts is not parts
             assert _bits(got) == _bits(want)
 
 
@@ -318,26 +332,38 @@ _DYADIC = st.tuples(st.lists(st.integers(1, 9), max_size=5), st.integers(0, 2)) 
     .map(lambda v: _fitting([0.5 ** k for k in v[0]]) + [0.0] * v[1])
 
 
+def _as_hex(outcome):
+    """A dislocate outcome with the parts' types dropped: an array holds
+    floats where a tuple keeps what the pieces were, such as np.float64."""
+    if outcome[0] != "ok":
+        return outcome
+    return "ok", [h for _, h in outcome[1]], outcome[2]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=1500)
 @given(st.one_of(_VECTOR, _DYADIC),
        st.sampled_from((tuple, list, np.array)),
+       st.sampled_from((tuple, list, lambda p: array("d", p))),
        st.lists(st.integers(1, 6), min_size=1, max_size=30),
        st.sampled_from((0.0, -0.0, 1.0 / 64.0)),
        st.sampled_from((0.0, 1.0 / 2048.0, 1.0 / 512.0, 0.003)),
        st.data())
-def test_dislocate_is_validate_then_insert(fragments, kind, masses, dust,
-                                            floor, data):
+def test_dislocate_is_validate_then_insert(fragments, kind, parts_kind, masses,
+                                            dust, floor, data):
     # dislocate checks and inserts in one pass; it must keep the loop
     # reference's errors, sum()'s deficit and the two-pass insert, bit for
-    # bit, and leave its input as it was
+    # bit, on tuple, list and array parts, and leave its input as it was
     masses = tuple(sorted((k / 256.0 for k in masses), reverse=True))
-    state = MassState(masses, dust, 1.0)
+    state = MassState(parts_kind(masses), dust, 1.0)
     rank = data.draw(st.integers(0, len(masses) + 1))
     vector = kind(fragments)
-    want = _dislocate_outcome(_dislocate_in_two_passes, state, rank, vector,
-                              floor)
-    assert _dislocate_outcome(dislocate, state, rank, vector, floor) == want
-    assert state.parts == masses
+    want = _dislocate_outcome(_dislocate_in_two_passes,
+                              MassState(masses, dust, 1.0), rank, vector, floor)
+    got = _dislocate_outcome(dislocate, state, rank, vector, floor)
+    assert _as_hex(got) == _as_hex(want)
+    if parts_kind in (tuple, list):
+        assert got == want
+    assert tuple(state.parts) == masses
     if want[0] == "ok":
         assert _outcome(validate_fragments, vector) == \
             _outcome(_validate_by_loop, vector)

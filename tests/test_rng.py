@@ -14,6 +14,7 @@ from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Generator, Philox
 
 from fragsim import replica_rng
 from fragsim import rng as fragsim_rng
+from fragsim.errors import ConfigError
 from fragsim.rng import exponential_rank_and_uniform
 
 
@@ -101,11 +102,21 @@ def test_numpy_integers_give_the_int_stream():
 
 @pytest.mark.parametrize("seed, index", ((-1, 0), (0, -1), (-2 ** 40, 3)))
 def test_negative_inputs_raise_numpys_error(seed, index):
+    # numpy's message, as the package's ConfigError
     with pytest.raises(ValueError) as want:
         numpy_replica(seed, index)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(ConfigError) as got:
         replica_rng(seed, index)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed, index", ((1.5, 0), (None, 0), ("x", 0),
+                                         ([1, 2], 0), (0, 1.5), (0, None)))
+def test_seeds_and_indices_that_are_not_ints_raise_config_error(seed, index):
+    # SeedSequence raises a bare TypeError for 1.5, and takes None (fresh
+    # entropy) and a list of ints
+    with pytest.raises(ConfigError, match="must be an int >= 0"):
+        replica_rng(seed, index)
 
 
 def test_seed_sequence_behaves_like_numpys():

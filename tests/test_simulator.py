@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -27,7 +28,19 @@ from fragsim import (
 from fragsim import simulator
 from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from fragsim.measures import DislocationLaw
-from fragsim.simulator import _evolve, _observe
+from fragsim.simulator import RunningSums, _evolve, _observe
+from reference import (
+    Scripted,
+    StubRng,
+    dyadic_parts,
+    most_carried,
+    onto,
+    path_hex as _path_hex,
+    reference_target,
+    state_hex as _hex,
+    twin_paths,
+    watch_carried,
+)
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 TRUNC_64 = SPLIT_64.truncated_mass(0.0)
@@ -484,30 +497,6 @@ def test_evolve_ends_a_dead_or_frozen_path(law, floor, events, horizon):
     assert state == (MassState((), 1.0, 1.0) if events else start)
 
 
-class StubRng:
-    """Exponential waits equal their scale and uniforms are fixed at u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def standard_exponential(self):
-        return 1.0
-
-    def random(self):
-        return self.u
-
-
-def reference_target(parts, alpha, u):
-    """Rank whose cumulative m**alpha first exceeds u * total; else the last."""
-    rates = [m ** alpha for m in parts]
-    acc, cut = 0.0, u * sum(rates)
-    for i, r in enumerate(rates):
-        acc += r
-        if cut < acc:
-            return i + 1
-    return len(parts)
-
-
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_mass_biased_target_matches_the_generic_scan(alpha):
     # dyadic masses: at alpha = 1 every cumulative sum (0.5, 0.75, ..., 1)
@@ -525,39 +514,27 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
                 for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
 
 
-def dyadic_parts(n):
-    # 2**-12 then 2**-14: every running sum of m**alpha is exact at alpha
-    # in {0.5, 1, 2}, so a running sum can equal u * total exactly
-    return (2.0 ** -12,) * (n // 3) + (2.0 ** -14,) * (n - n // 3)
-
-
-def onto(cut, total):
-    """A uniform u whose u * total rounds to cut exactly; None if none does."""
-    guess = cut / total
-    for u in (guess, math.nextafter(guess, 0.0), math.nextafter(guess, 2.0)):
-        if u * total == cut:
-            return u
-    return None
-
-
 @pytest.mark.parametrize("n", (1, 63, 64, 65, 128, 129, 3300))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_block_scan_matches_the_element_loop(n, alpha):
+    # past 64 parts next_event searches running sums, as an array-backed
+    # state in the event loop does, whether or not it is handed any
     parts = dyadic_parts(n)
-    state = MassState(parts, 0.0, 1.0)
     rates = [m ** alpha for m in parts]
     total = sum(rates)
+    states = [MassState(parts, 0.0, 1.0), MassState(array("d", parts), 0.0, 1.0)]
 
     def target(u):
-        got = next_event(state, alpha, 0.0, StubRng(u), TRUNC_64)[1]
-        assert got == reference_target(parts, alpha, u)
-        return got
+        got = {next_event(state, alpha, 0.0, StubRng(u), TRUNC_64, sums)[1]
+               for state in states for sums in (None, RunningSums())}
+        assert got == {reference_target(parts, alpha, u)}
+        return got.pop()
 
     assert target(0.0) == 1
     assert target(1.0) == n  # the running sum never exceeds total
     # a running sum equal to u * total is not crossed (`<` is strict), so
-    # u on a block boundary picks the first rank of the next block; a few
-    # sums at n = 3300 are no product u * total of floats and are skipped
+    # u on the sum of the first b ranks picks rank b + 1; a few sums at n =
+    # 3300 are no product u * total of floats and are skipped
     bounds = (*range(64, n, 64), *range(63, n, 64), *range(65, n, 64))
     hits = [(b, u) for b in bounds
             if (u := onto(sum(rates[:b]), total)) is not None]
@@ -589,112 +566,81 @@ def test_block_scan_on_int_and_simulated_parts():
 
 
 def test_sum_adds_left_to_right():
-    # the block scan relies on sum(block, acc) rounding after every add, as
-    # CPython 3.11 does; 3.12 compensates, which would move the pinned streams
+    # a state of at most 64 parts takes its total from sum(), which rounds
+    # after every add on CPython 3.11; 3.12 compensates, which would move
+    # the pinned streams
     assert sum([1e16, 1.0, -1e16], 0.0) == 0.0
-    # the carried block sums rely on a sum continued from a partial sum being
-    # the whole sum, bit for bit, wherever it is cut
-    for x in ([1e16, 1.0, -1e16],
-              [float(r) for r in np.random.default_rng(4).random(300) ** 9]):
-        whole = sum(x)
-        for k in range(len(x) + 1):
+    # past 64 parts the running sums are np.add.accumulate's, continued from
+    # the last carried one: each must be the left-to-right sum, bit for bit,
+    # wherever the carry is cut (every cut of the first two vectors)
+    vectors = [[1e16, 1.0, -1e16],
+               [float(r) for r in np.random.default_rng(4).random(300) ** 9]]
+    vectors += [[float(r) for r in rng.random(int(rng.integers(1, 400))) ** 9]
+                for rng in map(np.random.default_rng, range(200))]
+    for i, x in enumerate(vectors):
+        whole, acc, loop = sum(x), 0.0, []
+        for r in x:
+            acc += r
+            loop.append(acc.hex())
+        assert loop[-1] == whole.hex()
+        for k in range(len(x) + 1) if i < 2 else (0, 1, len(x) // 3, len(x)):
             assert sum(x[k:], sum(x[:k])).hex() == whole.hex()
-
-
-class Scripted:
-    """numpy's draws, after the given exponentials and uniforms are used up."""
-
-    def __init__(self, seed, exponentials=(), uniforms=()):
-        self.rng = np.random.default_rng(seed)
-        self.exponentials, self.uniforms = list(exponentials), list(uniforms)
-
-    def standard_exponential(self):
-        if self.exponentials:
-            return self.exponentials.pop(0)
-        return self.rng.standard_exponential()
-
-    def random(self):
-        return self.uniforms.pop(0) if self.uniforms else self.rng.random()
-
-
-def _path_hex(traj, end):
-    events = [(ev.time.hex(), ev.target_rank, [x.hex() for x in ev.fragments],
-               ev.parent_mass.hex(), ev.capped) for ev in traj.events]
-    return events, [_hex(s) for s in traj.snapshots], _hex(end)
-
-
-def watch_carried(monkeypatch):
-    """Make _evolve's next_event calls record how many block sums each was
-    handed, in the list returned."""
-    handed = []
-
-    def watched(*args):
-        handed.append(len(args[-1]))
-        return next_event(*args)
-
-    monkeypatch.setattr(simulator, "next_event", watched)
-    return handed
-
-
-def twin_paths(monkeypatch, start, law, alpha, horizon, floor, cap, make_rng):
-    """A path through _evolve as shipped and its twin whose next_event calls
-    carry no block sums, both as float.hex, and the most block sums any
-    call of the first was handed."""
-    def path():
-        traj, end = _evolve(start, SimConfig(
-            law, horizon, alpha=alpha, eps=0.0,
-            obs_times=(horizon / 3, horizon / 2, horizon), mass_floor=floor,
-            max_fragments=cap), horizon, make_rng())
-        return _path_hex(traj, end)
-
-    handed = watch_carried(monkeypatch)
-    shipped = path()
-    monkeypatch.setattr(simulator, "next_event",
-                        lambda *args: next_event(*args[:-1]))
-    return shipped, path(), max(handed)
+            carried = RunningSums()
+            carried.extend(x[:k], 1.0)
+            assert [float(v).hex() for v in carried.extend(x, 1.0)] == loop
 
 
 @pytest.mark.parametrize("alpha, horizon", ((1.0, 300.0), (0.5, 25.0),
                                             (2.0, 20000.0)))
 @pytest.mark.parametrize("seed", range(3))
 def test_carried_block_sums_keep_the_path(monkeypatch, alpha, horizon, seed):
+    # the twin sums every rank at every event, from a fresh RunningSums past
+    # _LIST_MAX parts and with sum() below it
     shipped, carry_free, handed = twin_paths(
         monkeypatch, MassState((1.0,), 0.0, 1.0), THREE_ATOMS, alpha, horizon,
         0.0, 10 ** 6, lambda: np.random.default_rng(seed))
     assert shipped == carry_free
-    assert max(len(s[0]) for s in shipped[1]) > 3 * 64 and handed >= 3
+    assert max(len(s[0]) for s in shipped[1]) > 3 * 64
+    assert most_carried(handed) > 64
+    # running sums are handed from the first state past 64 parts on
+    first = next(i for i, (_, n) in enumerate(handed) if n > 64)
+    assert [valid is None for valid, _ in handed] == \
+        [True] * first + [False] * (len(handed) - first)
 
 
 def test_carried_block_sums_under_a_mass_floor(monkeypatch):
     # every piece of a part of 0.0075 falls below the floor, and the 0.25
-    # part leaves pieces above it at the front, which drops every block
+    # part leaves pieces above it at the front, which drops every sum; the
+    # state shrinks below 65 parts and stays array-backed, with its sums
     start = MassState((0.25,) + (0.0075,) * 100, 0.0, 1.0)
     for seed in range(4):
         shipped, carry_free, handed = twin_paths(
             monkeypatch, start, THREE_ATOMS, -1.0, 1.0, 1e-2, 10 ** 6,
             lambda: np.random.default_rng(seed))
-        assert shipped == carry_free and handed >= 1
+        assert shipped == carry_free and most_carried(handed) >= 1
         assert float.fromhex(shipped[2][1]) > 0.0
+        assert all(valid is not None for valid, _ in handed)
+        assert min(n for _, n in handed) <= 64
 
 
 def test_carried_block_sums_past_a_cap_that_trims_them(monkeypatch):
     # the first event splits rank 300 of 300 equal parts and the cap keeps
-    # 100, so of the four blocks the walk passed only the first survives
+    # 100, so of the 299 sums before the parent's rank only 100 survive
     start = MassState((2.0 ** -9,) * 300, 0.0, 300 * 2.0 ** -9)
     shipped, carry_free, handed = twin_paths(
         monkeypatch, start, THREE_ATOMS, 1.0, 80.0, 0.0, 100,
         lambda: Scripted(5, uniforms=(math.nextafter(1.0, 0.0),)))
-    assert shipped == carry_free and handed == 1
+    assert shipped == carry_free and handed[:2] == [(0, 300), (100, 100)]
+    assert most_carried(handed) == 100
     events = shipped[0]
     assert events[0][1] == 300 and events[0][4] and len(events) > 20
 
 
 @pytest.mark.parametrize("alpha", (1.0, 2.0))
 def test_carried_block_sums_on_a_block_boundary(monkeypatch, alpha):
-    # each u * total is the running sum at a block end, so the target is the
-    # first rank of the next block: found by the walk (event 1), by
-    # bisecting the carried sums (2, 4, 5) and by the walk on from the last
-    # carried sum, which u equals (3)
+    # each u * total is the running sum at rank b exactly, so the target is
+    # rank b + 1: found past the carried sums (event 1), among them (2, 4,
+    # 5) and at the last carried one, which u equals (3)
     halves = FiniteAtomic([(1.0, (0.5, 0.5))])
     state, uniforms = MassState(dyadic_parts(200), 0.0, 1.0), []
     for b in (192, 128, 128, 64, 0):
@@ -707,16 +653,18 @@ def test_carried_block_sums_on_a_block_boundary(monkeypatch, alpha):
         monkeypatch, MassState(dyadic_parts(200), 0.0, 1.0), halves, alpha,
         1.0, 0.0, 10 ** 6,
         lambda: Scripted(0, [1e-9] * 5 + [math.inf], uniforms))
-    assert shipped == carry_free and handed == 3
+    assert shipped == carry_free
+    assert [valid for valid, _ in handed] == [0, 192, 128, 128, 64, 0]
     assert [ev[1] for ev in shipped[0]] == [193, 129, 129, 65, 1]
 
 
 @pytest.mark.parametrize("law", (SPLIT_64, FiniteAtomic([(1.0, (0.5, 1e-305))])),
                          ids=("sum", "pow"))
 def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
-    # with blocks carried and no floor at alpha = -1, the rates of shrinking
-    # parts overflow in their sum (0.6, 0.4) or, once a piece of 1e-305 of a
-    # part is subnormal, in m ** alpha, whose one infinite rate drops them
+    # with sums carried and no floor at alpha = -1, the rates of shrinking
+    # parts overflow in their running sum (0.6, 0.4) or, once a piece of
+    # 1e-305 of a part is subnormal, in m ** alpha; both raise RateOverflow
+    # with no RuntimeWarning, which the tests make an error
     start = MassState(dyadic_parts(200), 0.0, 1.0)
     handed = watch_carried(monkeypatch)
     for seed in range(3):
@@ -725,8 +673,10 @@ def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
             _evolve(start, SimConfig(law, 50.0, alpha=-1.0, eps=0.0,
                                      mass_floor=0.0, max_fragments=10 ** 6),
                     50.0, np.random.default_rng(seed))
-        assert handed[-1] >= 1
-    carried = [sum(m ** -1.0 for m in dyadic_parts(200)[:64])]
+        assert handed[-1][0] >= 1
+    carried = RunningSums()
+    carried.extend(dyadic_parts(200), -1.0)
+    carried.valid = 64
     with pytest.raises(RateOverflow):
         next_event(MassState(dyadic_parts(200) + (5e-324,), 0.0, 1.0), -1.0,
                    0.0, np.random.default_rng(0), law.truncated_mass(0.0), carried)
@@ -1111,11 +1061,6 @@ def _replay(traj, start, mass_floor, cap, c):
         if u < math.inf:
             snaps.append(_observe(state, c, u))
     return snaps, state
-
-
-def _hex(state):
-    return ([m.hex() for m in state.parts], state.dust.hex(),
-            state.nominal.hex())
 
 
 THREE_ATOMS = HOISTED_LAWS[0][0]

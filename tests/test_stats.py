@@ -1,6 +1,7 @@
 """KS and chi-square instruments used by the verification suites."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def test_chi_square_cell_lists_must_have_one_length():
         pooled_chi_square([500, 500, 10000], [500.0, 500.0])
     with pytest.raises(ConfigError, match="equal-length"):
         pool_cells([500.0, 500.0], [500.0, 500.0, 10000.0])
+
+
+@pytest.mark.parametrize("observed, expected", (
+    ([1e308, 0.0], [500.0, 500.0]),
+    ([-1e308, 1e308], [5.0, 5.0]),
+    ([1e308, 1e308, 0.0], [1.0, 10.0, 10.0]),  # pooled to an infinite cell
+))
+def test_chi_square_scores_an_overflowing_cell_inf(observed, expected):
+    # (obs - exp) ** 2 passes the float range: chi2 is inf and p is 0, with
+    # no "overflow encountered" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pooled_chi_square(observed, expected) == 0.0
 
 
 @pytest.mark.parametrize("rate", ["x", None, (1.0, 2.0)])
