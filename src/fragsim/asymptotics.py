@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DegenerateNormalizer, check_range
-from .measures import _maybe_scalar
+from .measures import _maybe_scalar, _points
 
 
 def check_subordinator(killing_rate, jump_rate, t):
@@ -61,7 +61,7 @@ def record_cdf(law, t, x):
     """
     check_range(t, lambda t: 0.0 <= t < math.inf,
                 "record horizon t {!r} must be finite and >= 0")
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "record level x")
     if t == 0.0:
         # nothing arrives by time 0, even where the tail is infinite
         out = np.ones_like(x)
@@ -73,7 +73,8 @@ def record_cdf(law, t, x):
 
 
 def extreme_cdf(x, a):
-    """Heavy-tail extreme law exp(-x^(-a)) on x > 0: frechet_k_cdf at k = 1."""
+    """Heavy-tail extreme law exp(-x^(-a)) on x > 0: frechet_k_cdf at k = 1,
+    which checks a."""
     return frechet_k_cdf(1, a, x)
 
 
@@ -81,11 +82,15 @@ def frechet_k_cdf(k, a, x):
     """Law of the k-th largest point of the limiting extremal point process.
 
     P(at most k-1 points above x) = sum over i < k of exp(-m) m^i / i! with
-    m = x^(-a). A k that is not an int >= 1 raises ConfigError.
+    m = x^(-a). A k that is not an int >= 1, an a that is not a finite
+    number > 0, or an x that is not a number or an array of numbers raises
+    ConfigError.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ConfigError(f"record rank k {k!r} must be an int >= 1")
-    x = np.asarray(x, dtype=float)
+    check_range(a, lambda a: 0.0 < a < math.inf,
+                "Frechet exponent a {!r} must be finite and > 0")
+    x = _points(x, "Frechet point x")
     # x <= 0, or an x whose power overflows, makes m infinite and the cdf
     # 0; the terms are NaN there, and the where below masks them, as it
     # does a NaN x. np.maximum makes a 0-d x a float64, whose pow is the

@@ -15,6 +15,7 @@ whose total rate is finite by the Markov bound x * tail_nu2(x) <= dust
 integral.
 """
 
+import numbers
 from bisect import bisect_right
 
 import numpy as np
@@ -38,6 +39,27 @@ def _number(value, what):
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} {value!r} must be a number") from None
+
+
+def _query(value, what):
+    """A law query's scalar argument as a float; a value that is not a real
+    number, or is NaN, raises ConfigError naming what."""
+    if isinstance(value, numbers.Real) and value == value:
+        return float(value)
+    raise ConfigError(f"{what} {value!r} must be a number")
+
+
+def _points(x, what="tail point"):
+    """np.asarray(x, dtype=float) for a query at points x; None, which numpy
+    would read as NaN, and an x numpy cannot read as floats, such as a str,
+    raise ConfigError naming what."""
+    try:
+        if x is not None:
+            return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{what} {x!r} must be a number or an array of "
+                      f"numbers")
 
 
 def _maybe_scalar(out):
@@ -80,8 +102,10 @@ class DislocationLaw:
         """inf over x > 0 with tail_nu2(x) <= y.
 
         Generic bisection on [1e-12, 1/2]; the returned point is kept inside
-        the sublevel set so tail_nu2(result) <= y survives step tails.
+        the sublevel set so tail_nu2(result) <= y survives step tails. A y
+        that is not a number, or is NaN, raises ConfigError.
         """
+        y = _query(y, "tail level y")
         lo, hi = _BISECT_LO, 0.5
         if self.tail_nu2(lo) <= y:
             return lo
@@ -123,12 +147,12 @@ class FiniteAtomic(DislocationLaw):
         return f"FiniteAtomic({list(self.atoms)!r})"
 
     def tail_nu2(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         out = np.sum(self._w * (self._s2 >= x[..., None]), axis=-1)
         return _maybe_scalar(out)
 
     def tail_nu2_strict(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         out = np.sum(self._w * (self._s2 > x[..., None]), axis=-1)
         return _maybe_scalar(out)
 
@@ -136,7 +160,7 @@ class FiniteAtomic(DislocationLaw):
         return float(np.sum(self._w * (1.0 - self._s1)))
 
     def truncated_mass(self, eps):
-        return self._truncation(eps)[3]
+        return self._truncation(_query(eps, "truncation eps"))[3]
 
     def _truncation(self, eps):
         """The cache entry for eps, read once: (eps, the kept atoms'
@@ -186,7 +210,7 @@ class BinaryPowerLaw(DislocationLaw):
     def tail_nu2(self, x):
         # closed form x^(-a) - 2^a on (0, 1/2]; zero beyond, divergent at 0.
         # np.maximum makes a 0-d x a float64, whose pow is the scalar one
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         with np.errstate(divide="ignore"):  # x <= 0 is masked to inf below
             out = np.where(x > 0.5, 0.0, np.maximum(x, 0.0) ** -self.a
                            - self._two_a)
@@ -197,6 +221,7 @@ class BinaryPowerLaw(DislocationLaw):
         return self.a / (1.0 - self.a) * 0.5 ** (1.0 - self.a)
 
     def truncated_mass(self, eps):
+        eps = _query(eps, "truncation eps")
         if eps <= 0.0:
             raise EmptyTruncation(
                 "binary power law needs a positive truncation")
@@ -214,6 +239,7 @@ class BinaryPowerLaw(DislocationLaw):
 
     def gen_inverse_f(self, y):
         # below 0 no x has tail_nu2(x) <= y; 1/2 is the bisection's answer
+        y = _query(y, "tail level y")
         if y < 0.0:
             return 0.5
         return (y + self._two_a) ** self._neg_inv_a
@@ -245,7 +271,7 @@ class BrennanDurrett(DislocationLaw):
 
     def tail_nu2(self, x):
         # P(x <= V <= 1-x), the chance the smaller piece reaches x
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         inside = np.clip(x, 0.0, 0.5)
         cdf = self._betainc
         out = cdf(self.p, self.q, 1.0 - inside) - cdf(self.p, self.q, inside)
@@ -262,7 +288,7 @@ class BrennanDurrett(DislocationLaw):
         return float(p / (p + q) * low + q / (p + q) * high)
 
     def truncated_mass(self, eps):
-        return self.tail_nu2(eps)
+        return self.tail_nu2(_query(eps, "truncation eps"))
 
     def sample_dislocation(self, eps, total, u):
         # total = cdf(1 - eps) - cdf(eps), the width of the kept V-interval

@@ -22,29 +22,45 @@ An alpha = 0 event draws an exponential wait, a target rank uniform on
 scalar draws spends most of its time around the draw: argument handling,
 the bit generator's lock and a release of the interpreter lock. So
 exponential_rank_and_uniform(rng, n) returns (rng.standard_exponential(),
-int(rng.integers(1, n + 1)), rng.random()) for 2 <= n < 2**32 from one
+int(rng.integers(1, n + 1)), rng.random()) for 1 <= n < 2**32 from one
 call, bit for bit, bit generator state included, under one hold of the bit
-generator's lock. It reaches the bit generator's bitgen_t through
-BitGenerator.capsule (numpy's documented random C-API). The wait is numpy's
-own ziggurat, random_standard_exponential(bitgen_t *), resolved on first
-use with ctypes from the library numpy.random._generator.__file__ names,
-the one numpy's random/_examples/cffi/extending.py dlopens. The rank is
-numpy's step for that range (buffered_bounded_lemire_uint32 in
+generator's lock, taken and released by the lock's bound acquire and
+release. It reaches the bit generator's bitgen_t through
+BitGenerator.capsule (numpy's documented random C-API) for the first
+generator of each class. For numpy's five bit generator classes the
+bitgen_t and its state are members of the object, so each later generator
+of the same exact class finds them at the first one's offsets from its
+address, id(), and shares that class's ctypes functions; any other class,
+subclasses included, takes the capsule for every generator. The wait is
+numpy's own ziggurat, random_standard_exponential(bitgen_t *), resolved on
+first use with ctypes from the library numpy.random._generator.__file__
+names, the one numpy's random/_examples/cffi/extending.py dlopens. The
+rank is numpy's step for that range (buffered_bounded_lemire_uint32 in
 numpy/random/src/distributions/distributions.c): m = next_uint32() * n,
-redrawn while its low word is below (2**32 - n) % n, gives m >> 32. The
+redrawn while its low word is below (2**32 - n) % n, gives m >> 32; at
+n = 1 it is 1 and draws nothing, as numpy's integers(1, 2) does. The
 uniform is bitgen_t's next_double, the one call numpy's scalar random()
 makes. All run with the interpreter lock held, so a buffered 32-bit half
 (PCG64's has_uint32) is used as numpy would use it. NEP 19 freezes these
 algorithms, and tests/test_rng.py pins exponential_rank_and_uniform against
-the three numpy calls bit for bit, bit generator state included, for PCG64,
-PCG64DXSM, MT19937, Philox and SFC64. Any other n takes the three calls.
+the three numpy calls bit for bit, bit generator state included, and the
+offset route against the capsule route, for PCG64, PCG64DXSM, MT19937,
+Philox and SFC64. Any other n takes the three calls.
 """
 
 import ctypes
 import numbers
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import (
+    MT19937,
+    PCG64,
+    PCG64DXSM,
+    SFC64,
+    Generator,
+    Philox,
+    SeedSequence,
+)
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .errors import ConfigError
@@ -136,6 +152,8 @@ class _ReplicaSeed(ISpawnableSeedSequence):
     0 <= index < 2**32: computes the state PCG64 asks for and defers every
     other request to numpy's SeedSequence, built on first use."""
 
+    __slots__ = ("seed", "index", "_full")
+
     def __init__(self, seed, index):
         self.seed = seed
         self.index = index
@@ -195,13 +213,28 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
 _NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 _NEXT_DOUBLE = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 _standard_exponential = None  # numpy's ziggurat, resolved on first use
+# numpy's bit generators whose bitgen_t and state are members of the
+# object itself, set by the class's own C code
+_NUMPY_BIT_GENERATORS = frozenset((PCG64, PCG64DXSM, MT19937, Philox, SFC64))
+# exact class -> (bitgen_t offset from id(), state offset from id(), its
+# next_uint32, its next_double), read from the class's first generator
+_class_parts = {}
 # (bit generator, its bitgen_t pointer, its next_uint32, its next_double,
-# its state pointer, its lock); the entry holds the bit generator, so both
-# pointers stay valid while cached
+# its state pointer, its lock's acquire, its lock's release); the entry
+# holds the bit generator, so both pointers stay valid while cached
 _draw_cache = (None,)
 
 
 def _draw_entry(bit_generator):
+    """The draw entry of bit_generator (see _draw_cache).
+
+    The first generator of a class, and every generator of a class outside
+    numpy's five, subclasses included, is read through the capsule. For
+    numpy's five the class keeps the bitgen_t and state offsets from id()
+    and the two ctypes functions, so its later generators build their
+    entry from id() alone. The offsets are kept only when both lie inside
+    the class's fixed-size object, where every instance has them.
+    """
     global _standard_exponential
     if _standard_exponential is None:
         from numpy.random import _generator
@@ -209,37 +242,60 @@ def _draw_entry(bit_generator):
         _standard_exponential = ctypes.PYFUNCTYPE(
             ctypes.c_double, ctypes.c_void_p)(
             ("random_standard_exponential", ctypes.CDLL(_generator.__file__)))
-    address = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
-    bitgen = _BitGen.from_address(address)
-    return (bit_generator, address, _NEXT_UINT32(bitgen.next_uint32),
-            _NEXT_DOUBLE(bitgen.next_double), bitgen.state, bit_generator.lock)
+    lock = bit_generator.lock
+    base = id(bit_generator)
+    cls = type(bit_generator)
+    parts = _class_parts.get(cls)
+    if parts is None:
+        address = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+        bitgen = _BitGen.from_address(address)
+        parts = (address - base, bitgen.state - base,
+                 _NEXT_UINT32(bitgen.next_uint32),
+                 _NEXT_DOUBLE(bitgen.next_double))
+        size = cls.__basicsize__
+        if (cls in _NUMPY_BIT_GENERATORS
+                and 0 <= parts[0] <= size - ctypes.sizeof(_BitGen)
+                and 0 <= parts[1] < size):
+            _class_parts[cls] = parts
+    bitgen_offset, state_offset, draw, uniform = parts
+    return (bit_generator, base + bitgen_offset, draw, uniform,
+            base + state_offset, lock.acquire, lock.release)
 
 
 def exponential_rank_and_uniform(rng, n):
     """An Exp(1) wait, a rank uniform on 1..n and a uniform on [0, 1):
     (rng.standard_exponential(), int(rng.integers(1, n + 1)), rng.random()).
 
-    For 2 <= n < 2**32 all three are drawn, bit for bit, by numpy's own C
-    steps on rng's bit generator under one hold of its lock (see the module
-    docstring), which is left in the state the three calls leave it in; the
-    last bit generator used is kept with its draw functions. Any other n
-    makes the three calls.
+    For 1 <= n < 2**32 all three are drawn, bit for bit, by numpy's own C
+    steps on rng's bit generator under one hold of its lock, taken and
+    released by its bound acquire and release (see the module docstring),
+    and the bit generator is left in the state the three calls leave it
+    in; at n = 1 the rank is 1 and draws nothing, as integers(1, 2) draws
+    nothing. The last bit generator used is kept with its draw entry. Any
+    other n makes the three calls.
     """
     global _draw_cache
-    if not 2 <= n <= _MASK:
+    if not 1 <= n <= _MASK:
         return (rng.standard_exponential(), int(rng.integers(1, n + 1)),
                 rng.random())
     bit_generator = rng.bit_generator
     entry = _draw_cache
     if entry[0] is not bit_generator:
         entry = _draw_cache = _draw_entry(bit_generator)
-    _, bitgen, draw, uniform, state, lock = entry
-    with lock:
+    _, bitgen, draw, uniform, state, acquire, release = entry
+    acquire()
+    try:
         wait = _standard_exponential(bitgen)
-        m = draw(state) * n
-        if m & _MASK < n:  # n bounds the threshold, as in numpy
-            threshold = (_MASK + 1 - n) % n
-            while m & _MASK < threshold:
-                m = draw(state) * n
+        if n == 1:
+            rank = 1
+        else:
+            m = draw(state) * n
+            if m & _MASK < n:  # n bounds the threshold, as in numpy
+                threshold = (_MASK + 1 - n) % n
+                while m & _MASK < threshold:
+                    m = draw(state) * n
+            rank = (m >> 32) + 1
         u = uniform(state)
-    return wait, (m >> 32) + 1, u
+    finally:
+        release()
+    return wait, rank, u

@@ -202,10 +202,11 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     keeps, and the stream is the same whether it maps v or not.
     The wait is scale * standard_exponential(), the very product numpy's
     exponential(scale) returns for a scalar, without its check of scale.
-    At alpha = 0 with n > 1 parts all three come from one call,
-    exponential_rank_and_uniform(rng, n), bit for bit numpy's three
-    calls (pinned in tests/test_rng.py). A lone fragment is the target
-    without a draw, as numpy draws nothing for a one-value range.
+    At alpha = 0 all three come from one call at every n below 2**32,
+    exponential_rank_and_uniform(rng, n), bit for bit numpy's three calls
+    (pinned in tests/test_rng.py) under one hold of the bit generator's
+    lock. A lone fragment is the target without a rank draw, as numpy
+    draws nothing for a one-value range.
 
     For alpha != 0 the target is the first rank whose running sum of
     rates exceeds u * total, for a uniform u drawn before v. On at most
@@ -232,10 +233,7 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
     if alpha == 0.0:
-        if n > 1:
-            e, target, v = exponential_rank_and_uniform(rng, n)
-        else:
-            e, target, v = rng.standard_exponential(), 1, rng.random()
+        e, target, v = exponential_rank_and_uniform(rng, n)
         wait = 1.0 / (n * trunc) * e
         return wait, target, v
     running = None

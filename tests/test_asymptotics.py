@@ -241,6 +241,14 @@ def test_frechet_k_cdf_needs_an_int_k_at_or_above_1(k):
         frechet_k_cdf(k, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("a", ["x", None, math.nan, -1.0, 0.0, math.inf])
+def test_frechet_laws_need_a_finite_a_above_0(a):
+    # "x" and None raised a bare TypeError, nan gave 0.0 and -1 gave 0.607
+    for cdf in (lambda: extreme_cdf(2.0, a), lambda: frechet_k_cdf(2, a, 2.0)):
+        with pytest.raises(ConfigError, match="Frechet exponent a"):
+            cdf()
+
+
 def test_frechet_k_cdf_takes_a_numpy_int_k():
     xs = np.geomspace(1e-3, 1e3, 20)
     assert np.array_equal(frechet_k_cdf(np.int64(2), 0.5, xs),

@@ -13,6 +13,8 @@ from fragsim import (
     MassState,
     SimConfig,
     dislocate,
+    extreme_cdf,
+    frechet_k_cdf,
     normalize_lambda2,
     poisson_pmf_test,
     record_cdf,
@@ -48,7 +50,15 @@ _ENTRY_POINTS = {
     "normalize_lambda2": lambda a, b: normalize_lambda2(_LAW, a, 0.5),
     "poisson_pmf_test": lambda a, b: poisson_pmf_test([300, 200, 100], a),
     "pool_cells": pool_cells,
+    "extreme_cdf": extreme_cdf,
+    "frechet_k_cdf": lambda a, b: frechet_k_cdf(2, a, b),
 }
+# the three law queries of each family, each on its first argument
+_ENTRY_POINTS.update(
+    (f"{type(law).__name__}.{query}", lambda a, b, f=getattr(law, query): f(a))
+    for law in (FiniteAtomic([(1.0, (0.6, 0.4))]), _LAW,
+                BrennanDurrett(2.0, 2.0))
+    for query in ("truncated_mass", "tail_nu2", "gen_inverse_f"))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)

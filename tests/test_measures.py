@@ -272,6 +272,23 @@ def test_law_parameters_that_are_not_numbers_raise_config_error(make, name):
         parse_measure("measure = binary_power; a = x")
 
 
+@pytest.mark.parametrize("law", (
+    FiniteAtomic([(1.0, (0.6, 0.4))]), BinaryPowerLaw(0.5),
+    BrennanDurrett(2.0, 2.0)), ids=("atomic", "binary", "beta"))
+@pytest.mark.parametrize("value", ("x", None, (0.1, "x"), math.nan))
+def test_law_queries_of_a_value_that_is_not_a_number(law, value):
+    # each raised a bare ValueError, TypeError or UFuncTypeError for "x",
+    # and BinaryPowerLaw's gen_inverse_f returned NaN for NaN; tail_nu2
+    # maps NaN points as numpy does
+    queries = [(law.truncated_mass, "truncation eps"),
+               (law.gen_inverse_f, "tail level y")]
+    if value is not math.nan:
+        queries.append((law.tail_nu2, "tail point"))
+    for query, name in queries:
+        with pytest.raises(ConfigError, match=f"^{name} .* must be a number"):
+            query(value)
+
+
 def test_sample_dislocation_binary_inverse_cdf():
     law = BinaryPowerLaw(0.5)
     rng = np.random.default_rng(2)

@@ -2,6 +2,7 @@
 and the merged wait, target and uniform draw is numpy's
 standard_exponential, integers and random, bit for bit."""
 
+import ctypes
 import sys
 import threading
 import time
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Generator, Philox
 
-from fragsim import replica_rng
+from fragsim import FiniteAtomic, MassState, SimConfig, replica_rng
 from fragsim import rng as fragsim_rng
+from fragsim import simulator
 from fragsim.errors import ConfigError
 from fragsim.rng import exponential_rank_and_uniform
 
@@ -189,7 +191,8 @@ def test_uniform_rank_at_every_small_and_edge_rank(bit_generator):
     # exponential_rank_and_uniform's rank, the wait before it and the
     # uniform after it, at n = 2..300 and the edge ranks in turn, each draw
     # followed by a random(), so a 32-bit half buffered by one draw meets
-    # the next; the ranks past 2**32 - 1 and n = 1 take numpy's three calls
+    # the next; the ranks past 2**32 - 1 take numpy's three calls, and
+    # n = 1 draws no rank
     rng, twin = Generator(bit_generator(7)), Generator(bit_generator(7))
     for n in (*range(2, 301), *EDGE_RANKS, 2 ** 40 + 3, 1):
         for _ in range(3):
@@ -266,3 +269,102 @@ def test_exponential_rank_and_uniform_threads_keep_their_own_streams():
     for seed in seeds:
         twin = np.random.default_rng(seed)
         assert got[seed] == [numpy_draws(twin, n) for n in ns]
+
+
+CAPSULE_POINTER = fragsim_rng._capsule_pointer
+
+
+def capsule_route(bit_generator):
+    """(bitgen_t address, state pointer, next_uint32, next_double) read
+    through BitGenerator.capsule, numpy's documented route."""
+    address = CAPSULE_POINTER(bit_generator.capsule, b"BitGenerator")
+    bitgen = fragsim_rng._BitGen.from_address(address)
+    return address, bitgen.state, bitgen.next_uint32, bitgen.next_double
+
+
+def entry_pointers(entry):
+    """The same four pointers, read off a draw entry."""
+    _, address, draw, uniform, state, _, _ = entry
+    return (address, state, ctypes.cast(draw, ctypes.c_void_p).value,
+            ctypes.cast(uniform, ctypes.c_void_p).value)
+
+
+def count_capsule_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return CAPSULE_POINTER(*args)
+
+    monkeypatch.setattr(fragsim_rng, "_capsule_pointer", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_offset_entries_are_the_capsule_routes(bit_generator, monkeypatch):
+    # the first generator of the class is read through the capsule and
+    # leaves its offsets for the class; every later one builds its entry
+    # from id() and those offsets, with no capsule call, and finds the
+    # pointers the capsule gives
+    fragsim_rng._draw_entry(bit_generator(0))
+    assert bit_generator in fragsim_rng._class_parts
+    calls = count_capsule_calls(monkeypatch)
+    for seed in range(300):
+        generators = [bit_generator(seed), bit_generator(seed + 1)]
+        entries = [fragsim_rng._draw_entry(g) for g in generators]
+        assert not calls
+        for g, entry in zip(generators, entries):
+            assert entry[0] is g
+            assert entry_pointers(entry) == capsule_route(g)
+            assert entry[5] == g.lock.acquire and entry[6] == g.lock.release
+
+
+def test_a_pcg64_subclass_takes_the_capsule_route(monkeypatch):
+    class Sub(PCG64):
+        pass
+
+    calls = count_capsule_calls(monkeypatch)
+    for seed in range(20):
+        rng, twin = Generator(Sub(seed)), Generator(Sub(seed))
+        for n in (1, 2, 3, 2 ** 31 + 1, 1, 7):
+            assert exponential_rank_and_uniform(rng, n) == numpy_draws(twin, n)
+            assert_same_state(rng, twin)
+        assert entry_pointers(fragsim_rng._draw_cache) == capsule_route(
+            rng.bit_generator)
+    assert Sub not in fragsim_rng._class_parts
+    # one capsule call per drawing Sub generator: each draw after its
+    # first finds its entry in the cache, and the twins make numpy's calls
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_a_lone_fragment_draws_the_wait_and_the_uniform(bit_generator):
+    # n = 1 draws no rank, as integers(1, 2) draws nothing, and leaves a
+    # 32-bit half buffered by the rank draw before it for the next one
+    rng, twin = Generator(bit_generator(3)), Generator(bit_generator(3))
+    for n in (1, 1, 5, 1, 5, 1, 2 ** 32 - 1, 1, 1, 3):
+        got = exponential_rank_and_uniform(rng, n)
+        if n == 1:
+            assert got == (twin.standard_exponential(), 1, twin.random())
+        else:
+            assert got == numpy_draws(twin, n)
+        assert type(got[1]) is int
+        assert_same_state(rng, twin)
+
+
+def test_a_path_that_starts_past_one_part(monkeypatch):
+    # the path's generator first draws at n = 3, so its entry is built by a
+    # rank draw; the twin's event loop makes numpy's three calls
+    law = FiniteAtomic([(1.0, (0.6, 0.4)), (0.5, (0.5, 0.3, 0.2))])
+    config = SimConfig(law, 3.0, obs_times=(1.0, 3.0))
+    start = MassState((0.5, 0.3, 0.2), 0.0, 1.0)
+
+    def path(seed):
+        return simulator._evolve(start, config, 3.0, Generator(PCG64(seed)))
+
+    for seed in range(5):
+        shipped = path(seed)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "exponential_rank_and_uniform", numpy_draws)
+            assert path(seed) == shipped
+        assert len(shipped[0].events) > 5
