@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DegenerateNormalizer, check_range
-from .measures import _maybe_scalar, _points
+from .measures import _maybe_scalar, _points, check_law
 
 
 def check_subordinator(killing_rate, jump_rate, t):
@@ -56,9 +56,11 @@ def record_cdf(law, t, x):
 
     The record stays <= x exactly when no dislocation with second piece in
     (x, inf) arrives by t, so this is exp(-t * strict tail). Exact for the
-    eps-truncated stream whenever x >= eps. A horizon t that is not
-    finite and >= 0 raises ConfigError.
+    eps-truncated stream whenever x >= eps. A law that is not a
+    DislocationLaw, or a horizon t that is not finite and >= 0, raises
+    ConfigError.
     """
+    check_law(law)
     check_range(t, lambda t: 0.0 <= t < math.inf,
                 "record horizon t {!r} must be finite and >= 0")
     x = _points(x, "record level x")
@@ -107,7 +109,8 @@ def frechet_k_cdf(k, a, x):
 
 def normalize_lambda2(law, t, value):
     """Rescale a fragment size by the tail's generalized inverse at 1/t,
-    for a finite t > 0."""
+    for a DislocationLaw law and a finite t > 0."""
+    check_law(law)
     check_range(t, lambda t: 0.0 < t < math.inf,
                 "normalizing horizon t {!r} must be finite and > 0")
     denom = law.gen_inverse_f(1.0 / t)

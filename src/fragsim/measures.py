@@ -50,16 +50,25 @@ def _query(value, what):
 
 
 def _points(x, what="tail point"):
-    """np.asarray(x, dtype=float) for a query at points x; None, which numpy
-    would read as NaN, and an x numpy cannot read as floats, such as a str,
-    raise ConfigError naming what."""
+    """np.asarray(x, dtype=float) for a query at points x. An x numpy
+    cannot read as floats, such as a str, and None, alone or anywhere in a
+    sequence, which numpy would read as NaN, raise ConfigError naming
+    what; a NaN float maps as numpy maps it."""
     try:
-        if x is not None:
+        # a numeric array holds no None, so only other inputs are boxed
+        if (getattr(x, "dtype", object) != object
+                or None not in np.asarray(x, dtype=object).flat):
             return np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{what} {x!r} must be a number or an array of "
                       f"numbers")
+
+
+def check_law(law):
+    """Raise ConfigError unless law is a DislocationLaw."""
+    if not isinstance(law, DislocationLaw):
+        raise ConfigError(f"law {law!r} must be a DislocationLaw")
 
 
 def _maybe_scalar(out):
@@ -121,9 +130,18 @@ class DislocationLaw:
 
 
 class FiniteAtomic(DislocationLaw):
-    """Finitely many weighted fragment vectors. May be empty (no events)."""
+    """Finitely many weighted fragment vectors. May be empty (no events).
+
+    atoms is an iterable of (weight, fragments) pairs; anything else
+    raises ConfigError.
+    """
 
     def __init__(self, atoms):
+        try:
+            atoms = [(weight, fragments) for weight, fragments in atoms]
+        except (TypeError, ValueError):
+            raise ConfigError(f"atoms {atoms!r} must be a sequence of "
+                              f"(weight, fragments) pairs") from None
         cleaned = []
         for weight, fragments in atoms:
             weight = _number(weight, "atom weight")

@@ -10,8 +10,8 @@ Inside the simulator's event loop a state carries its parts as a list,
 and as an array('d') once it holds more than 64, so that an event copies
 them once, and a large state with one memcpy of doubles: dislocate
 returns parts of the kind it was given. List- and array-backed states
-never leave that loop; every snapshot, trajectory and kernel state a
-caller sees holds a tuple.
+reach no public caller: every snapshot, trajectory and kernel state holds
+a tuple, and run drops the loop's end state.
 """
 
 import math

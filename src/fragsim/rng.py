@@ -32,10 +32,11 @@ bitgen_t and its state are members of the object, so each later generator
 of the same exact class finds them at the first one's offsets from its
 address, id(), and shares that class's ctypes functions; any other class,
 subclasses included, takes the capsule for every generator. The wait is
-numpy's own ziggurat, random_standard_exponential(bitgen_t *), resolved on
-first use with ctypes from the library numpy.random._generator.__file__
-names, the one numpy's random/_examples/cffi/extending.py dlopens. The
-rank is numpy's step for that range (buffered_bounded_lemire_uint32 in
+numpy's own ziggurat, random_standard_exponential(bitgen_t *), resolved at
+import with ctypes from the library numpy.random._generator.__file__
+names: the one numpy's random/_examples/cffi/extending.py dlopens, which
+importing Generator has already loaded. The rank is numpy's step for that
+range (buffered_bounded_lemire_uint32 in
 numpy/random/src/distributions/distributions.c): m = next_uint32() * n,
 redrawn while its low word is below (2**32 - n) % n, gives m >> 32; at
 n = 1 it is 1 and draws nothing, as numpy's integers(1, 2) does. The
@@ -60,6 +61,7 @@ from numpy.random import (
     Generator,
     Philox,
     SeedSequence,
+    _generator,
 )
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
@@ -212,7 +214,9 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 _NEXT_UINT32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 _NEXT_DOUBLE = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-_standard_exponential = None  # numpy's ziggurat, resolved on first use
+# numpy's ziggurat, from the library that defines Generator
+_standard_exponential = _NEXT_DOUBLE(
+    ("random_standard_exponential", ctypes.CDLL(_generator.__file__)))
 # numpy's bit generators whose bitgen_t and state are members of the
 # object itself, set by the class's own C code
 _NUMPY_BIT_GENERATORS = frozenset((PCG64, PCG64DXSM, MT19937, Philox, SFC64))
@@ -233,15 +237,10 @@ def _draw_entry(bit_generator):
     numpy's five the class keeps the bitgen_t and state offsets from id()
     and the two ctypes functions, so its later generators build their
     entry from id() alone. The offsets are kept only when both lie inside
-    the class's fixed-size object, where every instance has them.
+    the class's fixed-size object, where every instance has them. The
+    entry holds no ziggurat: every generator shares _standard_exponential,
+    resolved at import.
     """
-    global _standard_exponential
-    if _standard_exponential is None:
-        from numpy.random import _generator
-
-        _standard_exponential = ctypes.PYFUNCTYPE(
-            ctypes.c_double, ctypes.c_void_p)(
-            ("random_standard_exponential", ctypes.CDLL(_generator.__file__)))
     lock = bit_generator.lock
     base = id(bit_generator)
     cls = type(bit_generator)

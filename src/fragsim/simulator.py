@@ -11,7 +11,6 @@ where jump rates do not depend on fragment masses.
 
 import math
 import numbers
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from .errors import (
     RateOverflow,
     check_range,
 )
-from .measures import DislocationLaw
+from .measures import DislocationLaw, check_law
 from .ranked_state import MassState, dislocate
 from .rng import exponential_rank_and_uniform
 
@@ -63,8 +62,7 @@ class SimConfig:
     initial_mass: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.law, DislocationLaw):
-            raise ConfigError(f"law {self.law!r} must be a DislocationLaw")
+        check_law(self.law)
         try:
             obs_times = tuple(float(t) for t in self.obs_times)
         except (TypeError, ValueError):
@@ -307,9 +305,11 @@ def _evolve(state, config, horizon, rng):
     Evolves state from time 0 to horizon on config's knobs, bar t_end and
     initial_mass, taking a snapshot eroded at rate config.c at each of its
     obs_times. Returns (Trajectory, final state); the final state carries
-    no erosion factor. A path with no fragments left, with an empty
-    truncation, or with rates that underflow to 0 takes its remaining
-    snapshots and ends, even when horizon is infinite; so does a path
+    no erosion factor. The horizon is finite, as SimConfig's t_end and the
+    kernel's duration are; an event happens at a time <= horizon. A path
+    with no fragments left, with an empty truncation, or with rates that
+    underflow to 0 takes its remaining snapshots and ends before any time
+    is compared, so it ends even at an infinite horizon; so does a path
     whose law raises EmptyTruncation or DeadState as it maps a uniform.
     Every event is logged; make_step_kernel keeps only the final state
     and drops the log.
@@ -327,17 +327,15 @@ def _evolve(state, config, horizon, rng):
     next_event's RunningSums from then on: after each event it keeps the
     sums of the ranks before the parent's and within the cap, as dislocate
     moves no rank before the parent's and the trim drops only ranks past
-    the cap. The final state has parts of the start's kind, tuple or
-    list, and every snapshot holds a tuple.
+    the cap. Every snapshot holds a tuple. The final state keeps the
+    parts the loop ended with, a tuple, a list or an array: run drops it,
+    and make_step_kernel makes it a tuple through _observe.
     """
     alpha, eps, c = config.alpha, config.eps, config.c
     trunc, obs = config.truncated_rate, config.obs_times
     mass_floor, max_fragments = config.mass_floor, config.max_fragments
     sample = config.law.sample_dislocation
-    # an event happens at a time <= last; an infinite time never does
-    last = min(horizon, sys.float_info.max)
     snapshots, events = [], []
-    kind = type(state.parts)
     # next_event's running sums and _observe's boxed floats, once the parts
     # are an array
     sums = boxes = None
@@ -355,7 +353,7 @@ def _evolve(state, config, horizon, rng):
         try:
             wait, target, v = next_event(state, alpha, eps, rng, trunc, sums)
             t_next = t + wait
-            happens = t_next <= last
+            happens = t_next <= horizon
             if happens:
                 frags = sample(eps, trunc, v)
         except (DeadState, EmptyTruncation):
@@ -379,9 +377,6 @@ def _evolve(state, config, horizon, rng):
             t_next, target, frags, state.parts[target - 1], capped)))
         state = after
         t = t_next
-    if type(state.parts) is array and kind is not array:
-        state = tuple.__new__(MassState, ((list if kind is list else tuple)(
-            state.parts), state.dust, state.nominal))
     return (tuple.__new__(Trajectory, (obs, tuple(snapshots), tuple(events))),
             state)
 
@@ -397,7 +392,8 @@ def run(config, rng):
     and trajectory are flagged instead of raising.
 
     The path runs on a list- or array-backed state; its snapshots hold
-    tuples. Every path run on one config shares its truncated_rate.
+    tuples, and its end state is dropped. Every path run on one config
+    shares its truncated_rate.
     """
     state = tuple.__new__(MassState, ([config.initial_mass], 0.0,
                                       config.initial_mass))
@@ -478,7 +474,7 @@ def make_step_kernel(law):
     SimConfig(law, 0.0), built once here (no observation times, c = 0),
     to horizon duration, so an infinite-activity law raises ConfigError as
     SimConfig does. The path runs on a list- or array-backed state, and
-    the state returned holds a tuple.
+    _observe makes the end state's parts a tuple, whatever their kind.
     """
     config = SimConfig(law, 0.0)
 

@@ -16,6 +16,7 @@ convergence is evidenced directionally rather than assumed.
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -256,9 +257,10 @@ def _suite_sandwich(law, t, eps, replicas, seed):
 
 
 def _suite_subordinator(law, t, m_max, replicas, seed):
-    if not 0.0 <= t < math.inf:
-        raise ConfigError(f"the subordinator suite needs a finite horizon "
-                          f"t >= 0, got {t!r}")
+    """S6: -log of the top fragment of a one-atom law against its killed
+    Poisson jump counts. check_subordinator is the one check of the
+    horizon and rates, made as soon as the rates are read, so a bad t
+    fails before any count is built or any path runs."""
     _require_count("subordinator", "m_max", m_max, 0)
     if not (isinstance(law, FiniteAtomic) and len(law.atoms) == 1
             and law.atoms[0][1]):
@@ -268,19 +270,20 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
     weight, atom = law.atoms[0]
     jump_rate = weight * atom[0]
     kill = law.dust_integral()
+    # inputs no path runs fail before any count or path
+    check_subordinator(kill, jump_rate, t)
+    surv = math.exp(-kill * t)
     try:
         expected = np.array(
-            [replicas * math.exp(-kill * t)
-             * math.exp(-jump_rate * t) * (jump_rate * t) ** m
-             / math.factorial(m)
+            [replicas * surv * math.exp(-jump_rate * t)
+             * (jump_rate * t) ** m / math.factorial(m)
              for m in range(m_max + 1)])
     except OverflowError:
         raise ConfigError(f"the subordinator suite's Poisson counts overflow "
                           f"a float at m_max={m_max}, t={t!r}; lower m_max "
                           f"or t") from None
     expected = np.append(expected, replicas - expected.sum())
-    # inputs no path runs, or a test with too few cells, fail before any path
-    check_subordinator(kill, jump_rate, t)
+    # a test with too few cells fails before any path
     pool_cells(expected, expected)
 
     def worker(_i, rng):
@@ -295,7 +298,6 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
     p = pooled_chi_square(observed, expected)
     checks = [_check("value_chi_square_p", p, 0.01, ">", replicas)]
 
-    surv = math.exp(-kill * t)
     se = math.sqrt(surv * (1.0 - surv) / replicas)
     z = _z(alive_count / replicas, surv, se)
     checks.append(_check("survival_z", z, 3.0, "<", replicas))
@@ -509,6 +511,8 @@ def run_suite(name, overrides=None, *, seed=None, replicas=None):
                            f"choose from {', '.join(suite_names())}")
     suite, law, claim, defaults = _SUITES[name]
     params = dict(defaults, law=law)
+    if not isinstance(overrides, (Mapping, type(None))):
+        raise ConfigError(f"suite overrides {overrides!r} must be a mapping")
     for key, value in (overrides or {}).items():
         key = _TRANSLATE.get(key, key)
         if key not in params:

@@ -235,12 +235,27 @@ def test_bad_overrides_raise_a_typed_error(name, overrides, error):
         run_suite(name, overrides, replicas=50)
 
 
-# m_max! and (rate * t) ** m_max can each leave the float range
-@pytest.mark.parametrize("overrides", [{"m_max": 200}, {"t": 1e200, "m_max": 2}],
+# m_max! and (rate * t) ** m_max can each leave the float range; the power
+# case keeps the mean jump count, 0.9 * t, within check_subordinator's 1e7
+@pytest.mark.parametrize("overrides",
+                         [{"m_max": 200}, {"t": 1e7, "m_max": 50}],
                          ids=["factorial", "power"])
 def test_subordinator_counts_that_overflow_raise_config_error(overrides):
     with pytest.raises(ConfigError, match=r"m_max=\d+, t="):
         run_suite("subordinator", overrides, replicas=200)
+
+
+@pytest.mark.parametrize("t", (-1.0, math.inf, _NAN))
+def test_subordinator_refuses_a_bad_horizon_before_any_path(monkeypatch, t):
+    # check_subordinator is S6's one horizon check, and it runs before the
+    # Poisson counts are built: m_max = 200 would overflow them first
+    calls = []
+    monkeypatch.setattr(suites, "run_subordinator",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError,
+                       match=r"^subordinator horizon t .* must be finite"):
+        run_suite("subordinator", {"t": t, "m_max": 200}, replicas=200)
+    assert calls == []
 
 
 def test_subordinator_pools_its_cells_before_any_replica_runs(monkeypatch):
