@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DegenerateNormalizer, check_range
-from .measures import _maybe_scalar, _points, check_law
+from .measures import _maybe_scalar, _points, _query, check_law
 
 
 def check_subordinator(killing_rate, jump_rate, t):
@@ -109,10 +109,12 @@ def frechet_k_cdf(k, a, x):
 
 def normalize_lambda2(law, t, value):
     """Rescale a fragment size by the tail's generalized inverse at 1/t,
-    for a DislocationLaw law and a finite t > 0."""
+    for a DislocationLaw law, a finite t > 0 and a value that is a number
+    and not NaN."""
     check_law(law)
     check_range(t, lambda t: 0.0 < t < math.inf,
                 "normalizing horizon t {!r} must be finite and > 0")
+    value = _query(value, "fragment size")
     denom = law.gen_inverse_f(1.0 / t)
     if denom <= 0.0:
         raise DegenerateNormalizer(

@@ -6,12 +6,12 @@ nominal budget the state started from. All operations preserve the budget
 inequality sum(parts) + dust <= nominal (within a small float tolerance)
 and keep the parts ranked.
 
-Inside the simulator's event loop a state carries its parts as a list,
-and as an array('d') once it holds more than 64, so that an event copies
-them once, and a large state with one memcpy of doubles: dislocate
-returns parts of the kind it was given. List- and array-backed states
-reach no public caller: every snapshot, trajectory and kernel state holds
-a tuple, and run drops the loop's end state.
+Inside the simulator's event loop a state of at most 64 parts holds a
+tuple, as every public state does, and a larger one an array('d'), which
+an event copies with one memcpy of doubles: dislocate returns an array
+for an array and a tuple for any other parts. Array-backed states reach
+no public caller: every snapshot, trajectory and kernel state holds a
+tuple, and run drops the loop's end state.
 """
 
 import math
@@ -29,7 +29,7 @@ BUDGET_TOL = 1e-9
 
 
 class MassState(NamedTuple):
-    parts: tuple   # non-increasing, strictly positive; a list or array in the event loop
+    parts: tuple   # non-increasing, strictly positive; an array('d') past 64 in the loop
     dust: float    # mass lost to unresolved fragments, erosion, and flooring
     nominal: float # initial total mass
 
@@ -67,13 +67,12 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     nothing.
 
     The parts are copied, so state is left as it was, even when the vector
-    is refused. A list or an array('d'), as in the event loop, is copied
-    by a slice, which is the new state's parts; any other parts are copied
-    into a list, and give a tuple.
+    is refused. An array('d'), as in the event loop past 64 parts, is
+    copied by a slice, which is the new state's parts; any other parts are
+    copied into a list, and give a tuple.
     """
-    kind = type(state.parts)
-    parts = state.parts[:] if kind is list or kind is array else \
-        list(state.parts)
+    is_array = type(state.parts) is array
+    parts = state.parts[:] if is_array else list(state.parts)
     try:
         if not 1 <= rank <= len(parts):
             raise RankOutOfRange(f"rank {rank} not in 1..{len(parts)}")
@@ -120,7 +119,7 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
         dust += parent * deficit
     for piece in dusted:
         dust += piece
-    if kind is not list and kind is not array:
+    if not is_array:
         parts = tuple(parts)
     # tuple.__new__ builds the MassState that MassState(...) would, without
     # the generated __new__'s Python frame

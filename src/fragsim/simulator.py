@@ -25,14 +25,14 @@ from .errors import (
     RateOverflow,
     check_range,
 )
-from .measures import DislocationLaw, check_law
+from .measures import DislocationLaw, _query, check_law
 from .ranked_state import MassState, dislocate
 from .rng import exponential_rank_and_uniform
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
-# The most parts an event-loop state holds in a list. Past it _evolve moves
-# them to an array('d'), which dislocate copies with one memcpy, and
+# The most parts an event-loop state holds in a tuple. Past it _evolve
+# moves them to an array('d'), which dislocate copies with one memcpy, and
 # next_event finds the target in running rate sums that _evolve carries
 # from one event to the next.
 _LIST_MAX = 64
@@ -276,7 +276,7 @@ def _observe(state, c, t, boxes=None):
     The snapshot's parts are a tuple whichever kind state holds. An array
     holds bare doubles, so each snapshot of one would box every part anew;
     with boxes, a dict, each value is boxed once and every snapshot shares
-    that float, as the snapshots of a list share its floats. Parts are
+    that float, as the snapshots of a tuple share its floats. Parts are
     positive, so equal values are equal bits.
     """
     if c == 0.0:
@@ -293,7 +293,8 @@ def _observe(state, c, t, boxes=None):
 def _trim_to_cap(state, cap):
     """Move the smallest parts to dust so that cap parts remain.
 
-    The kept parts are a slice, so they are of the kind state holds.
+    The kept parts are a slice, so a tuple stays a tuple and an array an
+    array.
     """
     spill = sum(state.parts[cap:])
     return MassState(state.parts[:cap], state.dust + spill, state.nominal)
@@ -319,17 +320,18 @@ def _evolve(state, config, horizon, rng):
     logged event and none for the draw past its end. Each event calls
     dislocate once, with the state before it.
 
-    state's parts may be a tuple or a list. A list-backed state stays one
-    through every event, since dislocate then returns its own new list,
-    so an event copies the parts once. Once a state holds more than
-    _LIST_MAX parts its parts move to an array('d'), which every later
-    event copies with one memcpy, and at alpha != 0 the path carries
-    next_event's RunningSums from then on: after each event it keeps the
-    sums of the ranks before the parent's and within the cap, as dislocate
-    moves no rank before the parent's and the trim drops only ranks past
-    the cap. Every snapshot holds a tuple. The final state keeps the
-    parts the loop ended with, a tuple, a list or an array: run drops it,
-    and make_step_kernel makes it a tuple through _observe.
+    state's parts may be any sequence dislocate takes; run and
+    make_step_kernel start from a tuple, and dislocate hands back a tuple
+    for any parts but an array. Once a state holds more than _LIST_MAX
+    parts they move to an array('d'), made here and nowhere else, which
+    stays one to the path's end and which every later event copies with
+    one memcpy; at alpha != 0 the path carries next_event's RunningSums
+    from then on: after each event it keeps the sums of the ranks before
+    the parent's and within the cap, as dislocate moves no rank before the
+    parent's and the trim drops only ranks past the cap. Every snapshot
+    holds a tuple. The final state keeps the parts the loop ended with, a
+    tuple or an array: run drops it, and make_step_kernel makes it a tuple
+    through _observe.
     """
     alpha, eps, c = config.alpha, config.eps, config.c
     trunc, obs = config.truncated_rate, config.obs_times
@@ -344,9 +346,8 @@ def _evolve(state, config, horizon, rng):
     t = 0.0
     while True:
         if len(state.parts) > _LIST_MAX and boxes is None:
-            if type(state.parts) is not array:
-                state = tuple.__new__(MassState, (array("d", state.parts),
-                                                  state.dust, state.nominal))
+            state = tuple.__new__(MassState, (array("d", state.parts),
+                                              state.dust, state.nominal))
             boxes = {}
             if alpha != 0.0:
                 sums = RunningSums()
@@ -391,11 +392,11 @@ def run(config, rng):
     count past max_fragments the smallest pieces are dusted and the event
     and trajectory are flagged instead of raising.
 
-    The path runs on a list- or array-backed state; its snapshots hold
-    tuples, and its end state is dropped. Every path run on one config
-    shares its truncated_rate.
+    The path starts from the tuple (initial_mass,) and runs on a tuple-
+    or array-backed state; its snapshots hold tuples, and its end state is
+    dropped. Every path run on one config shares its truncated_rate.
     """
-    state = tuple.__new__(MassState, ([config.initial_mass], 0.0,
+    state = tuple.__new__(MassState, ((config.initial_mass,), 0.0,
                                       config.initial_mass))
     traj, _ = _evolve(state, config, config.t_end, rng)
     return traj
@@ -404,8 +405,10 @@ def run(config, rng):
 def record_value(traj, t):
     """Largest second piece over rank-1 events with time <= t; 0 if none.
 
-    Of equal candidates the first is kept, as max keeps it.
+    Of equal candidates the first is kept, as max keeps it. A t that is
+    not a number, or is NaN, raises ConfigError.
     """
+    t = _query(t, "record time t")
     record = None
     for ev in traj.events:
         if ev.target_rank == 1 and ev.time <= t:
@@ -420,7 +423,9 @@ def chi_value(traj, t):
     """Product of first pieces over rank-1/rank-2 events with time < t; 1 if none.
 
     The factors are multiplied in event order, so the float is reproducible.
+    A t that is not a number, or is NaN, raises ConfigError.
     """
+    t = _query(t, "chi time t")
     chi = 1.0
     for ev in traj.events:
         if ev.time >= t:
@@ -473,15 +478,16 @@ def make_step_kernel(law):
     that is not finite and >= 0 raises ConfigError. Every path runs on
     SimConfig(law, 0.0), built once here (no observation times, c = 0),
     to horizon duration, so an infinite-activity law raises ConfigError as
-    SimConfig does. The path runs on a list- or array-backed state, and
-    _observe makes the end state's parts a tuple, whatever their kind.
+    SimConfig does. The path starts from the tuple (1.0,) and runs on a
+    tuple- or array-backed state, and _observe makes the end state's parts
+    a tuple, whatever their kind.
     """
     config = SimConfig(law, 0.0)
 
     def kernel(duration, rng):
         check_range(duration, lambda d: 0.0 <= d < math.inf,
                     "step duration {!r} must be finite and >= 0")
-        start = tuple.__new__(MassState, ([1.0], 0.0, 1.0))
+        start = tuple.__new__(MassState, ((1.0,), 0.0, 1.0))
         _, state = _evolve(start, config, duration, rng)
         return _observe(state, 0.0, duration)
 

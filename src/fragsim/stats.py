@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, EmptySample, InsufficientData, check_range
+from .measures import _points, _query
 
 _MIN_CHI_TOTAL = 500
 _MIN_EXPECTED = 5.0
@@ -44,8 +45,13 @@ def ks_stat(samples, cdf, x_min=None):
     The restricted form compares the full-sample ECDF to the reference on
     [x_min, inf) only; it is the instrument for laws that are exact above
     a truncation level and deliberately wrong below it.
+
+    samples is a number or an array of numbers, read flat; anything else,
+    or an x_min that is not a number or is NaN, raises ConfigError.
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = np.sort(_points(samples, "KS sample"), axis=None)
+    if x_min is not None:
+        x_min = _query(x_min, "KS cut x_min")
     n = xs.size
     if n == 0:
         raise EmptySample("ks_stat of an empty sample")
@@ -66,9 +72,11 @@ def ks_stat(samples, cdf, x_min=None):
 
 
 def ks_two_sample(a, b):
-    """Two-sample KS statistic evaluated over the pooled sample points."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    """Two-sample KS statistic evaluated over the pooled sample points.
+
+    Each sample is read as ks_stat reads its sample."""
+    a = np.sort(_points(a, "KS sample"), axis=None)
+    b = np.sort(_points(b, "KS sample"), axis=None)
     if a.size == 0 or b.size == 0:
         raise EmptySample("two-sample KS with an empty side")
     grid = np.concatenate([a, b])
@@ -80,21 +88,21 @@ def ks_two_sample(a, b):
 def pool_cells(observed, expected):
     """Pool adjacent cells left to right until each expected count is >= 5,
     folding a trailing remainder into the last closed cell, and return the
-    pooled observed and expected lists. Two lists of differing lengths, or
-    a count that is not a finite number, raise ConfigError, and fewer than
-    two cells raise InsufficientData; which cells form depends on expected
-    alone."""
-    try:
-        observed = np.asarray(observed, dtype=float)
-        expected = np.asarray(expected, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("chi-square cell counts must be numbers") from None
+    pooled observed and expected lists. Two lists of differing lengths, a
+    count that is not a finite number, or a negative observed count raise
+    ConfigError, and fewer than two cells raise InsufficientData; which
+    cells form depends on expected alone. An expected count may be a hair
+    below 0, as a remainder cell total - sum(expected) can round."""
+    observed = _points(observed, "chi-square observed counts")
+    expected = _points(expected, "chi-square expected counts")
     if observed.ndim != 1 or observed.shape != expected.shape:
         raise ConfigError(f"chi-square needs two equal-length lists of cell "
                           f"counts, got shapes {observed.shape} and "
                           f"{expected.shape}")
     if not (np.isfinite(observed).all() and np.isfinite(expected).all()):
         raise ConfigError("chi-square cell counts must be finite")
+    if (observed < 0.0).any():
+        raise ConfigError("chi-square observed counts must be >= 0")
     pooled_obs, pooled_exp = [], []
     acc_o = acc_e = 0.0
     # Python floats: a sum past the float range is inf, with no warning
@@ -133,11 +141,12 @@ def poisson_pmf_test(counts, rate):
 
     counts[m] is the number of observations equal to m; the tail mass
     beyond the histogram folds into the last cell. The rate must be finite
-    and non-negative.
+    and non-negative. counts are read as pool_cells reads observed counts;
+    fewer than 500 observations raise InsufficientData.
     """
     check_range(rate, lambda r: 0.0 <= r < math.inf,
                 "Poisson rate must be finite and >= 0, got {}")
-    counts = np.asarray(counts, dtype=float)
+    counts = _points(counts, "Poisson histogram counts")
     total = counts.sum()
     if total < _MIN_CHI_TOTAL:
         raise InsufficientData(

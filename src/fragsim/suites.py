@@ -92,8 +92,12 @@ class SuiteReport:
 def run_replicas(worker, n, seed):
     """Evaluate worker(index, rng) for n replicas; results in index order.
 
-    Every replica owns the stream derived from (seed, index).
+    Every replica owns the stream derived from (seed, index). An n that
+    is not an int >= 0 raises ConfigError, and so does a seed replica_rng
+    refuses, once n > 0.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ConfigError(f"replica count n {n!r} must be an int >= 0")
     return [worker(i, replica_rng(seed, i)) for i in range(n)]
 
 
@@ -283,8 +287,9 @@ def _suite_subordinator(law, t, m_max, replicas, seed):
                           f"a float at m_max={m_max}, t={t!r}; lower m_max "
                           f"or t") from None
     expected = np.append(expected, replicas - expected.sum())
-    # a test with too few cells fails before any path
-    pool_cells(expected, expected)
+    # a test with too few cells fails before any path; which cells form
+    # depends on expected alone
+    pool_cells(np.zeros_like(expected), expected)
 
     def worker(_i, rng):
         return run_subordinator(kill, jump_rate, t, rng)

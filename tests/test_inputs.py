@@ -13,14 +13,19 @@ from fragsim import (
     FiniteAtomic,
     MassState,
     SimConfig,
+    chi_value,
     dislocate,
     extreme_cdf,
     frechet_k_cdf,
+    ks_stat,
+    ks_two_sample,
     normalize_lambda2,
     poisson_pmf_test,
     record_cdf,
+    record_value,
     replica_rng,
     run,
+    run_replicas,
     run_suite,
 )
 from fragsim.errors import ConfigError, FragsimError
@@ -31,6 +36,9 @@ _LAW = BinaryPowerLaw(0.5)
 _NO_EVENTS = FiniteAtomic([])
 _UNIT = MassState((1.0,), 0.0, 1.0)
 _PAIR = MassState((0.5, 0.3), 0.0, 1.0)
+# a path with rank-1 and rank-2 events, whose record and chi read t
+_TRAJ = run(SimConfig(FiniteAtomic([(1.0, (0.6, 0.4))]), 2.0),
+            np.random.default_rng(0))
 
 _VALUE = st.sampled_from([0, 1, -1, 1e308, 1e-320, math.nan, math.inf,
                           -math.inf, 3, True, None, "x", (0.5, 0.25),
@@ -56,6 +64,13 @@ _ENTRY_POINTS = {
     "record_cdf law": lambda a, b: record_cdf(a, 1.0, b),
     "normalize_lambda2": lambda a, b: normalize_lambda2(_LAW, a, 0.5),
     "normalize_lambda2 law": lambda a, b: normalize_lambda2(a, 1.0, 0.5),
+    "normalize_lambda2 value": lambda a, b: normalize_lambda2(_LAW, 1.0, a),
+    "record_value": lambda a, b: record_value(_TRAJ, a),
+    "chi_value": lambda a, b: chi_value(_TRAJ, a),
+    "run_replicas": lambda a, b: run_replicas(lambda i, rng: i, a, b),
+    "ks_stat": lambda a, b: ks_stat(a, lambda x: extreme_cdf(x, 1.0), b),
+    "ks_two_sample": ks_two_sample,
+    "poisson_pmf_test counts": lambda a, b: poisson_pmf_test(a, 1.0),
     # replicas=0 fails once the overrides pass, so no suite runs
     "run_suite overrides": lambda a, b: run_suite("erosion", a, replicas=0),
     "poisson_pmf_test": lambda a, b: poisson_pmf_test([300, 200, 100], a),
@@ -71,7 +86,7 @@ _ENTRY_POINTS.update(
     for query in ("truncated_mass", "tail_nu2", "gen_inverse_f"))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@settings(derandomize=True, database=None, deadline=None, max_examples=700)
 @given(st.sampled_from(sorted(_ENTRY_POINTS)), _ARG, _ARG)
 def test_entry_points_return_or_raise_a_package_error(name, a, b):
     try:
@@ -145,3 +160,28 @@ def test_atoms_that_are_not_pairs_raise_config_error(atoms):
     with pytest.raises(ConfigError,
                        match=r"must be a sequence of \(weight, fragments\)"):
         FiniteAtomic(atoms)
+
+
+@pytest.mark.parametrize("t", ("x", math.nan, None), ids=("str", "nan", "None"))
+def test_a_time_that_is_not_a_number_raises_config_error(t):
+    # "x" raised a bare TypeError at the first rank-1 event, and NaN read
+    # a record of 0.0 and a chi of every event
+    assert any(ev.target_rank == 1 for ev in _TRAJ.events)
+    for read, what in ((record_value, "record time t"),
+                       (chi_value, "chi time t")):
+        with pytest.raises(ConfigError, match=f"^{what} .* must be a number"):
+            read(_TRAJ, t)
+
+
+@pytest.mark.parametrize("n", ("x", -1, 1.5, None))
+def test_a_replica_count_that_is_not_an_int_raises_config_error(n):
+    # "x" raised a bare TypeError from range(), and -1 returned []
+    with pytest.raises(ConfigError, match="replica count n .* must be an int"):
+        run_replicas(lambda i, rng: i, n, 0)
+
+
+@pytest.mark.parametrize("value", ("x", None, math.nan))
+def test_a_fragment_size_that_is_not_a_number_raises_config_error(value):
+    # "x" and None raised a bare TypeError, and NaN rescaled to NaN
+    with pytest.raises(ConfigError, match="fragment size .* must be a number"):
+        normalize_lambda2(_LAW, 1.0, value)

@@ -51,7 +51,7 @@ def test_carried_sums_past_a_cap_trim_then_a_regrowth(monkeypatch, seed):
 
 @pytest.mark.parametrize("alpha, horizon", ((0.0, 0.3), (1.0, 40.0)))
 def test_a_path_moves_to_an_array_past_64_parts(monkeypatch, alpha, horizon):
-    # halves add one part an event: the state is a list up to 64 parts and
+    # halves add one part an event: the state is a tuple up to 64 parts and
     # an array from 65 on, where alpha != 0 hands running sums on
     halves = FiniteAtomic([(1.0, (0.5, 0.5))])
     seen = []
@@ -62,12 +62,12 @@ def test_a_path_moves_to_an_array_past_64_parts(monkeypatch, alpha, horizon):
 
     monkeypatch.setattr(simulator, "dislocate", watched)
     shipped, carry_free, handed = twin_paths(
-        monkeypatch, MassState([1.0 / 64] * 62, 0.0, 62 / 64), halves, alpha,
+        monkeypatch, MassState((1.0 / 64,) * 62, 0.0, 62 / 64), halves, alpha,
         horizon, 0.0, 10 ** 6, lambda: np.random.default_rng(7))
     assert shipped == carry_free
     n = len(seen) // 2  # each twin's events
     assert n > 10 and seen[:n] == seen[n:]
-    assert seen[:n] == [list] * 3 + [array] * (n - 3)
+    assert seen[:n] == [tuple] * 3 + [array] * (n - 3)
     assert [size for _, size in handed[:4]] == [62, 63, 64, 65]
     assert [valid is None for valid, _ in handed] == \
         [True] * 3 + [alpha == 0.0] * (len(handed) - 3)
@@ -141,7 +141,7 @@ def test_rates_that_sum_past_the_float_range_raise_rate_overflow(
 
 def test_snapshots_of_an_array_backed_path_share_one_float_per_value():
     # an array holds bare doubles; _observe boxes each value once a path,
-    # so its snapshots hold one float per value, fewer than a list's parts
+    # so its snapshots hold one float per value, fewer than their parts
     # (the atoms' products tie often)
     traj = simulator.run(simulator.SimConfig(
         THREE_ATOMS, 300.0, alpha=1.0, obs_times=tuple(range(10, 301, 10))),

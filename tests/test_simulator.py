@@ -1143,6 +1143,30 @@ def test_run_and_the_step_kernel_hand_out_tuples(alpha, c):
     assert cap_hits > 0
 
 
+@pytest.mark.parametrize("path", ("run", "kernel"))
+def test_the_loop_holds_a_tuple_up_to_64_parts_and_an_array_past(
+        monkeypatch, path):
+    # halves add one part an event and dust nothing, so the state grows
+    # through 64 parts to past 65 and never shrinks back
+    halves = FiniteAtomic([(1.0, (0.5, 0.5))])
+    seen = []
+
+    def watched(state, *args):
+        seen.append((len(state.parts), type(state.parts)))
+        return dislocate(state, *args)
+
+    monkeypatch.setattr(simulator, "dislocate", watched)
+    rng = np.random.default_rng(3)
+    if path == "run":
+        run(SimConfig(halves, 6.0, obs_times=(3.0, 6.0)), rng)
+    else:
+        make_step_kernel(halves)(6.0, rng)
+    assert [n for n, _ in seen] == list(range(1, len(seen) + 1))
+    assert len(seen) > 70
+    assert [kind for _, kind in seen] == \
+        [tuple] * 64 + [array] * (len(seen) - 64)
+
+
 class OneVector(DislocationLaw):
     """One dislocation of rate 1, returned as the object it was given."""
 

@@ -192,7 +192,7 @@ def test_chi_square_cell_lists_must_have_one_length():
 
 @pytest.mark.parametrize("observed, expected", (
     ([1e308, 0.0], [500.0, 500.0]),
-    ([-1e308, 1e308], [5.0, 5.0]),
+    ([0.0, 0.0], [1e308, 1e308]),  # a negative deviation
     ([1e308, 1e308, 0.0], [1.0, 10.0, 10.0]),  # pooled to an infinite cell
 ))
 def test_chi_square_scores_an_overflowing_cell_inf(observed, expected):
@@ -214,3 +214,55 @@ def test_a_poisson_rate_that_is_not_a_number_raises_config_error(rate):
 def test_chi_square_cells_must_be_a_list_of_numbers(observed):
     with pytest.raises(ConfigError, match="chi-square"):
         pool_cells(observed, [500.0, 500.0])
+
+
+_UNIFORM = lambda x: np.clip(x, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: ks_stat(["a"], _UNIFORM),
+    lambda: ks_stat(None, _UNIFORM),
+    lambda: ks_two_sample(["a"], [1.0]),
+    lambda: ks_two_sample([1.0], [None]),
+    lambda: poisson_pmf_test(["a"], 1.0),
+    lambda: poisson_pmf_test(None, 1.0),
+), ids=("ks-str", "ks-None", "two-sample-str", "two-sample-None",
+        "poisson-str", "poisson-None"))
+def test_samples_that_are_not_numbers_raise_config_error(call):
+    # numpy's bare ValueError, or an AxisError for None, which numpy read
+    # as a 0-d NaN
+    with pytest.raises(ConfigError, match="must be a number"):
+        call()
+
+
+@pytest.mark.parametrize("x_min", ("a", math.nan, (0.5,)))
+def test_a_ks_cut_that_is_not_a_number_raises_config_error(x_min):
+    # "a" raised numpy's UFuncTypeError, and NaN cut nothing
+    with pytest.raises(ConfigError, match="KS cut x_min"):
+        ks_stat([1.0, 2.0], _UNIFORM, x_min=x_min)
+
+
+def test_a_number_is_a_sample_of_one():
+    # np.sort of a 0-d array raised an AxisError
+    assert ks_stat(0.25, _UNIFORM) == ks_stat([0.25], _UNIFORM) == 0.75
+    assert ks_two_sample(0.25, [0.25]) == 0.0
+
+
+@pytest.mark.parametrize("call", (
+    lambda: pooled_chi_square([-600, 1200], [300.0, 300.0]),
+    lambda: pooled_chi_square([-1e308, 1e308], [5.0, 5.0]),
+    lambda: pool_cells([-1.0, 10.0], [5.0, 5.0]),
+    lambda: poisson_pmf_test([-600, 1200], 1.0),
+), ids=("chi-square", "chi-square-huge", "pool", "poisson"))
+def test_a_negative_observed_count_raises_config_error(call):
+    # each scored p = 0.0, or pooled the count, as if it were observed
+    with pytest.raises(ConfigError, match="observed counts must be >= 0"):
+        call()
+
+
+def test_an_expected_count_a_hair_below_0_is_taken():
+    # a remainder cell total - sum(expected) can round below 0, as S6's does
+    expected = [300.0, 300.0, -1e-12]
+    assert pool_cells([290.0, 310.0, 0.0], expected) == ([290.0, 310.0],
+                                                          [300.0, 300.0])
+    assert 0.0 < pooled_chi_square([290.0, 310.0, 0.0], expected) < 1.0
