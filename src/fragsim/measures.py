@@ -17,6 +17,8 @@ integral.
 
 import numbers
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -154,7 +156,7 @@ class FiniteAtomic(DislocationLaw):
                 raise InvalidFragmentVector(
                     "atom equal to the whole mass vector is a no-op and is forbidden")
             cleaned.append((weight, fragments))
-        if not sum(w for w, _ in cleaned) < np.inf:
+        if not reduce(add, (w for w, _ in cleaned), 0.0) < np.inf:
             # an infinite rate would make every wait 0
             raise DivergentMeasure("atom weights must have a finite sum")
         self.atoms = tuple(cleaned)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, NegativeMass, check_range
+from .errors import ConfigError, InvalidPartition, NegativeMass, check_range
 from .ranked_state import MassState
 
 
@@ -91,10 +91,14 @@ def _paint_over(state, elements, rng):
     same single draw, which leaves the stream where the grouping would.
     A first share of 1 or more holds every uniform, so none is compared.
 
-    A nominal budget that is not finite and > 0 raises NegativeMass before
-    the draw.
+    A state with no nominal budget, as None, raises ConfigError, and a
+    nominal budget that is not finite and > 0 NegativeMass, before the
+    draw.
     """
-    nominal = state.nominal
+    try:
+        nominal = state.nominal
+    except AttributeError:
+        raise ConfigError(f"state {state!r} must be a MassState") from None
     if not 0.0 < nominal < math.inf:
         raise NegativeMass(f"nominal budget {nominal} must be finite and > 0")
     n = len(elements)
@@ -135,7 +139,12 @@ def paintbox(s, n, rng):
 
 
 def frequencies(p):
-    """Ranked block frequencies |B|/n as a mass state (no dust at finite n)."""
+    """Ranked block frequencies |B|/n as a mass state (no dust at finite n).
+
+    A p that is not a FinitePartition raises InvalidPartition.
+    """
+    if not isinstance(p, FinitePartition):
+        raise InvalidPartition(f"{p!r} is not a FinitePartition")
     n = len(p.ground)
     return MassState(tuple(sorted((len(b) / n for b in p.blocks),
                                   reverse=True)), 0.0, 1.0)
@@ -153,12 +162,16 @@ def partition_step(p, duration, kernel, rng):
     canonical order, which makes the draw reproducible. p is trusted to be
     canonical, as trivial, paintbox and partition_step build it; the painted
     blocks then partition p.ground and need only one sort by least element.
-    A duration that is not finite and >= 0 raises ConfigError.
+    A duration that is not finite and >= 0 raises ConfigError. A step of
+    duration 0 is p itself and calls no kernel; a longer one raises
+    ConfigError for a kernel that is not callable.
     """
     check_range(duration, lambda d: 0.0 <= d < math.inf,
                 "step duration {!r} must be finite and >= 0")
     if duration == 0.0:
         return p
+    if not callable(kernel):
+        raise ConfigError(f"step kernel {kernel!r} must be callable")
     blocks = []
     for block in p.blocks:
         blocks.extend(_paint_over(kernel(duration, rng), block, rng))

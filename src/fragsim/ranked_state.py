@@ -62,16 +62,20 @@ def dislocate(state, rank, fragments, mass_floor=0.0):
     insert point is searched for from the last one on, and a piece heavier
     than the part at that point goes there with no search. The dust takes
     the deficit's mass first, then the dusted pieces in vector order, after
-    the whole vector is checked; the sum is added left to right, which is
-    sum() of the stripped vector bit for bit on CPython 3.11, as zeros add
-    nothing.
+    the whole vector is checked. The ratios' sum, checked against 1, is a
+    left-to-right fold of float adds.
 
     The parts are copied, so state is left as it was, even when the vector
     is refused. An array('d'), as in the event loop past 64 parts, is
     copied by a slice, which is the new state's parts; any other parts are
-    copied into a list, and give a tuple.
+    copied into a list, and give a tuple. A state with no parts attribute,
+    as None, raises ConfigError; the check is the handler of the first
+    read of state.parts, so a valid state pays nothing for it.
     """
-    is_array = type(state.parts) is array
+    try:
+        is_array = type(state.parts) is array
+    except AttributeError:
+        raise ConfigError(f"state {state!r} must be a MassState") from None
     parts = state.parts[:] if is_array else list(state.parts)
     try:
         if not 1 <= rank <= len(parts):

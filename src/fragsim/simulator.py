@@ -12,8 +12,11 @@ where jump rates do not depend on fragment masses.
 import math
 import numbers
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +34,10 @@ from .rng import exponential_rank_and_uniform
 
 CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
-# The most parts an event-loop state holds in a tuple. Past it _evolve
-# moves them to an array('d'), which dislocate copies with one memcpy, and
-# next_event finds the target in running rate sums that _evolve carries
-# from one event to the next.
+# The most parts an event-loop state holds in a tuple; only _evolve reads
+# it. Past it _evolve moves the parts to an array('d'), which dislocate
+# copies with one memcpy, and at alpha != 0 hands next_event a RunningSums
+# that it carries from one event to the next.
 _LIST_MAX = 64
 
 
@@ -141,10 +144,11 @@ class RunningSums:
     """The running sums of a state's rates m ** alpha, rank by rank.
 
     sums[:valid] hold them for the first valid ranks, each a left-to-right
-    float sum; sums is a float64 buffer, allocated on first use and grown
-    as the state grows. next_event extends them to every rank of the state
-    it is handed, and the caller keeps valid only as far as the ranks the
-    event left as they were, as _evolve does.
+    fold of float adds; sums is a float64 buffer, allocated on first use
+    and grown as the state grows. _evolve makes one for a path past
+    _LIST_MAX parts at alpha != 0 and hands it to next_event, which extends
+    it to every rank of the state; after the event _evolve keeps valid
+    only as far as the ranks the event left as they were.
     """
 
     __slots__ = ("sums", "valid")
@@ -207,17 +211,15 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     draws nothing for a one-value range.
 
     For alpha != 0 the target is the first rank whose running sum of
-    rates exceeds u * total, for a uniform u drawn before v. On at most
-    _LIST_MAX parts with sums omitted, the total is sum(rates) and a loop
-    adds the rates until one crosses u. Otherwise the running sums are
-    sums, a RunningSums (a fresh one when sums is omitted), extended to
-    every rank: the total is the last, and the target is one past the
-    count of sums at or below u, capped at n, found by searchsorted. Both
-    give the same floats and the same target: CPython 3.11's sum adds
-    left to right in one C double, as the loop and np.add.accumulate do,
-    and the running sums of non-negative rates never fall. A caller that
-    carries sums keeps only the sums of ranks the event left as they
-    were, as _evolve does.
+    rates exceeds u * total, for a uniform u drawn before v: one past the
+    count of running sums at or below u, capped at n, as the running sums
+    of non-negative rates never fall; bisect_right counts them. With sums
+    omitted, the running sums are a list from itertools.accumulate; with
+    sums, a RunningSums, they are its float64 buffer extended to every
+    rank. Either way the total is the last running sum, and each sum is a
+    left-to-right fold of float adds, so both give the same floats and the
+    same target. A caller that carries sums keeps only the sums of ranks
+    the event left as they were, as _evolve does.
 
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
@@ -234,16 +236,14 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
         e, target, v = exponential_rank_and_uniform(rng, n)
         wait = 1.0 / (n * trunc) * e
         return wait, target, v
-    running = None
     try:
-        if sums is None and n <= _LIST_MAX:
+        if sums is None:
             # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
-            rates = state.parts if alpha == 1.0 else \
-                [m ** alpha for m in state.parts]
-            total = sum(rates)
+            running = list(accumulate(state.parts if alpha == 1.0 else
+                                      [m ** alpha for m in state.parts]))
+            total = running[-1]
         else:
-            running = (RunningSums() if sums is None else sums).extend(
-                state.parts, alpha)
+            running = sums.extend(state.parts, alpha)
             total = running.item(n - 1)
     except OverflowError:
         total = math.inf
@@ -257,17 +257,7 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     wait = 1.0 / rate * rng.standard_exponential()
     u = rng.random() * total
     v = rng.random()
-    target = n
-    if running is None:
-        acc = 0.0
-        for i, r in enumerate(rates, 1):
-            acc += r
-            if u < acc:
-                target = i
-                break
-    else:
-        target = min(int(running.searchsorted(u, "right")) + 1, n)
-    return wait, target, v
+    return wait, min(bisect_right(running, u) + 1, n), v
 
 
 def _observe(state, c, t, boxes=None):
@@ -277,7 +267,8 @@ def _observe(state, c, t, boxes=None):
     holds bare doubles, so each snapshot of one would box every part anew;
     with boxes, a dict, each value is boxed once and every snapshot shares
     that float, as the snapshots of a tuple share its floats. Parts are
-    positive, so equal values are equal bits.
+    positive, so equal values are equal bits. The eroded mass is the live
+    mass, a left-to-right fold of the parts, times 1 - factor.
     """
     if c == 0.0:
         parts = state.parts
@@ -285,7 +276,7 @@ def _observe(state, c, t, boxes=None):
             tuple(map(boxes.setdefault, parts, parts))
         return tuple.__new__(MassState, (parts, state.dust, state.nominal))
     factor = math.exp(-c * t)
-    live = sum(state.parts)
+    live = reduce(add, state.parts, 0.0)
     return MassState(tuple(m * factor for m in state.parts),
                      state.dust + live * (1.0 - factor), state.nominal)
 
@@ -294,9 +285,9 @@ def _trim_to_cap(state, cap):
     """Move the smallest parts to dust so that cap parts remain.
 
     The kept parts are a slice, so a tuple stays a tuple and an array an
-    array.
+    array. The dropped parts join the dust as one left-to-right fold.
     """
-    spill = sum(state.parts[cap:])
+    spill = reduce(add, state.parts[cap:], 0.0)
     return MassState(state.parts[:cap], state.dust + spill, state.nominal)
 
 
@@ -439,25 +430,38 @@ def write_event_csv(traj, stream):
     """Event log: time,target_rank,parent_mass,s1..s8 (vector padded/truncated).
 
     The log keeps each law's vector as the law returned it, so a list or
-    an array is made a tuple here, not in the event loop.
+    an array is made a tuple here, not in the event loop. A stream with no
+    write method raises ConfigError, as does write_snapshot_csv's.
     """
+    write = _writer(stream)
     cols = ",".join(f"s{i + 1}" for i in range(CSV_EVENT_COLS))
-    stream.write(f"time,target_rank,parent_mass,{cols}\n")
+    write(f"time,target_rank,parent_mass,{cols}\n")
     rows = _padded_rows("%.17g,%d,%.17g", CSV_EVENT_COLS, "\n")
     for ev in traj.events:
         frags = tuple(ev.fragments[:CSV_EVENT_COLS])
-        stream.write(rows[len(frags)] % ((ev.time, ev.target_rank, ev.parent_mass)
-                                         + frags))
+        write(rows[len(frags)] % ((ev.time, ev.target_rank, ev.parent_mass)
+                                  + frags))
 
 
 def write_snapshot_csv(traj, stream):
     """Snapshots: time,lambda1..lambda16,dust (parts padded/truncated)."""
+    write = _writer(stream)
     cols = ",".join(f"lambda{i + 1}" for i in range(CSV_SNAPSHOT_COLS))
-    stream.write(f"time,{cols},dust\n")
+    write(f"time,{cols},dust\n")
     rows = _padded_rows("%.17g", CSV_SNAPSHOT_COLS, ",%.17g\n")
     for t, snap in zip(traj.obs_times, traj.snapshots):
         parts = snap.parts[:CSV_SNAPSHOT_COLS]
-        stream.write(rows[len(parts)] % ((t,) + parts + (snap.dust,)))
+        write(rows[len(parts)] % ((t,) + parts + (snap.dust,)))
+
+
+def _writer(stream):
+    """stream's write method; a stream without one, as None, raises
+    ConfigError."""
+    try:
+        return stream.write
+    except AttributeError:
+        raise ConfigError(f"CSV stream {stream!r} has no write method") \
+            from None
 
 
 def _padded_rows(head, cols, tail):

@@ -18,6 +18,7 @@ import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -178,10 +179,11 @@ def _suite_erosion(law, c, t, replicas, seed):
 
 
 def _prefix_masses(state):
-    """[sum(state.parts[:k]) for k in 1..10], from one running sum.
+    """The masses of state's first k parts, k = 1..10, from one running sum.
 
-    accumulate adds left to right in C doubles, as sum does on CPython
-    3.11, so each entry equals that sum's float bit for bit.
+    accumulate adds left to right in C doubles, so the k-th entry is the
+    left-to-right fold of the first k parts, bit for bit; past the last
+    part each entry is the whole live mass.
     """
     sums = list(accumulate(state.parts[:10]))
     return sums + [sums[-1] if sums else 0.0] * (10 - len(sums))
@@ -195,7 +197,8 @@ def _suite_conservation(law, t, replicas, seed):
         violations = 0
         for ev in traj.events:
             state = dislocate(state, ev.target_rank, ev.fragments)
-            worst = max(worst, abs(sum(state.parts) + state.dust - 1.0))
+            live = reduce(operator.add, state.parts, 0.0)
+            worst = max(worst, abs(live + state.dust - 1.0))
             after = _prefix_masses(state)
             for now, was in zip(after, before):
                 if now > was + _SLACK:

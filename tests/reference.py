@@ -9,6 +9,8 @@ generators, and twin paths with and without carried running sums.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -76,10 +78,15 @@ class StubRng:
         return self.u
 
 
+def fold(values, start=0.0):
+    """The left-to-right float sum of values, rounded after every add."""
+    return reduce(add, values, start)
+
+
 def reference_target(parts, alpha, u):
     """Rank whose cumulative m**alpha first exceeds u * total; else the last."""
     rates = [m ** alpha for m in parts]
-    acc, cut = 0.0, u * sum(rates)
+    acc, cut = 0.0, u * fold(rates)
     for i, r in enumerate(rates):
         acc += r
         if cut < acc:
@@ -164,14 +171,3 @@ def most_carried(handed):
 def state_hex(state):
     return ([m.hex() for m in state.parts], state.dust.hex(),
             state.nominal.hex())
-
-
-def compensated_sum(values, start=0):
-    """sum() as CPython 3.12 adds floats: Neumaier's compensated sum."""
-    total, comp = float(start), 0.0
-    for x in values:
-        x = float(x)
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + comp

@@ -17,9 +17,12 @@ from fragsim import (
     dislocate,
     extreme_cdf,
     frechet_k_cdf,
+    frequencies,
     ks_stat,
     ks_two_sample,
     normalize_lambda2,
+    paintbox,
+    partition_step,
     poisson_pmf_test,
     record_cdf,
     record_value,
@@ -27,8 +30,11 @@ from fragsim import (
     run,
     run_replicas,
     run_suite,
+    trivial,
+    write_event_csv,
+    write_snapshot_csv,
 )
-from fragsim.errors import ConfigError, FragsimError
+from fragsim.errors import ConfigError, FragsimError, InvalidPartition
 from fragsim.stats import pool_cells, pooled_chi_square
 
 _LAW = BinaryPowerLaw(0.5)
@@ -185,3 +191,26 @@ def test_a_fragment_size_that_is_not_a_number_raises_config_error(value):
     # "x" and None raised a bare TypeError, and NaN rescaled to NaN
     with pytest.raises(ConfigError, match="fragment size .* must be a number"):
         normalize_lambda2(_LAW, 1.0, value)
+
+
+@pytest.mark.parametrize("call, error, message", (
+    (lambda: paintbox(None, 3, np.random.default_rng(0)), ConfigError,
+     "state None must be a MassState"),
+    (lambda: frequencies(None), InvalidPartition,
+     "None is not a FinitePartition"),
+    (lambda: partition_step(trivial(3), 1.0, None, np.random.default_rng(0)),
+     ConfigError, "step kernel None must be callable"),
+    (lambda: dislocate(None, 1, (0.5,)), ConfigError,
+     "state None must be a MassState"),
+    (lambda: write_event_csv(_TRAJ, None), ConfigError,
+     "CSV stream None has no write method"),
+    (lambda: write_snapshot_csv(_TRAJ, None), ConfigError,
+     "CSV stream None has no write method"),
+), ids=("paintbox", "frequencies", "partition_step", "dislocate",
+        "write_event_csv", "write_snapshot_csv"))
+def test_a_state_partition_kernel_or_stream_of_none_raises_a_package_error(
+        call, error, message):
+    # partition_step raised a bare TypeError, calling None; the others a
+    # bare AttributeError, reading .nominal, .ground, .parts or .write
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -1,8 +1,11 @@
 """Running rate sums: array-backed states past 64 parts and the carried sums.
 
-Needs numpy alone, so CI runs it on the oldest numpy the package accepts:
-next_event calls np.add.accumulate and searchsorted at every event of a
-large state.
+At alpha != 0 next_event finds its target with bisect_right in running
+rate sums at every size: a list from itertools.accumulate when it is
+handed no sums, and the carried float64 buffer, which _evolve hands it
+past 64 parts, when it is. Needs numpy alone, so CI runs it on the oldest
+numpy the package accepts: next_event calls np.add.accumulate at every
+event of a path past 64 parts.
 """
 
 import builtins
@@ -20,12 +23,13 @@ from fragsim.simulator import RunningSums
 from reference import (
     Scripted,
     StubRng,
-    compensated_sum,
     dyadic_parts,
+    fold,
     onto,
     reference_target,
     twin_paths,
 )
+from sum312.emulation import compensated_sum
 
 THREE_ATOMS = FiniteAtomic([(1.0, (0.6, 0.4)), (0.5, (0.5, 0.3, 0.2)),
                             (0.25, (0.9, 0.05))])
@@ -95,31 +99,38 @@ def test_64_and_65_parts_of_every_kind_give_the_loops_target(alpha, n):
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
-def test_large_states_draw_no_total_from_sum(monkeypatch, alpha):
-    # a rate a quarter ulp of the first is lost by each left-to-right add
-    # but kept by compensation, so the two totals differ; running sums are
-    # np.add.accumulate's, so swapping sum() moves only the draws of a
-    # state of at most 64 parts handed none
+def test_no_state_draws_its_total_from_sum(monkeypatch, alpha):
+    # a rate a fraction of an ulp of the first is lost by each left-to-right
+    # add but kept by compensation, so from 4-6 parts on the two totals
+    # differ (two rates round alike either way); the running sums are
+    # accumulate's or np.add.accumulate's at every size, carried or not,
+    # so swapping sum() moves no draw, and next_event never calls it
     tiny = (0.5 ** alpha * 2.0 ** -55) ** (1.0 / alpha)
     cases = []
-    for n in (64, 65, 200):
+    for n in (2, 11, 64, 65, 200):
         parts = (0.5,) + (tiny,) * (n - 1)
         rates = [m ** alpha for m in parts]
-        assert compensated_sum(rates) != sum(rates)
+        assert (compensated_sum(rates) != fold(rates)) == (n > 2)
         for kind in (tuple, lambda p: array("d", p)):
             for carry in (False, True):
-                cases.append((MassState(kind(parts), 0.0, 1.0), carry,
-                              n > 64 or carry))
+                cases.append((MassState(kind(parts), 0.0, 1.0), carry))
 
     def triples():
         return [[next_event(state, alpha, 0.0, StubRng(u), TRUNC,
                             RunningSums() if carry else None)
-                 for u in (0.3, 0.9)] for state, carry, _ in cases]
+                 for u in (0.3, 0.9)] for state, carry in cases]
 
     want = triples()
-    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    calls = []
+
+    def swapped(*args):
+        calls.append(args)
+        return compensated_sum(*args)
+
+    monkeypatch.setattr(builtins, "sum", swapped)
     got = triples()
-    assert [a == b for a, b in zip(got, want)] == [same for *_, same in cases]
+    monkeypatch.undo()
+    assert got == want and calls == []
 
 
 @pytest.mark.parametrize("kind", (tuple, lambda p: array("d", p)),

@@ -1,9 +1,11 @@
 """Event-driven simulator: scheduling law, conservation, traces, CSV output."""
 
+import builtins
 import dataclasses
 import io
 import math
 from array import array
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from reference import (
     Scripted,
     StubRng,
     dyadic_parts,
+    fold,
     most_carried,
     onto,
     path_hex as _path_hex,
@@ -41,6 +44,7 @@ from reference import (
     twin_paths,
     watch_carried,
 )
+from sum312.emulation import compensated_sum
 
 SPLIT_64 = FiniteAtomic([(1.0, (0.6, 0.4))])
 TRUNC_64 = SPLIT_64.truncated_mass(0.0)
@@ -508,7 +512,7 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
         wait, target, _ = next_event(state, alpha, 0.0, StubRng(u),
                                      TRUNC_64)
         assert target == reference_target(parts, alpha, u)
-        assert wait == 1.0 / sum(m ** alpha for m in parts)
+        assert wait == 1.0 / fold(m ** alpha for m in parts)
     if alpha == 1.0:
         assert [next_event(state, alpha, 0.0, StubRng(u), TRUNC_64)[1]
                 for u in (0.5, 0.75, 1.0)] == [2, 3, 5]
@@ -517,8 +521,9 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
 @pytest.mark.parametrize("n", (1, 63, 64, 65, 128, 129, 3300))
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_block_scan_matches_the_element_loop(n, alpha):
-    # past 64 parts next_event searches running sums, as an array-backed
-    # state in the event loop does, whether or not it is handed any
+    # next_event searches running sums at every size: a list from
+    # accumulate when it is handed none, and the float64 buffer of the
+    # RunningSums it is handed, as an array-backed path carries, otherwise
     parts = dyadic_parts(n)
     rates = [m ** alpha for m in parts]
     total = sum(rates)
@@ -565,26 +570,49 @@ def test_block_scan_on_int_and_simulated_parts():
                 assert got == reference_target(state.parts, alpha, float(u))
 
 
+def test_erosion_and_the_cap_fold_their_totals(monkeypatch):
+    # ten rates of a quarter ulp or less of the first: each left-to-right
+    # add drops one, a compensated sum keeps them, so the live mass _observe
+    # erodes and the spill _trim_to_cap dusts move with sum() unless they
+    # are folds
+    tiny = 2.0 ** -56
+    eroded = MassState((0.5,) + (tiny,) * 10, 0.0, 1.0)
+    trimmed = MassState((0.5, 0.25) + (tiny,) * 10, 0.0, 1.0)
+    assert compensated_sum(eroded.parts) != fold(eroded.parts)
+    assert compensated_sum(trimmed.parts[1:]) != fold(trimmed.parts[1:])
+
+    def states():
+        return [_hex(s) for s in (_observe(eroded, 0.5, 1.0),
+                                  simulator._trim_to_cap(trimmed, 1))]
+
+    want = states()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert states() == want
+
+
 def test_sum_adds_left_to_right():
-    # a state of at most 64 parts takes its total from sum(), which rounds
-    # after every add on CPython 3.11; 3.12 compensates, which would move
-    # the pinned streams
-    assert sum([1e16, 1.0, -1e16], 0.0) == 0.0
-    # past 64 parts the running sums are np.add.accumulate's, continued from
-    # the last carried one: each must be the left-to-right sum, bit for bit,
-    # wherever the carry is cut (every cut of the first two vectors)
+    # a float total in the package is a left-to-right fold, rounded after
+    # every add; a compensated sum, as sum() is since CPython 3.12, would
+    # move the pinned streams
+    assert fold([1e16, 1.0, -1e16]) == 0.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    # next_event's running sums are accumulate's when it is handed none and
+    # np.add.accumulate's, continued from the last carried one, when it is:
+    # each must be the fold, bit for bit, wherever the carry is cut (every
+    # cut of the first two vectors)
     vectors = [[1e16, 1.0, -1e16],
                [float(r) for r in np.random.default_rng(4).random(300) ** 9]]
     vectors += [[float(r) for r in rng.random(int(rng.integers(1, 400))) ** 9]
                 for rng in map(np.random.default_rng, range(200))]
     for i, x in enumerate(vectors):
-        whole, acc, loop = sum(x), 0.0, []
+        whole, acc, loop = fold(x), 0.0, []
         for r in x:
             acc += r
             loop.append(acc.hex())
         assert loop[-1] == whole.hex()
+        assert [s.hex() for s in accumulate(x)] == loop
         for k in range(len(x) + 1) if i < 2 else (0, 1, len(x) // 3, len(x)):
-            assert sum(x[k:], sum(x[:k])).hex() == whole.hex()
+            assert fold(x[k:], fold(x[:k])).hex() == whole.hex()
             carried = RunningSums()
             carried.extend(x[:k], 1.0)
             assert [float(v).hex() for v in carried.extend(x, 1.0)] == loop
@@ -594,8 +622,8 @@ def test_sum_adds_left_to_right():
                                             (2.0, 20000.0)))
 @pytest.mark.parametrize("seed", range(3))
 def test_carried_block_sums_keep_the_path(monkeypatch, alpha, horizon, seed):
-    # the twin sums every rank at every event, from a fresh RunningSums past
-    # _LIST_MAX parts and with sum() below it
+    # the twin sums every rank at every event, with accumulate at every
+    # size
     shipped, carry_free, handed = twin_paths(
         monkeypatch, MassState((1.0,), 0.0, 1.0), THREE_ATOMS, alpha, horizon,
         0.0, 10 ** 6, lambda: np.random.default_rng(seed))

@@ -1,5 +1,6 @@
 """Verification suite plumbing: determinism, replica order, overrides."""
 
+import builtins
 import hashlib
 import math
 
@@ -27,6 +28,8 @@ from fragsim.errors import (
     RateOverflow,
     UnknownSuite,
 )
+from reference import fold
+from sum312.emulation import compensated_sum
 
 
 def test_exit_codes():
@@ -121,8 +124,16 @@ def test_prefix_masses_match_prefix_mass():
     for n in [0, 1, 9, 10, 11] + [int(k) for k in rng.integers(0, 30, 200)]:
         state = MassState(tuple(sorted(rng.random(n).tolist(), reverse=True)),
                           0.0, 1.0)
-        want = [float(sum(state.parts[:k])).hex() for k in range(1, 11)]
+        want = [fold(state.parts[:k]).hex() for k in range(1, 11)]
         assert [x.hex() for x in suites._prefix_masses(state)] == want
+
+
+def test_the_conservation_report_does_not_move_with_sum(monkeypatch):
+    # its replay's mass balance is a fold of the parts: a compensated
+    # sum(), as on CPython 3.12, moved the report's text
+    want = run_suite("conservation").to_text()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert run_suite("conservation").to_text() == want
 
 
 def test_correspondence_needs_two_replicas(capsys):
