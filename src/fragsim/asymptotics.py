@@ -39,15 +39,19 @@ def run_subordinator(killing_rate, jump_rate, t, rng):
     the jump count on [0, t] and the jump times, in that order, and
     nothing per jump. A killed path counts the jumps at or before the
     killing time. Inputs check_subordinator rejects raise ConfigError
-    before any draw.
+    before any draw, and so does an rng that cannot draw, as None.
     """
     check_subordinator(killing_rate, jump_rate, t)
-    if killing_rate > 0.0:
-        kill = rng.exponential(1.0 / killing_rate)
-    else:
-        kill = math.inf
-    count = rng.poisson(jump_rate * t) if jump_rate > 0.0 else 0
-    jumps = np.count_nonzero(rng.random(count) * t <= min(t, kill))
+    try:
+        if killing_rate > 0.0:
+            kill = rng.exponential(1.0 / killing_rate)
+        else:
+            kill = math.inf
+        count = rng.poisson(jump_rate * t) if jump_rate > 0.0 else 0
+        times = rng.random(count) * t
+    except AttributeError:
+        raise ConfigError(f"rng {rng!r} must be a numpy Generator") from None
+    jumps = np.count_nonzero(times <= min(t, kill))
     return int(jumps), kill > t
 
 

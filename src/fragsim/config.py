@@ -23,9 +23,16 @@ _PARSERS.update(event_budget=float, r=float, m_max=int, n=int, seed=int,
 
 
 def parse_config_text(text):
-    """Parse config text into a dict of typed values (law under 'law')."""
+    """Parse config text into a dict of typed values (law under 'law').
+
+    A text that is not a str, as None, raises ConfigError.
+    """
+    try:
+        lines = text.splitlines()
+    except AttributeError:
+        raise ConfigError(f"config text {text!r} must be a str") from None
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -50,7 +57,14 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
+    """parse_config_text of the UTF-8 file at path; a path that is not a
+    str or path, as None, raises ConfigError."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except TypeError:
+        raise ConfigError(f"config path {path!r} must be a str or a path") \
+            from None
+    with fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

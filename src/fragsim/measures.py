@@ -340,10 +340,15 @@ _MEASURE_KEYS = {
 
 def _split_fields(text):
     """Split 'k = v; k = v' into a dict; ';' chunks without '=' extend the
-    previous value (atom lists use ';' internally)."""
+    previous value (atom lists use ';' internally). A text that is not a
+    str, as None, raises ConfigError."""
+    try:
+        chunks = text.split(";")
+    except AttributeError:
+        raise ConfigError(f"measure spec {text!r} must be a str") from None
     fields = {}
     last = None
-    for chunk in text.split(";"):
+    for chunk in chunks:
         if "=" in chunk:
             key, value = chunk.split("=", 1)
             key = key.strip()

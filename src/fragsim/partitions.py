@@ -93,7 +93,7 @@ def _paint_over(state, elements, rng):
 
     A state with no nominal budget, as None, raises ConfigError, and a
     nominal budget that is not finite and > 0 NegativeMass, before the
-    draw.
+    draw; an rng that cannot draw, as None, raises ConfigError.
     """
     try:
         nominal = state.nominal
@@ -102,7 +102,10 @@ def _paint_over(state, elements, rng):
     if not 0.0 < nominal < math.inf:
         raise NegativeMass(f"nominal budget {nominal} must be finite and > 0")
     n = len(elements)
-    uniforms = rng.random(n)
+    try:
+        uniforms = rng.random(n)
+    except AttributeError:
+        raise ConfigError(f"rng {rng!r} must be a numpy Generator") from None
     parts = state.parts
     if n and parts:
         first = parts[0] / nominal
@@ -164,7 +167,8 @@ def partition_step(p, duration, kernel, rng):
     blocks then partition p.ground and need only one sort by least element.
     A duration that is not finite and >= 0 raises ConfigError. A step of
     duration 0 is p itself and calls no kernel; a longer one raises
-    ConfigError for a kernel that is not callable.
+    ConfigError for a kernel that is not callable, and InvalidPartition for
+    a p with no blocks, as None.
     """
     check_range(duration, lambda d: 0.0 <= d < math.inf,
                 "step duration {!r} must be finite and >= 0")
@@ -172,8 +176,12 @@ def partition_step(p, duration, kernel, rng):
         return p
     if not callable(kernel):
         raise ConfigError(f"step kernel {kernel!r} must be callable")
+    try:
+        parents = p.blocks
+    except AttributeError:
+        raise InvalidPartition(f"{p!r} is not a FinitePartition") from None
     blocks = []
-    for block in p.blocks:
+    for block in parents:
         blocks.extend(_paint_over(kernel(duration, rng), block, rng))
     blocks.sort(key=lambda b: b[0])
     return FinitePartition(p.ground, tuple(blocks))

@@ -8,10 +8,12 @@ and keep the parts ranked.
 
 Inside the simulator's event loop a state of at most 64 parts holds a
 tuple, as every public state does, and a larger one an array('d'), which
-an event copies with one memcpy of doubles: dislocate returns an array
-for an array and a tuple for any other parts. Array-backed states reach
-no public caller: every snapshot, trajectory and kernel state holds a
-tuple, and run drops the loop's end state.
+an event copies with one memcpy of doubles and whose rates next_event
+sums with one np.add.accumulate: dislocate returns an array for an array
+and a tuple for any other parts. The parts are all the loop carries from
+one event to the next. Array-backed states reach no public caller: every
+snapshot, trajectory and kernel state holds a tuple, and run drops the
+loop's end state.
 """
 
 import math

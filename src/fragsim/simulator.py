@@ -36,8 +36,8 @@ CSV_EVENT_COLS = 8
 CSV_SNAPSHOT_COLS = 16
 # The most parts an event-loop state holds in a tuple; only _evolve reads
 # it. Past it _evolve moves the parts to an array('d'), which dislocate
-# copies with one memcpy, and at alpha != 0 hands next_event a RunningSums
-# that it carries from one event to the next.
+# copies with one memcpy, and whose running rate sums next_event takes at
+# alpha != 0 with one np.add.accumulate.
 _LIST_MAX = 64
 
 
@@ -140,58 +140,7 @@ class Trajectory(NamedTuple):
         return any(ev.capped for ev in self.events)
 
 
-class RunningSums:
-    """The running sums of a state's rates m ** alpha, rank by rank.
-
-    sums[:valid] hold them for the first valid ranks, each a left-to-right
-    fold of float adds; sums is a float64 buffer, allocated on first use
-    and grown as the state grows. _evolve makes one for a path past
-    _LIST_MAX parts at alpha != 0 and hands it to next_event, which extends
-    it to every rank of the state; after the event _evolve keeps valid
-    only as far as the ranks the event left as they were.
-    """
-
-    __slots__ = ("sums", "valid")
-
-    def __init__(self):
-        self.sums = None
-        self.valid = 0
-
-    def extend(self, parts, alpha):
-        """The running sums of parts' rates, as a view of sums[:len(parts)].
-
-        The ranks from valid on are added to the last valid sum by
-        np.add.accumulate, one add at a time left to right, so each sum is
-        the one a left-to-right loop of float adds gives. At alpha outside
-        {0, 1} each of those ranks' rates is Python's m ** alpha, libm's
-        pow, which raises OverflowError for a rate past the float range.
-        """
-        n, k = len(parts), self.valid
-        sums = self.sums
-        if sums is None or len(sums) < n:
-            grown = np.empty(2 * n)
-            if k:
-                grown[:k] = sums[:k]
-            self.sums = sums = grown
-        if k < n:
-            # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
-            sums[k:n] = parts[k:n] if alpha == 1.0 else \
-                [m ** alpha for m in parts[k:n]]
-            tail = sums[k - 1 if k else 0:n]
-            if alpha < 0.0 or parts[0] > 1.0:
-                # at alpha >= 0 parts of at most 1 have rates of at most 1,
-                # whose sum stays finite; the rates of small masses at
-                # alpha < 0, or of masses past 1, can sum past the float
-                # range
-                with np.errstate(over="ignore"):
-                    np.add.accumulate(tail, out=tail)
-            else:
-                np.add.accumulate(tail, out=tail)
-            self.valid = n
-        return sums[:n]
-
-
-def next_event(state, alpha, eps, rng, trunc, sums=None):
+def next_event(state, alpha, eps, rng, trunc):
     """Draw (waiting time, target rank, the law's uniform v).
 
     Each fragment carries an exponential clock of rate mass**alpha times
@@ -213,37 +162,55 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     For alpha != 0 the target is the first rank whose running sum of
     rates exceeds u * total, for a uniform u drawn before v: one past the
     count of running sums at or below u, capped at n, as the running sums
-    of non-negative rates never fall; bisect_right counts them. With sums
-    omitted, the running sums are a list from itertools.accumulate; with
-    sums, a RunningSums, they are its float64 buffer extended to every
-    rank. Either way the total is the last running sum, and each sum is a
-    left-to-right fold of float adds, so both give the same floats and the
-    same target. A caller that carries sums keeps only the sums of ranks
-    the event left as they were, as _evolve does.
+    of non-negative rates never fall; bisect_right counts them. The
+    running sums are taken afresh at every call, from the state's parts
+    alone: a list from itertools.accumulate for parts in a tuple, or any
+    sequence but an array, and np.add.accumulate's float64 array for
+    parts in an array('d'), as the event loop holds them past 64 parts.
+    Each sum is a left-to-right fold of float adds either way, so both
+    give the same floats and the same target, and the total is the last
+    running sum, a Python float.
 
     Raises RateOverflow when the mass-biased total rate is not finite, as
     when fragments shrink toward 0 at alpha < 0 with no mass floor, and
     DeadState, before any draw, when it underflows to 0, as every m**alpha
     does at a large alpha. Raises EmptyTruncation, before any draw, when
-    trunc is not positive.
+    trunc is not positive. A state with no parts, as None, raises
+    ConfigError, and so does an rng with no draw methods, as None; each
+    check is the handler of a read the call makes anyway, so a valid call
+    pays nothing for it.
     """
-    n = len(state.parts)
+    try:
+        parts = state.parts
+    except AttributeError:
+        raise ConfigError(f"state {state!r} must be a MassState") from None
+    n = len(parts)
     if n == 0:
         raise DeadState("no fragments left to dislocate")
     if trunc <= 0.0:
         raise EmptyTruncation(f"truncated law has zero mass at eps={eps}")
-    if alpha == 0.0:
-        e, target, v = exponential_rank_and_uniform(rng, n)
-        wait = 1.0 / (n * trunc) * e
-        return wait, target, v
     try:
-        if sums is None:
-            # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
-            running = list(accumulate(state.parts if alpha == 1.0 else
-                                      [m ** alpha for m in state.parts]))
+        if alpha == 0.0:
+            e, target, v = exponential_rank_and_uniform(rng, n)
+            return 1.0 / (n * trunc) * e, target, v
+        exponential = rng.standard_exponential
+    except AttributeError:
+        raise ConfigError(f"rng {rng!r} must be a numpy Generator") from None
+    try:
+        # m ** 1.0 == m exactly, so alpha = 1 skips the per-fragment pow
+        rates = parts if alpha == 1.0 else [m ** alpha for m in parts]
+        if type(parts) is not array:
+            running = list(accumulate(rates))
             total = running[-1]
+        elif alpha < 0.0 or parts[0] > 1.0:
+            # at alpha >= 0 parts of at most 1 have rates of at most 1, whose
+            # sum stays finite; the rates of small masses at alpha < 0, or of
+            # masses past 1, can sum past the float range
+            with np.errstate(over="ignore"):
+                running = np.add.accumulate(rates)
+            total = running.item(n - 1)
         else:
-            running = sums.extend(state.parts, alpha)
+            running = np.add.accumulate(rates)
             total = running.item(n - 1)
     except OverflowError:
         total = math.inf
@@ -254,7 +221,7 @@ def next_event(state, alpha, eps, rng, trunc, sums=None):
     rate = total * trunc
     if not rate > 0.0:
         raise DeadState(f"mass-biased rates underflow to 0 at alpha={alpha}")
-    wait = 1.0 / rate * rng.standard_exponential()
+    wait = 1.0 / rate * exponential()
     u = rng.random() * total
     v = rng.random()
     return wait, min(bisect_right(running, u) + 1, n), v
@@ -316,22 +283,19 @@ def _evolve(state, config, horizon, rng):
     for any parts but an array. Once a state holds more than _LIST_MAX
     parts they move to an array('d'), made here and nowhere else, which
     stays one to the path's end and which every later event copies with
-    one memcpy; at alpha != 0 the path carries next_event's RunningSums
-    from then on: after each event it keeps the sums of the ranks before
-    the parent's and within the cap, as dislocate moves no rank before the
-    parent's and the trim drops only ranks past the cap. Every snapshot
-    holds a tuple. The final state keeps the parts the loop ended with, a
-    tuple or an array: run drops it, and make_step_kernel makes it a tuple
-    through _observe.
+    one memcpy. An event carries nothing to the next but its state:
+    next_event sums the rates afresh from the parts at every event. Every
+    snapshot holds a tuple. The final state keeps the parts the loop ended
+    with, a tuple or an array: run drops it, and make_step_kernel makes it
+    a tuple through _observe.
     """
     alpha, eps, c = config.alpha, config.eps, config.c
     trunc, obs = config.truncated_rate, config.obs_times
     mass_floor, max_fragments = config.mass_floor, config.max_fragments
     sample = config.law.sample_dislocation
     snapshots, events = [], []
-    # next_event's running sums and _observe's boxed floats, once the parts
-    # are an array
-    sums = boxes = None
+    # _observe's boxed floats, once the parts are an array
+    boxes = None
     n_obs = len(obs)
     obs_idx = 0
     t = 0.0
@@ -340,10 +304,8 @@ def _evolve(state, config, horizon, rng):
             state = tuple.__new__(MassState, (array("d", state.parts),
                                               state.dust, state.nominal))
             boxes = {}
-            if alpha != 0.0:
-                sums = RunningSums()
         try:
-            wait, target, v = next_event(state, alpha, eps, rng, trunc, sums)
+            wait, target, v = next_event(state, alpha, eps, rng, trunc)
             t_next = t + wait
             happens = t_next <= horizon
             if happens:
@@ -359,10 +321,6 @@ def _evolve(state, config, horizon, rng):
         capped = len(after.parts) > max_fragments
         if capped:
             after = _trim_to_cap(after, max_fragments)
-        if sums is not None:
-            # next_event left a sum for each of the n ranks, n > target - 1;
-            # those before the parent's rank and within the cap still hold
-            sums.valid = min(target - 1, len(after.parts))
         # tuple.__new__ builds the very record EventAtom(...) would,
         # without the generated __new__'s Python frame, as below
         events.append(tuple.__new__(EventAtom, (
@@ -384,11 +342,18 @@ def run(config, rng):
     and trajectory are flagged instead of raising.
 
     The path starts from the tuple (initial_mass,) and runs on a tuple-
-    or array-backed state; its snapshots hold tuples, and its end state is
-    dropped. Every path run on one config shares its truncated_rate.
+    or array-backed state, whose rates next_event sums afresh at every
+    event; its snapshots hold tuples, and its end state is dropped. Every
+    path run on one config shares its truncated_rate. A config with no
+    initial_mass, as None, raises ConfigError, and so does an rng with no
+    draw methods, through next_event; neither check costs a valid call
+    anything.
     """
-    state = tuple.__new__(MassState, ((config.initial_mass,), 0.0,
-                                      config.initial_mass))
+    try:
+        mass = config.initial_mass
+    except AttributeError:
+        raise ConfigError(f"config {config!r} must be a SimConfig") from None
+    state = tuple.__new__(MassState, ((mass,), 0.0, mass))
     traj, _ = _evolve(state, config, config.t_end, rng)
     return traj
 
@@ -397,11 +362,12 @@ def record_value(traj, t):
     """Largest second piece over rank-1 events with time <= t; 0 if none.
 
     Of equal candidates the first is kept, as max keeps it. A t that is
-    not a number, or is NaN, raises ConfigError.
+    not a number, or is NaN, raises ConfigError, as does a traj with no
+    event log, as None.
     """
     t = _query(t, "record time t")
     record = None
-    for ev in traj.events:
+    for ev in _field(traj, "events"):
         if ev.target_rank == 1 and ev.time <= t:
             frags = ev.fragments
             value = frags[1] if len(frags) > 1 else 0.0
@@ -414,11 +380,12 @@ def chi_value(traj, t):
     """Product of first pieces over rank-1/rank-2 events with time < t; 1 if none.
 
     The factors are multiplied in event order, so the float is reproducible.
-    A t that is not a number, or is NaN, raises ConfigError.
+    A t that is not a number, or is NaN, raises ConfigError, as does a traj
+    with no event log, as None.
     """
     t = _query(t, "chi time t")
     chi = 1.0
-    for ev in traj.events:
+    for ev in _field(traj, "events"):
         if ev.time >= t:
             break
         if ev.target_rank <= 2:
@@ -431,13 +398,15 @@ def write_event_csv(traj, stream):
 
     The log keeps each law's vector as the law returned it, so a list or
     an array is made a tuple here, not in the event loop. A stream with no
-    write method raises ConfigError, as does write_snapshot_csv's.
+    write method raises ConfigError, as does write_snapshot_csv's, and so
+    does a traj with no event log or observation times, as None, once the
+    header is written.
     """
     write = _writer(stream)
     cols = ",".join(f"s{i + 1}" for i in range(CSV_EVENT_COLS))
     write(f"time,target_rank,parent_mass,{cols}\n")
     rows = _padded_rows("%.17g,%d,%.17g", CSV_EVENT_COLS, "\n")
-    for ev in traj.events:
+    for ev in _field(traj, "events"):
         frags = tuple(ev.fragments[:CSV_EVENT_COLS])
         write(rows[len(frags)] % ((ev.time, ev.target_rank, ev.parent_mass)
                                   + frags))
@@ -449,9 +418,18 @@ def write_snapshot_csv(traj, stream):
     cols = ",".join(f"lambda{i + 1}" for i in range(CSV_SNAPSHOT_COLS))
     write(f"time,{cols},dust\n")
     rows = _padded_rows("%.17g", CSV_SNAPSHOT_COLS, ",%.17g\n")
-    for t, snap in zip(traj.obs_times, traj.snapshots):
+    for t, snap in zip(_field(traj, "obs_times"), traj.snapshots):
         parts = snap.parts[:CSV_SNAPSHOT_COLS]
         write(rows[len(parts)] % ((t,) + parts + (snap.dust,)))
+
+
+def _field(traj, name):
+    """traj's field name; a traj without it, as None, raises ConfigError."""
+    try:
+        return getattr(traj, name)
+    except AttributeError:
+        raise ConfigError(f"trajectory {traj!r} must be a Trajectory") \
+            from None
 
 
 def _writer(stream):

@@ -47,9 +47,12 @@ def ks_stat(samples, cdf, x_min=None):
     a truncation level and deliberately wrong below it.
 
     samples is a number or an array of numbers, read flat; anything else,
-    or an x_min that is not a number or is NaN, raises ConfigError.
+    an x_min that is not a number or is NaN, or a cdf that is not callable
+    raises ConfigError.
     """
     xs = np.sort(_points(samples, "KS sample"), axis=None)
+    if not callable(cdf):
+        raise ConfigError(f"KS reference cdf {cdf!r} must be callable")
     if x_min is not None:
         x_min = _query(x_min, "KS cut x_min")
     n = xs.size

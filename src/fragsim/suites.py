@@ -94,11 +94,14 @@ def run_replicas(worker, n, seed):
     """Evaluate worker(index, rng) for n replicas; results in index order.
 
     Every replica owns the stream derived from (seed, index). An n that
-    is not an int >= 0 raises ConfigError, and so does a seed replica_rng
-    refuses, once n > 0.
+    is not an int >= 0 raises ConfigError, and so does a worker that is
+    not callable, before any replica, and a seed replica_rng refuses, once
+    n > 0.
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise ConfigError(f"replica count n {n!r} must be an int >= 0")
+    if not callable(worker):
+        raise ConfigError(f"replica worker {worker!r} must be callable")
     return [worker(i, replica_rng(seed, i)) for i in range(n)]
 
 

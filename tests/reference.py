@@ -5,10 +5,12 @@ The package builds partitions only through trivial, paintbox,
 partition_step and frequencies; these build them from plain blocks,
 labels and masses, the slow and obvious way. The event-loop references
 below need numpy alone: a target found by adding rates one by one, stub
-generators, and twin paths with and without carried running sums.
+generators, and twin paths, one array-backed past 64 parts and one on
+tuples at every size.
 """
 
 import math
+from array import array
 from functools import reduce
 from operator import add
 
@@ -131,25 +133,24 @@ def path_hex(traj, end):
     return events, [state_hex(s) for s in traj.snapshots], state_hex(end)
 
 
-def watch_carried(monkeypatch):
-    """Make _evolve's next_event calls record, in the list returned, the
-    running sums each was handed (None with none) and its state's parts."""
+def watch_kinds(monkeypatch):
+    """Make _evolve's next_event calls record, in the list returned,
+    whether each was handed an array-backed state, and its parts' count."""
     handed = []
 
-    def watched(*args):
-        sums = args[-1]
-        handed.append((None if sums is None else sums.valid,
-                       len(args[0].parts)))
-        return next_event(*args)
+    def watched(state, *args):
+        handed.append((type(state.parts) is array, len(state.parts)))
+        return next_event(state, *args)
 
     monkeypatch.setattr(simulator, "next_event", watched)
     return handed
 
 
 def twin_paths(monkeypatch, start, law, alpha, horizon, floor, cap, make_rng):
-    """A path through _evolve as shipped and its twin whose next_event calls
-    carry no running sums, both as float.hex, and what watch_carried saw
-    the first path's calls handed."""
+    """A path through _evolve as shipped and its twin that keeps its parts
+    in a tuple at every size, both as float.hex, and what watch_kinds saw
+    the first path's calls handed. The first path's running sums are
+    np.add.accumulate's past 64 parts, the twin's accumulate's."""
     def path():
         traj, end = simulator._evolve(start, SimConfig(
             law, horizon, alpha=alpha, eps=0.0,
@@ -157,15 +158,13 @@ def twin_paths(monkeypatch, start, law, alpha, horizon, floor, cap, make_rng):
             max_fragments=cap), horizon, make_rng())
         return path_hex(traj, end)
 
-    handed = watch_carried(monkeypatch)
+    handed = watch_kinds(monkeypatch)
     shipped = path()
-    monkeypatch.setattr(simulator, "next_event",
-                        lambda *args: next_event(*args[:-1]))
-    return shipped, path(), handed
-
-
-def most_carried(handed):
-    return max(valid or 0 for valid, _ in handed)
+    with monkeypatch.context() as twin:
+        twin.setattr(simulator, "next_event", next_event)
+        twin.setattr(simulator, "_LIST_MAX", math.inf)
+        on_tuples = path()
+    return shipped, on_tuples, handed
 
 
 def state_hex(state):

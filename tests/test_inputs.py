@@ -1,5 +1,6 @@
 """Inputs of the wrong kind or range raise a package error, never a bare one."""
 
+import io
 import math
 
 import numpy as np
@@ -20,8 +21,11 @@ from fragsim import (
     frequencies,
     ks_stat,
     ks_two_sample,
+    make_step_kernel,
+    next_event,
     normalize_lambda2,
     paintbox,
+    parse_measure,
     partition_step,
     poisson_pmf_test,
     record_cdf,
@@ -34,6 +38,9 @@ from fragsim import (
     write_event_csv,
     write_snapshot_csv,
 )
+from fragsim import suites
+from fragsim.asymptotics import run_subordinator
+from fragsim.config import load_config, parse_config_text
 from fragsim.errors import ConfigError, FragsimError, InvalidPartition
 from fragsim.stats import pool_cells, pooled_chi_square
 
@@ -206,11 +213,66 @@ def test_a_fragment_size_that_is_not_a_number_raises_config_error(value):
      "CSV stream None has no write method"),
     (lambda: write_snapshot_csv(_TRAJ, None), ConfigError,
      "CSV stream None has no write method"),
+    (lambda: next_event(None, 1.0, 0.0, np.random.default_rng(0), 1.0),
+     ConfigError, "state None must be a MassState"),
+    (lambda: partition_step(None, 1.0, make_step_kernel(_SPLIT),
+                            np.random.default_rng(0)), InvalidPartition,
+     "None is not a FinitePartition"),
 ), ids=("paintbox", "frequencies", "partition_step", "dislocate",
-        "write_event_csv", "write_snapshot_csv"))
+        "write_event_csv", "write_snapshot_csv", "next_event",
+        "partition_step partition"))
 def test_a_state_partition_kernel_or_stream_of_none_raises_a_package_error(
         call, error, message):
     # partition_step raised a bare TypeError, calling None; the others a
-    # bare AttributeError, reading .nominal, .ground, .parts or .write
+    # bare AttributeError, reading .nominal, .ground, .parts, .write or
+    # .blocks
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+_SPLIT = FiniteAtomic([(1.0, (0.6, 0.4))])
+_NO_RNG = "rng None must be a numpy Generator"
+_NO_TRAJ = "trajectory None must be a Trajectory"
+
+
+@pytest.mark.parametrize("call, message", (
+    (lambda: next_event(_PAIR, 0.0, 0.0, None, 1.0), _NO_RNG),
+    (lambda: next_event(_PAIR, 1.0, 0.0, None, 1.0), _NO_RNG),
+    (lambda: run(None, np.random.default_rng(0)),
+     "config None must be a SimConfig"),
+    (lambda: run(SimConfig(_SPLIT, 1.0), None), _NO_RNG),
+    (lambda: make_step_kernel(_SPLIT)(1.0, None), _NO_RNG),
+    (lambda: record_value(None, 1.0), _NO_TRAJ),
+    (lambda: chi_value(None, 1.0), _NO_TRAJ),
+    (lambda: write_event_csv(None, io.StringIO()), _NO_TRAJ),
+    (lambda: write_snapshot_csv(None, io.StringIO()), _NO_TRAJ),
+    (lambda: run_replicas(None, 3, 0), "replica worker None must be callable"),
+    (lambda: ks_stat([0.1, 0.2], None),
+     "KS reference cdf None must be callable"),
+    (lambda: paintbox(_PAIR, 3, None), _NO_RNG),
+    (lambda: run_subordinator(1.0, 1.0, 1.0, None), _NO_RNG),
+    (lambda: parse_measure(None), "measure spec None must be a str"),
+    (lambda: parse_config_text(None), "config text None must be a str"),
+    (lambda: load_config(None), "config path None must be a str or a path"),
+), ids=("next_event alpha 0", "next_event alpha 1", "run config", "run rng",
+        "step kernel", "record_value", "chi_value", "write_event_csv",
+        "write_snapshot_csv", "run_replicas", "ks_stat", "paintbox",
+        "run_subordinator", "parse_measure", "parse_config_text",
+        "load_config"))
+def test_a_config_generator_path_callable_or_text_of_none_raises_config_error(
+        call, message):
+    # run_replicas and ks_stat raised a bare TypeError, calling None, and
+    # load_config one from open(None); the others a bare AttributeError,
+    # reading .bit_generator, .standard_exponential, .random, .exponential,
+    # .initial_mass, .events, .obs_times, .split or .splitlines
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call()
+
+
+def test_a_worker_that_is_not_callable_runs_no_replica(monkeypatch):
+    made = []
+    monkeypatch.setattr(suites, "replica_rng",
+                        lambda seed, i: made.append(i))
+    with pytest.raises(ConfigError):
+        suites.run_replicas(None, 3, 0)
+    assert made == []

@@ -30,19 +30,18 @@ from fragsim import (
 from fragsim import simulator
 from fragsim.errors import ConfigError, DeadState, EmptyTruncation, RateOverflow
 from fragsim.measures import DislocationLaw
-from fragsim.simulator import RunningSums, _evolve, _observe
+from fragsim.simulator import _evolve, _observe
 from reference import (
     Scripted,
     StubRng,
     dyadic_parts,
     fold,
-    most_carried,
     onto,
     path_hex as _path_hex,
     reference_target,
     state_hex as _hex,
     twin_paths,
-    watch_carried,
+    watch_kinds,
 )
 from sum312.emulation import compensated_sum
 
@@ -522,16 +521,16 @@ def test_mass_biased_target_matches_the_generic_scan(alpha):
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0))
 def test_block_scan_matches_the_element_loop(n, alpha):
     # next_event searches running sums at every size: a list from
-    # accumulate when it is handed none, and the float64 buffer of the
-    # RunningSums it is handed, as an array-backed path carries, otherwise
+    # accumulate for a tuple, and np.add.accumulate's float64 array for an
+    # array('d'), as an array-backed path holds its parts
     parts = dyadic_parts(n)
     rates = [m ** alpha for m in parts]
     total = sum(rates)
     states = [MassState(parts, 0.0, 1.0), MassState(array("d", parts), 0.0, 1.0)]
 
     def target(u):
-        got = {next_event(state, alpha, 0.0, StubRng(u), TRUNC_64, sums)[1]
-               for state in states for sums in (None, RunningSums())}
+        got = {next_event(state, alpha, 0.0, StubRng(u), TRUNC_64)[1]
+               for state in states}
         assert got == {reference_target(parts, alpha, u)}
         return got.pop()
 
@@ -596,10 +595,10 @@ def test_sum_adds_left_to_right():
     # move the pinned streams
     assert fold([1e16, 1.0, -1e16]) == 0.0
     assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
-    # next_event's running sums are accumulate's when it is handed none and
-    # np.add.accumulate's, continued from the last carried one, when it is:
-    # each must be the fold, bit for bit, wherever the carry is cut (every
-    # cut of the first two vectors)
+    # next_event's running sums are accumulate's for a tuple and
+    # np.add.accumulate's for an array('d'): each must be the fold, bit for
+    # bit, and so must a fold continued from any prefix's (every cut of the
+    # first two vectors)
     vectors = [[1e16, 1.0, -1e16],
                [float(r) for r in np.random.default_rng(4).random(300) ** 9]]
     vectors += [[float(r) for r in rng.random(int(rng.integers(1, 400))) ** 9]
@@ -611,55 +610,55 @@ def test_sum_adds_left_to_right():
             loop.append(acc.hex())
         assert loop[-1] == whole.hex()
         assert [s.hex() for s in accumulate(x)] == loop
+        assert [float(v).hex()
+                for v in np.add.accumulate(array("d", x))] == loop
         for k in range(len(x) + 1) if i < 2 else (0, 1, len(x) // 3, len(x)):
             assert fold(x[k:], fold(x[:k])).hex() == whole.hex()
-            carried = RunningSums()
-            carried.extend(x[:k], 1.0)
-            assert [float(v).hex() for v in carried.extend(x, 1.0)] == loop
 
 
 @pytest.mark.parametrize("alpha, horizon", ((1.0, 300.0), (0.5, 25.0),
                                             (2.0, 20000.0)))
 @pytest.mark.parametrize("seed", range(3))
 def test_carried_block_sums_keep_the_path(monkeypatch, alpha, horizon, seed):
-    # the twin sums every rank at every event, with accumulate at every
-    # size
-    shipped, carry_free, handed = twin_paths(
+    # the path sums its rates with np.add.accumulate once its parts are an
+    # array, the twin with accumulate on a tuple at every size
+    shipped, on_tuples, handed = twin_paths(
         monkeypatch, MassState((1.0,), 0.0, 1.0), THREE_ATOMS, alpha, horizon,
         0.0, 10 ** 6, lambda: np.random.default_rng(seed))
-    assert shipped == carry_free
+    assert shipped == on_tuples
     assert max(len(s[0]) for s in shipped[1]) > 3 * 64
-    assert most_carried(handed) > 64
-    # running sums are handed from the first state past 64 parts on
+    # the parts are an array from the first state past 64 parts on
     first = next(i for i, (_, n) in enumerate(handed) if n > 64)
-    assert [valid is None for valid, _ in handed] == \
-        [True] * first + [False] * (len(handed) - first)
+    assert [is_array for is_array, _ in handed] == \
+        [False] * first + [True] * (len(handed) - first)
 
 
 def test_carried_block_sums_under_a_mass_floor(monkeypatch):
     # every piece of a part of 0.0075 falls below the floor, and the 0.25
-    # part leaves pieces above it at the front, which drops every sum; the
-    # state shrinks below 65 parts and stays array-backed, with its sums
+    # part leaves pieces above it at the front; the state shrinks below 65
+    # parts and stays array-backed, its rates summed under np.errstate at
+    # alpha = -1
     start = MassState((0.25,) + (0.0075,) * 100, 0.0, 1.0)
     for seed in range(4):
-        shipped, carry_free, handed = twin_paths(
+        shipped, on_tuples, handed = twin_paths(
             monkeypatch, start, THREE_ATOMS, -1.0, 1.0, 1e-2, 10 ** 6,
             lambda: np.random.default_rng(seed))
-        assert shipped == carry_free and most_carried(handed) >= 1
+        assert shipped == on_tuples
         assert float.fromhex(shipped[2][1]) > 0.0
-        assert all(valid is not None for valid, _ in handed)
+        assert all(is_array for is_array, _ in handed)
         assert min(n for _, n in handed) <= 64
 
 
 def test_carried_block_sums_past_a_cap_that_trims_them(monkeypatch):
-    # the first event splits rank 300 of 300 equal parts and the cap keeps
-    # 100, so of the 299 sums before the parent's rank only 100 survive
+    # the first event splits rank 300 of 300 equal parts and the cap trims
+    # the array to 100 parts
     start = MassState((2.0 ** -9,) * 300, 0.0, 300 * 2.0 ** -9)
-    shipped, carry_free, handed = twin_paths(
+    shipped, on_tuples, handed = twin_paths(
         monkeypatch, start, THREE_ATOMS, 1.0, 80.0, 0.0, 100,
         lambda: Scripted(5, uniforms=(math.nextafter(1.0, 0.0),)))
-    assert shipped == carry_free and handed[:2] == [(0, 300), (100, 100)]
-    assert most_carried(handed) == 100
+    assert shipped == on_tuples
+    assert handed[:2] == [(True, 300), (True, 100)]
+    assert max(n for _, n in handed[1:]) == 100
     events = shipped[0]
     assert events[0][1] == 300 and events[0][4] and len(events) > 20
 
@@ -667,8 +666,8 @@ def test_carried_block_sums_past_a_cap_that_trims_them(monkeypatch):
 @pytest.mark.parametrize("alpha", (1.0, 2.0))
 def test_carried_block_sums_on_a_block_boundary(monkeypatch, alpha):
     # each u * total is the running sum at rank b exactly, so the target is
-    # rank b + 1: found past the carried sums (event 1), among them (2, 4,
-    # 5) and at the last carried one, which u equals (3)
+    # rank b + 1, whether the running sums are np.add.accumulate's on the
+    # array or accumulate's on the tuple twin
     halves = FiniteAtomic([(1.0, (0.5, 0.5))])
     state, uniforms = MassState(dyadic_parts(200), 0.0, 1.0), []
     for b in (192, 128, 128, 64, 0):
@@ -677,37 +676,35 @@ def test_carried_block_sums_on_a_block_boundary(monkeypatch, alpha):
         assert u is not None
         uniforms += [u, 0.5]
         state = dislocate(state, b + 1, (0.5, 0.5))
-    shipped, carry_free, handed = twin_paths(
+    shipped, on_tuples, handed = twin_paths(
         monkeypatch, MassState(dyadic_parts(200), 0.0, 1.0), halves, alpha,
         1.0, 0.0, 10 ** 6,
         lambda: Scripted(0, [1e-9] * 5 + [math.inf], uniforms))
-    assert shipped == carry_free
-    assert [valid for valid, _ in handed] == [0, 192, 128, 128, 64, 0]
+    assert shipped == on_tuples
+    assert handed == [(True, n) for n in range(200, 206)]
     assert [ev[1] for ev in shipped[0]] == [193, 129, 129, 65, 1]
 
 
 @pytest.mark.parametrize("law", (SPLIT_64, FiniteAtomic([(1.0, (0.5, 1e-305))])),
                          ids=("sum", "pow"))
 def test_carried_block_sums_never_meet_an_overflow(monkeypatch, law):
-    # with sums carried and no floor at alpha = -1, the rates of shrinking
-    # parts overflow in their running sum (0.6, 0.4) or, once a piece of
-    # 1e-305 of a part is subnormal, in m ** alpha; both raise RateOverflow
-    # with no RuntimeWarning, which the tests make an error
+    # with the parts in an array and no floor at alpha = -1, the rates of
+    # shrinking parts overflow in their running sum (0.6, 0.4) or, once a
+    # piece of 1e-305 of a part is subnormal, in m ** alpha; both raise
+    # RateOverflow with no RuntimeWarning, which the tests make an error
     start = MassState(dyadic_parts(200), 0.0, 1.0)
-    handed = watch_carried(monkeypatch)
+    handed = watch_kinds(monkeypatch)
     for seed in range(3):
         handed.clear()
         with pytest.raises(RateOverflow):
             _evolve(start, SimConfig(law, 50.0, alpha=-1.0, eps=0.0,
                                      mass_floor=0.0, max_fragments=10 ** 6),
                     50.0, np.random.default_rng(seed))
-        assert handed[-1][0] >= 1
-    carried = RunningSums()
-    carried.extend(dyadic_parts(200), -1.0)
-    carried.valid = 64
+        assert handed[-1][0]
     with pytest.raises(RateOverflow):
-        next_event(MassState(dyadic_parts(200) + (5e-324,), 0.0, 1.0), -1.0,
-                   0.0, np.random.default_rng(0), law.truncated_mass(0.0), carried)
+        next_event(MassState(array("d", dyadic_parts(200) + (5e-324,)), 0.0,
+                             1.0), -1.0, 0.0, np.random.default_rng(0),
+                   law.truncated_mass(0.0))
 
 
 def test_run_pure_erosion_is_exact():
