@@ -132,17 +132,22 @@ def test_no_state_draws_its_total_from_sum(monkeypatch, alpha):
 
 @pytest.mark.parametrize("kind", (tuple, lambda p: array("d", p)),
                          ids=("tuple", "array"))
+@pytest.mark.parametrize("again", (False, True))
 @pytest.mark.parametrize("alpha, mass", ((-1.0, 1e-307), (1.0, 1e307),
                                          (2.0, 1e154)))
 def test_rates_that_sum_past_the_float_range_raise_rate_overflow(
-        kind, alpha, mass):
+        kind, again, alpha, mass):
     # 100 finite rates of 1e307 or 1e308 sum past the float range in
     # np.add.accumulate, which would warn outside its errstate: small
-    # masses at alpha < 0, or masses past 1 at alpha > 0
+    # masses at alpha < 0, or masses past 1 at alpha > 0; the sums are
+    # taken afresh at every event, so a second call on the same state
+    # raises alike, and neither call touches its parts
     state = MassState(kind((mass,) * 100), 0.0, 100 * mass)
-    with warnings.catch_warnings(), pytest.raises(RateOverflow):
-        warnings.simplefilter("error")
-        next_event(state, alpha, 0.0, np.random.default_rng(0), TRUNC)
+    for _ in range(1 + again):
+        with warnings.catch_warnings(), pytest.raises(RateOverflow):
+            warnings.simplefilter("error")
+            next_event(state, alpha, 0.0, np.random.default_rng(0), TRUNC)
+    assert state.parts == kind((mass,) * 100)
 
 
 def test_snapshots_of_an_array_backed_path_share_one_float_per_value():
